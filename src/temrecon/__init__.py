@@ -57,7 +57,6 @@ from .kernel_space import (
     build_shift_invariant_kernel,
     generic_w_norm,
     kernel_slice,
-    kernel_w_norm,
     reproducing_bound,
     reproducing_residual,
     window_for_grid,

@@ -13,6 +13,8 @@ non-convergence.
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
@@ -72,6 +74,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
+        self._check_numbers()
         if self.device_spacing is None:
             # crossing samples interpolate best on the unit lattice; the
             # integrate-and-fire synthesis needs tighter devices
@@ -86,6 +89,32 @@ class ExperimentConfig:
         self.tem_config()
         self.grid()
         MixedNormParams(self.p, self.q)
+        Generator(self.generator_order_t, self.generator_order_s)
+
+    def _check_numbers(self):
+        """Type and finiteness of every numeric field, before any arithmetic.
+
+        Integer fields take integers only (not bools, not 2.5); float fields
+        take finite reals, except that `device_spacing` / `theta` may be left
+        None to derive them and the exponents p and q, whose range
+        `MixedNormParams` checks, may be inf.
+        """
+        def is_int(v):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type is int and not is_int(v):
+                raise InputError(f"{f.name} must be an integer, got {v!r}")
+            if f.type is float and not (v is None and f.default is None):
+                if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                    raise InputError(f"{f.name} must be a number, got {v!r}")
+                if not math.isfinite(v) and f.name not in ("p", "q"):
+                    raise InputError(f"{f.name} must be finite, got {v!r}")
+        if not isinstance(self.frame_n_list, list) or not all(map(is_int, self.frame_n_list)):
+            raise InputError(f"frame_n_list must be a list of integers, got {self.frame_n_list!r}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
     def tem_config(self):
         return TemConfig(self.mode, self.c_bound, self.b_level, self.delta_target,
@@ -392,6 +421,13 @@ def selftest(fast=False, corrupt_dual=False, stream=None):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _seed_arg(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _parser():
     ap = argparse.ArgumentParser(prog="temrecon",
                                  description="time-encoding sampling and reconstruction")
@@ -400,7 +436,7 @@ def _parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=_seed_arg, default=None, help="override config seed")
     p = sub.add_parser("selftest")
     p.add_argument("--fast", action="store_true", help="halve the sweep resolution")
     return ap

@@ -125,19 +125,11 @@ def neumann_coefficients(N):
 class KernelSum:
     """Finite sum of separable grid kernels sum_m c_m At_m(x,s) As_m(y,t)."""
 
-    def __init__(self, coefs, terms_t, terms_s, xs, ys, wx, wy):
+    def __init__(self, coefs, terms_t, terms_s, xs, ys):
         self.coefs = list(coefs)
         self.terms_t = list(terms_t)
         self.terms_s = list(terms_s)
-        self.xs, self.ys, self.wx, self.wy = xs, ys, wx, wy
-
-    def value_at_indices(self, i, p, j, q):
-        return float(sum(c * Mt[i, j] * Ms[p, q]
-                         for c, Mt, Ms in zip(self.coefs, self.terms_t, self.terms_s)))
-
-    def compose_t_with(self, matrices):
-        """Per-term composition of the time factors with per-term matrices."""
-        return [Mt @ (self.wx[:, None] * M) for Mt, M in zip(self.terms_t, matrices)]
+        self.xs, self.ys = xs, ys
 
     def w_norm_estimate(self, stride_outer=16, stride_inner=8, interior=None):
         """Nested kernel-norm estimate over strided subgrids.
@@ -187,7 +179,7 @@ def neumann_plus(kernel, kdelta, N, r0=None):
     gamma = neumann_coefficients(N)
     pt = [ax_t.M0] + ax_t.powers(N) if N >= 1 else [ax_t.M0]
     ps = [ax_s.M0] + ax_s.powers(N) if N >= 1 else [ax_s.M0]
-    return KernelSum(gamma, pt[: N + 1], ps[: N + 1], ax_t.xs, ax_s.xs, ax_t.w, ax_s.w)
+    return KernelSum(gamma, pt[: N + 1], ps[: N + 1], ax_t.xs, ax_s.xs)
 
 
 def _coef_operator(axis, gen_order, dual_axis, window_first, n_k):

@@ -261,11 +261,6 @@ class Kernel:
         return max([raw] + below)
 
 
-def kernel_w_norm(kernel, resolution=None):
-    """Nested sup/integral kernel norm estimate at the given probe resolution."""
-    return kernel.w_norm(resolution)
-
-
 def build_shift_invariant_kernel(gen, dual, stats_resolution=DEFAULT_STATS_RESOLUTION):
     """Kernel of the idempotent projector onto the shift-invariant space.
 

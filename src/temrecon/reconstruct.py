@@ -248,7 +248,7 @@ def _interval_quadrature(out, j, alpha):
     Each interval is split at the half-integer lattice (the spline
     breakpoints), with degenerate zero-length pieces padding the ragged
     split counts; the rule then integrates spline slices exactly, matching
-    the encoder-side recovered integrals to bisection accuracy.
+    the encoder-side recovered integrals to root-finding accuracy.
     """
     t = out.times[j]
     prev = np.concatenate([[out.t_start], t[:-1]])

@@ -11,9 +11,12 @@ whenever the signal respects its amplitude bound.
 
 Encoding a device is inherently sequential (each test function depends on
 the previous fire), but devices are independent; the `encode_*_devices`
-fast paths advance all devices of a set in lockstep with vectorized
-bracketing and bisection, and are validated against the scalar
-`ctem_encode` / `iftem_encode` reference implementations.
+fast paths advance all devices of a set in lockstep.  Each fire is
+bracketed by a scan and located by a bracketed Newton iteration: slices are
+piecewise polynomials on the half-integer knot lattice, so the fire is a
+smooth root inside a known bracket.  The fast paths are validated against
+the scalar `ctem_encode` / `iftem_encode` reference implementations, which
+refine by plain bisection.
 """
 
 import math
@@ -379,26 +382,89 @@ def _slice_matrix(vsig, devices):
     return bs @ vsig.coeffs.entries.T
 
 
-def _eval_rows(coefs, order, k1s, ts):
+def _eval_rows(coefs, order, k1s, ts, slope=False):
     """values[j, i] = sum_k coefs[j, k] beta(ts[j, i] - k1s[k]).
 
     Only the lattice columns reachable from the span of `ts` are touched,
-    which keeps the per-fire bisection bursts cheap.
+    which keeps the per-fire root-finding rounds cheap.  With `slope`, also
+    returns the time derivative, from beta_n'(x) = beta_{n-1}(x + 1/2) -
+    beta_{n-1}(x - 1/2) on the same columns, as a (values, slopes) pair.
     """
     lo = int(np.floor(ts.min() - order / 2.0))
     hi = int(np.ceil(ts.max() + order / 2.0))
     sel = (k1s >= lo) & (k1s <= hi)
     if not np.any(sel):
-        return np.zeros(ts.shape)
-    B = bspline_eval(order, ts[..., None] - k1s[sel][None, None, :])
-    return np.einsum("jik,jk->ji", B, coefs[:, sel])
+        return (np.zeros(ts.shape), np.zeros(ts.shape)) if slope else np.zeros(ts.shape)
+    c = coefs[:, sel]
+    x = ts[..., None] - k1s[sel][None, None, :]
+    vals = np.einsum("jik,jk->ji", bspline_eval(order, x), c)
+    if not slope:
+        return vals
+    lower = bspline_eval(order - 1, np.stack((x + 0.5, x - 0.5)))
+    return vals, np.einsum("jik,jk->ji", lower[0] - lower[1], c)
+
+
+def _bracketed_newton(g_and_slope, lo, hi, start):
+    """Root per row of a decreasing sign change, by safeguarded Newton.
+
+    Row i brackets its root by [lo[i], hi[i]] with g(lo) > 0 >= g(hi);
+    `g_and_slope(rows, t)` returns (g, g') at points t of the given rows and
+    `start` lies inside each bracket.  Every evaluation shrinks the bracket.
+    The next point is the Newton point when the slope is negative and the
+    point lies strictly inside the bracket, else the bracket midpoint.  A row
+    stops when its Newton step is at most BISECTION_TOL / 4 (root: the
+    Newton point) or its bracket is at most BISECTION_TOL (root: the
+    midpoint), within 80 rounds.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    root = 0.5 * (lo + hi)
+    rows = np.flatnonzero(hi - lo > BISECTION_TOL)
+    t = start[rows]
+    for _ in range(80):
+        if rows.size == 0:
+            break
+        g, dg = g_and_slope(rows, t)
+        pos = g > 0.0
+        lo_r = np.where(pos, t, lo[rows])
+        hi_r = np.where(pos, hi[rows], t)
+        lo[rows], hi[rows] = lo_r, hi_r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / dg
+        newton = t - step
+        mid = 0.5 * (lo_r + hi_r)
+        converged = (dg < 0.0) & (np.abs(step) <= 0.25 * BISECTION_TOL)
+        # open rows hold the midpoint, their root should the round cap hit
+        root[rows] = np.where(converged, np.clip(newton, lo_r, hi_r), mid)
+        inside = (dg < 0.0) & (newton > lo_r) & (newton < hi_r)
+        t = np.where(inside, newton, mid)
+        keep = ~converged & (hi_r - lo_r > BISECTION_TOL)
+        rows, t = rows[keep], t[keep]
+    return root
+
+
+def _knot_split_rule(a, b):
+    """Gauss-4 nodes and weights, (n, 8) each, for segments [a[i], b[i]].
+
+    Each segment (at most 0.5 long) is split at its interior half-integer
+    point, if any, so spline breakpoints stay on piece boundaries and the
+    rule is exact for spline slices.
+    """
+    m = np.clip(np.ceil((a + 1e-12) / 0.5) * 0.5, a, b)
+    nodes, weights = [], []
+    for lo, hi in ((a, m), (m, b)):
+        half = 0.5 * (hi - lo)
+        nodes.append(lo[:, None] + half[:, None] * (_GAUSS_X[None, :] + 1.0))
+        weights.append(half[:, None] * _GAUSS_W[None, :])
+    return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
 
 
 def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
     """Crossing-encode every device of a set in lockstep; returns TemOutput.
 
-    Mathematically identical to running `ctem_encode` on each slice; the
-    per-fire bracketing and bisection run vectorized across devices.
+    Mathematically identical to running `ctem_encode` on each slice.  The
+    scan brackets each device's next fire, vectorized across devices, and
+    `_bracketed_newton` locates it on g = f + b - lambda (t - t_prev) with
+    g' = f' - lambda, starting from the secant of the two scan samples.
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
@@ -447,18 +513,22 @@ def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
         if rows.size == 0:
             break
         fi = first[has]
+        before = np.maximum(fi - 1, 0)
         hi = cand[has, fi]
-        lo = np.where(fi > 0, cand[has, np.maximum(fi - 1, 0)], t_prev[rows])
-        for _ in range(80):
-            if np.max(hi - lo) <= BISECTION_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            fm = _eval_rows(coefs[rows], order, k1s, mid[:, None])[:, 0]
-            gm = fm + b - lam * (mid - t_prev[rows])
-            pos = gm > 0.0
-            lo = np.where(pos, mid, lo)
-            hi = np.where(pos, hi, mid)
-        t_fire = 0.5 * (lo + hi)
+        lo = np.where(fi > 0, cand[has, before], t_prev[rows])
+        # secant of the two scan samples; the midpoint when the bracket
+        # starts at the previous fire, where there is no sample
+        start = 0.5 * (lo + hi)
+        sec = fi > 0
+        g_lo, g_hi = g[has, before][sec], g[has, fi][sec]
+        start[sec] = lo[sec] + g_lo / (g_lo - g_hi) * (hi[sec] - lo[sec])
+        c_rows, tp_rows = coefs[rows], t_prev[rows]
+
+        def crossing(sub, t):
+            f, df = _eval_rows(c_rows[sub], order, k1s, t[:, None], slope=True)
+            return f[:, 0] + b - lam * (t - tp_rows[sub]), df[:, 0] - lam
+
+        t_fire = _bracketed_newton(crossing, lo, hi, start)
         all_times[rows, counts[rows]] = t_fire
         all_values[rows, counts[rows]] = -b + lam * (t_fire - t_prev[rows])
         counts[rows] += 1
@@ -475,8 +545,10 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     """Integrate-and-fire-encode every device of a set; returns TemOutput.
 
     Grid-synchronous: the leaky recurrence advances all devices one
-    evaluation step at a time; threshold crossings within a step are
-    refined per device by vectorized bisection.
+    evaluation step at a time.  A step whose integral reaches theta brackets
+    a fire, and `_bracketed_newton` locates it on g = theta - y(t) with
+    g' = alpha y(t) - f(t) - b, starting from the secant of y between the
+    step ends; y(t) and f(t) come from one knot-split Gauss call.
     """
     if cfg.mode != "integrate-and-fire":
         raise InputError("config mode must be 'integrate-and-fire'")
@@ -500,33 +572,20 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     t_prev_fire = np.full(J, t0)
     y = np.zeros(J)
 
-    def seg_integral(rows, a_vec, b_vec, t_ref_vec):
-        # split each segment at its (at most one, since h <= 0.5) interior
-        # half-integer point so spline breakpoints stay on piece boundaries
-        m_vec = np.clip(np.ceil((a_vec + 1e-12) / 0.5) * 0.5, a_vec, b_vec)
-        half1 = 0.5 * (m_vec - a_vec)
-        half2 = 0.5 * (b_vec - m_vec)
-        nodes = np.concatenate(
-            [a_vec[:, None] + half1[:, None] * (_GAUSS_X[None, :] + 1.0),
-             m_vec[:, None] + half2[:, None] * (_GAUSS_X[None, :] + 1.0)], axis=1)
-        halves = np.concatenate([np.repeat(half1[:, None], 4, axis=1),
-                                 np.repeat(half2[:, None], 4, axis=1)], axis=1)
-        vals = _eval_rows(coefs[rows], order, k1s, nodes) + b
-        w = halves * np.exp(alpha * (nodes - t_ref_vec[:, None])) * np.tile(_GAUSS_W, 2)[None, :]
-        return (vals * w).sum(axis=1)
+    def seg_integral(rows, a_vec, b_vec):
+        # (integral of (f + b) exp(alpha (u - b_vec)) over [a_vec, b_vec],
+        #  f + b at b_vec), the endpoint riding along as a ninth node
+        nodes, w = _knot_split_rule(a_vec, b_vec)
+        vals = _eval_rows(coefs[rows], order, k1s,
+                          np.concatenate([nodes, b_vec[:, None]], axis=1)) + b
+        w = w * np.exp(alpha * (nodes - b_vec[:, None]))
+        return (vals[:, :-1] * w).sum(axis=1), vals[:, -1]
 
     # whole-step integrals, one design product for all devices and steps:
     # nodes are shared across devices, two knot-split pieces per step
     a_vec, b_vec = edges[:-1], edges[1:]
-    m_vec = np.clip(np.ceil((a_vec + 1e-12) / 0.5) * 0.5, a_vec, b_vec)
-    nodes_parts, w_parts = [], []
-    for lo, hi in ((a_vec, m_vec), (m_vec, b_vec)):
-        half = 0.5 * (hi - lo)
-        nodes = lo[:, None] + half[:, None] * (_GAUSS_X[None, :] + 1.0)
-        nodes_parts.append(nodes)
-        w_parts.append(half[:, None] * _GAUSS_W[None, :] * np.exp(alpha * (nodes - b_vec[:, None])))
-    step_nodes = np.concatenate(nodes_parts, axis=1)     # (n_steps, 8)
-    step_w = np.concatenate(w_parts, axis=1)
+    step_nodes, step_w = _knot_split_rule(a_vec, b_vec)     # (n_steps, 8)
+    step_w = step_w * np.exp(alpha * (step_nodes - b_vec[:, None]))
     B = bspline_eval(order, step_nodes.ravel()[:, None] - k1s[None, :])
     fvals = (coefs @ B.T).reshape(J, n_steps, 8)
     if np.max(np.abs(fvals)) > cfg.c_bound + 1e-12:
@@ -542,19 +601,16 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
         guard = 0
         while np.any(crossed):
             rws = np.where(crossed)[0]
-            lo = seg_start_k[rws].copy()
-            hi = np.full(rws.size, t_next)
-            y0 = y[rws]
-            for _ in range(80):
-                if np.max(hi - lo) <= BISECTION_TOL:
-                    break
-                mid = 0.5 * (lo + hi)
-                ym = y0 * np.exp(-alpha * (mid - seg_start_k[rws])) + seg_integral(
-                    rws, seg_start_k[rws], mid, mid)
-                below = ym < theta
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            t_fire = 0.5 * (lo + hi)
+            s, y0 = seg_start_k[rws], y[rws]
+
+            def level(sub, t):
+                integral, integrand = seg_integral(rws[sub], s[sub], t)
+                yt = y0[sub] * np.exp(-alpha * (t - s[sub])) + integral
+                return theta - yt, alpha * yt - integrand
+
+            # y < theta at the segment start and >= theta at t_next
+            start = s + (theta - y0) / (y_new[rws] - y0) * (t_next - s)
+            t_fire = _bracketed_newton(level, s, np.full(rws.size, t_next), start)
             gap = t_fire - t_prev_fire[rws]
             all_times[rws, counts[rws]] = t_fire
             all_ints[rws, counts[rws]] = theta - b * cfg.kappa_alpha(gap)
@@ -564,8 +620,7 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
             y[rws] = 0.0
             rest = t_next - t_fire
             y_new[rws] = np.where(rest > BISECTION_TOL,
-                                  seg_integral(rws, t_fire, np.full(rws.size, t_next),
-                                               np.full(rws.size, t_next)),
+                                  seg_integral(rws, t_fire, np.full(rws.size, t_next))[0],
                                   0.0)
             crossed = np.zeros(J, dtype=bool)
             crossed[rws] = y_new[rws] >= theta

@@ -145,3 +145,43 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (out / "events.csv").exists()
     assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"alpha": float("nan")},
+    {"tol": float("inf")},
+    {"delta_target": float("nan")},
+    {"grid_step": float("nan")},
+    {"seed": "abc"},
+    {"n_max": 2.5},
+    {"seed": True},
+    {"seed": -1},
+    {"x_max": "32"},
+    {"device_spacing": float("inf")},
+    {"theta": float("nan")},
+    {"q": float("nan")},
+    {"p": float("-inf")},
+    {"frame_n_list": [2, 4.5]},
+    {"generator_order_t": 1},
+], ids=json.dumps)
+def test_malformed_config_exit_code_table(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad))  # NaN / Infinity as Python's json writes them
+    for command in ("encode", "reconstruct", "frames"):
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_infinite_exponent(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": 1.0, "q": float("inf"), "x_max": 12}))
+    cfg = load_config(path)
+    assert cfg.q == float("inf") and cfg.x_max == 12
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["encode", "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err

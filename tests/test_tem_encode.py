@@ -6,6 +6,8 @@ import pytest
 from temrecon import (
     DeviceSet,
     GapError,
+    Generator,
+    Grid,
     InputError,
     PreconditionError,
     TemConfig,
@@ -15,6 +17,7 @@ from temrecon import (
     encode_iftem_devices,
     iftem_encode,
     partition_of_unity,
+    window_for_grid,
 )
 from temrecon.tem_encode import TemOutput
 
@@ -242,6 +245,29 @@ def test_vectorized_matches_scalar(hat_gen, small_grid, small_window):
         assert t_s.size == out_i.times[j].size
         assert np.max(np.abs(t_s - out_i.times[j])) <= 1e-10
         assert np.max(np.abs(i_s - out_i.values[j])) <= 1e-10
+
+
+def test_vectorized_matches_scalar_order3():
+    # quadratic slices curve on every knot piece, where hat slices are
+    # piecewise linear and the crossing Newton step is exact within a piece
+    gen = Generator(3, 3)
+    grid = Grid.from_spacing(0.0, 8.0, 0.0, 8.0, 1.0 / 32.0)
+    window = window_for_grid(grid, gen, margin_extra=0)  # 5 x 5 coefficients
+    sig = random_vsignal(window, gen, grid, np.random.default_rng(8))
+    dev = DeviceSet.uniform(0.0, 8.0, 1.0, 0.5)
+    # a scan step of delta_target leaves no scan sample before the fire, so
+    # Newton starts from the bracket midpoint instead of the secant
+    cases = [(encode_ctem_devices, ctem_encode, crossing_cfg(), {}),
+             (encode_ctem_devices, ctem_encode, crossing_cfg(), {"scan_step": 0.25})]
+    cases += [(encode_iftem_devices, iftem_encode, if_cfg(alpha=a), {}) for a in (0.0, 0.5)]
+    for fast, scalar, cfg, kw in cases:
+        out = fast(sig, dev, cfg, (0.0, 8.0), **kw)
+        for j in (3, 5):
+            t_s, v_s, _ = scalar(lambda x: sig.eval_slice(dev.positions[j], x), cfg,
+                                 (0.0, 8.0), **kw)
+            assert t_s.size == out.times[j].size
+            assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
+            assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
 
 
 def test_monotone_load_if(hat_gen, small_grid, small_window):
