@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionError, InputError
-from .generator import bspline_eval
+from .generator import bspline_eval, knot_split_rule
 from .kernel_space import (
     GridFactor1D,
     Kernel,
@@ -37,32 +37,6 @@ from .mixed_norm import (
     mixed_function_norm,
     mixed_sequence_norm,
 )
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
-
-
-def _cell_rule(centers, width):
-    """Gauss nodes/weights over cells center +- width/2, split at half-integers.
-
-    Zero-length padding pieces make the per-cell split counts uniform, so
-    everything stays a rectangular array; the rule is exact for piecewise
-    polynomials with breakpoints on the half-integer lattice.
-    """
-    centers = np.asarray(centers, dtype=float)
-    lo = centers - width / 2.0
-    hi = centers + width / 2.0
-    n_pieces = int(math.ceil(width / 0.5)) + 1
-    first = np.ceil((lo + 1e-12) / 0.5) * 0.5
-    edges = [lo]
-    for i in range(n_pieces - 1):
-        edges.append(np.clip(first + 0.5 * i, lo, hi))
-    edges.append(hi)
-    nodes_list, w_list = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes_list.append(a[:, None] + half[:, None] * (_GAUSS_X[None, :] + 1.0))
-        w_list.append(half[:, None] * _GAUSS_W[None, :])
-    return np.concatenate(nodes_list, axis=1), np.concatenate(w_list, axis=1)
 
 
 def _lattice(lo, hi, delta):
@@ -80,7 +54,9 @@ class _AxisFrame:
         self.w = weights
         self.delta = delta
         self.lattice = _lattice(xs[0], xs[-1], delta)
-        nodes, wq = _cell_rule(self.lattice, delta)
+        # knot-split Gauss rule over the cells lattice point +- delta / 2
+        nodes, wq = knot_split_rule(self.lattice - delta / 2.0, self.lattice + delta / 2.0)
+        self.nodes, self.wq = nodes, wq
         flat = nodes.ravel()
         # P[i, l] = integral over cell l of kappa(x_i, .), Q[l, j] transposed side
         KxN = factor.eval_outer(xs, flat) * wq.ravel()[None, :]
@@ -305,8 +281,8 @@ class FrameFamily:
         self._dual_s = ax_s.Q.T[rows_s]
         # analysis of window signals collapses to scaled cell integrals
         gen = self.kernel.generator
-        nodes_t, wq_t = _cell_rule(ax_t.lattice, self.delta)
-        nodes_s, wq_s = _cell_rule(ax_s.lattice, self.delta)
+        nodes_t, wq_t = ax_t.nodes, ax_t.wq
+        nodes_s, wq_s = ax_s.nodes, ax_s.wq
         Bt = bspline_eval(gen.order_t, nodes_t.ravel()[:, None] - self.window.k1s[None, :])
         Bs = bspline_eval(gen.order_s, nodes_s.ravel()[:, None] - self.window.k2s[None, :])
         self._G_t = (Bt * wq_t.ravel()[:, None]).reshape(

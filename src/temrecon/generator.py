@@ -23,6 +23,7 @@ from .errors import InputError, SingularGeneratorError, WindowGrowthError
 BIORTH_TOL = 1e-8
 TAIL_TOL = 1e-10
 TRUNC_TOL = 1e-14
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,26 @@ def gauss_panel_rule(lo, hi, points_per_panel, panel=0.5):
     nodes = (starts[:, None] + panel * (gx[None, :] + 1.0) / 2.0).ravel()
     weights = np.tile(gw * panel / 2.0, n_panels)
     return nodes, weights
+
+
+def knot_split_rule(a, b):
+    """Gauss-4 nodes and weights, (n, 4 * pieces) each, for segments [a[i], b[i]].
+
+    Each segment is split at its interior half-integer points, so spline
+    breakpoints stay on piece boundaries and the rule is exact for spline
+    slices through degree 7.  Every segment gets the piece count of the
+    longest one, ceil(max(b - a) / 0.5) + 1; zero-length pieces pad the
+    shorter segments, so everything stays a rectangular array.
+    """
+    n_pieces = int(np.ceil(np.max(b - a, initial=0.0) / 0.5)) + 1
+    first = np.ceil((a + 1e-12) / 0.5) * 0.5
+    edges = [a] + [np.clip(first + 0.5 * i, a, b) for i in range(n_pieces - 1)] + [b]
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes.append(lo[:, None] + half[:, None] * (_GAUSS_X[None, :] + 1.0))
+        weights.append(half[:, None] * _GAUSS_W[None, :])
+    return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
 
 
 # ---------------------------------------------------------------------------

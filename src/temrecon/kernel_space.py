@@ -228,6 +228,8 @@ class Kernel:
                       scale=a * self.scale, stats_resolution=self.stats_resolution)
 
     def _factor_w0(self, axis, resolution):
+        if axis == "s" and self.factor_s is self.factor_t:
+            axis = "t"
         key = (axis, resolution)
         if key not in self._w0:
             factor = self.factor_t if axis == "t" else self.factor_s
@@ -252,7 +254,8 @@ class Kernel:
         key = (radius, res)
         if key not in self._omega_raw:
             mu_t = self.factor_t.box_modulus_w0(radius, res)
-            mu_s = self.factor_s.box_modulus_w0(radius, res)
+            mu_s = (mu_t if self.factor_s is self.factor_t
+                    else self.factor_s.box_modulus_w0(radius, res))
             k_t = self._factor_w0("t", res)
             k_s = self._factor_w0("s", res)
             self._omega_raw[key] = abs(self.scale) * (mu_t * k_s + k_t * mu_s + mu_t * mu_s)
@@ -265,7 +268,9 @@ def build_shift_invariant_kernel(gen, dual, stats_resolution=DEFAULT_STATS_RESOL
     """Kernel of the idempotent projector onto the shift-invariant space.
 
     Refuses construction when the dual is not trustworthy: biorthogonality
-    residual above 1e-8 or coefficient tail bound above 1e-10.
+    residual above 1e-8 or coefficient tail bound above 1e-10.  When both
+    axes share one dual axis (equal orders), they share one factor too, and
+    the kernel computes its per-axis statistics once.
     """
     if dual.biorth_residual > BIORTH_TOL:
         raise InputError(
@@ -273,9 +278,11 @@ def build_shift_invariant_kernel(gen, dual, stats_resolution=DEFAULT_STATS_RESOL
         )
     if dual.tail_bound > TAIL_TOL:
         raise InputError(f"dual tail bound {dual.tail_bound:.3e} above {TAIL_TOL:.0e}")
+    factor_t = SplineFactor1D(gen.order_t, dual.axis_t)
+    shared = dual.axis_s is dual.axis_t and gen.order_s == gen.order_t
     return Kernel(
-        SplineFactor1D(gen.order_t, dual.axis_t),
-        SplineFactor1D(gen.order_s, dual.axis_s),
+        factor_t,
+        factor_t if shared else SplineFactor1D(gen.order_s, dual.axis_s),
         generator=gen,
         dual=dual,
         stats_resolution=stats_resolution,
@@ -420,7 +427,15 @@ class VSignal:
                                self.coeffs.k1_first, self.coeffs.k2_first), self.generator)
 
 
-def _analysis_matrices(kernel, grid, window):
+def analysis_matrices(kernel, grid, window, self_check=True):
+    """Per-axis matrices W[i, k] = grid weight i * dual(grid point i - k), cached.
+
+    With `self_check` the grid must first resolve biorthogonality of the
+    basis pair (`_grid_resolution_check`), the condition for the projector
+    to be idempotent on this grid; it raises `ResolutionError` otherwise.
+    """
+    if self_check:
+        _grid_resolution_check(kernel, grid, window)
     cache = getattr(kernel, "_analysis_cache", None)
     if cache is None:
         cache = kernel._analysis_cache = {}
@@ -438,19 +453,14 @@ def apply_T(kernel, f, window=None, self_check=True):
 
     Coefficients are quadrature inner products of f against dual shifts;
     identical to the integral operator with the separable kernel but at
-    two-matrix-product cost.  The optional self-check verifies (once per
-    grid/window pair) that the grid quadrature resolves biorthogonality of
-    the basis pair, which is exactly the condition for the projector to be
-    idempotent on this grid; it raises `ResolutionError` otherwise.
+    two-matrix-product cost.  `self_check` is passed to `analysis_matrices`.
     """
     if kernel.dual is None or kernel.generator is None:
         raise InputError("projector requires a generator-backed kernel")
     grid = f.grid
     if window is None:
         window = window_for_grid(grid, kernel.generator)
-    if self_check:
-        _grid_resolution_check(kernel, grid, window)
-    W_t, W_s = _analysis_matrices(kernel, grid, window)
+    W_t, W_s = analysis_matrices(kernel, grid, window, self_check)
     coefs = kernel.scale * (W_t.T @ f.values @ W_s)
     return VSignal(CoefSeq(coefs, window.k1_first, window.k2_first), kernel.generator)
 

@@ -1,15 +1,16 @@
-"""Pre-reconstruction operators and the two contraction iterations.
+"""Measurement operators and the one contraction iteration of both machines.
 
-The crossing branch builds the piecewise-constant-in-time, partition-of-
-unity-blended quasi-interpolant S from the recovered crossing samples and
-iterates f_{n+1} = f_n + T S (f - f_n); the integrate-and-fire branch
-assembles R from the recovered interval integrals against kernel slices at
-the interval midpoints and iterates f_{n+1} = f_n + R (f - f_n).  Both are
-the residual form of the textbook recursions f_{n+1} = f_1 + (I - TS) f_n
-(resp. R): algebraically identical, but they make explicit that only the
-residual is re-sampled, always at the original firing times, so no second
-encoding pass is ever needed.  Fresh samples of the iterate come from exact
-spline synthesis at the stored times.
+Both reconstructions are one Richardson iteration on the coefficients of
+the iterate (the frame-operator form of Feichtinger, Groechenig and
+Strohmer), in residual form f_{n+1} = f_n + M (y - A f_n).  Per device j,
+A_j re-measures the iterate's slice at the original firing times, y_j holds
+the encoder-recovered measurements of the signal, and M_j maps the residual
+back to time-axis coefficients, which one space factor spreads across
+space.  The crossing machine samples at the fires and uses M = T S, the
+projector after the nearest-fire quasi-interpolant, read off the grid
+analysis matrices without rendering a grid function; the integrate-and-fire
+machine takes leak-weighted interval integrals and uses M = R, kernel
+slices at the interval midpoints.  No second encoding pass is ever needed.
 
 Divergence is a reported outcome, not an exception: the sufficient rate
 bounds are wildly pessimistic and experiments deliberately sweep past them.
@@ -21,16 +22,103 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .generator import bspline_eval
-from .kernel_space import VSignal, apply_T, window_for_grid
+from .generator import bspline_eval, knot_split_rule
+from .kernel_space import VSignal, analysis_matrices, window_for_grid
 from .mixed_norm import CoefSeq, GridFunction, MixedNormParams, mixed_function_norm
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
-
 
 # ---------------------------------------------------------------------------
-# pre-reconstruction operators
+# measurement operators
 # ---------------------------------------------------------------------------
+
+class MeasurementOperator:
+    """Richardson update c -> M (y - A c) of one machine, folded per device.
+
+    Per device j the measurement matrix A_j (fires x n1) and the synthesis
+    matrix M_j (n1 x fires) enter the update only through M_j y_j and the
+    n1 x n1 product M_j A_j, which is all the operator keeps (its size does
+    not grow with the fire count).  The update column of device j is
+    M_j y_j - (M_j A_j) c_j, with c_j = C slice_s[j] the time-axis
+    coefficients of the iterate's slice at the device; the columns then
+    spread across space through `space` (devices x n2).
+    """
+
+    def __init__(self, out, kernel, devices, window, per_device, space):
+        """`per_device` yields (A_j, M_j) for each device in order."""
+        n1, J = window.n1, len(devices)
+        self.window, self.generator, self.space = window, kernel.generator, space
+        self.slice_s = bspline_eval(kernel.generator.order_s,
+                                    devices.positions[:, None] - window.k2s[None, :])
+        self.My = np.zeros((n1, J))
+        self.MA = np.zeros((J, n1, n1))
+        for j, (A_j, M_j) in enumerate(per_device):
+            self.My[:, j] = M_j @ out.values[j]
+            self.MA[j] = M_j @ A_j
+
+    def synthesize(self, cols):
+        """Signal with coefficients sum_j cols[:, j] (x) space[j]."""
+        w = self.window
+        return VSignal(CoefSeq(cols @ self.space, w.k1_first, w.k2_first), self.generator)
+
+    def step(self, f_n):
+        """The update M (y - A f_n) of one Richardson step."""
+        slices = f_n.coeffs.entries @ self.slice_s.T
+        return self.synthesize(self.My - np.einsum("jkl,lj->kj", self.MA, slices))
+
+
+def ctem_operator(out, kernel, devices, grid, window):
+    """Crossing operator: A samples at the fire times, M = T S.
+
+    S holds each residual sample constant over its nearest-fire cell (breaks
+    at midpoints of consecutive fires, stubs extended to the grid ends) and
+    blends devices by the partition of unity; T analyses against the dual on
+    the grid.  So M_j sums the rows of the time analysis matrix over each
+    cell, and the space factor is the partition of unity analysed in space.
+    Raises `ResolutionError` where the grid does not resolve T.
+    """
+    if out.config.mode != "crossing":
+        raise InputError("the crossing operator requires crossing-mode output")
+    W_t, W_s = analysis_matrices(kernel, grid, window)
+
+    def per_device():
+        for t in out.times:
+            cells = np.zeros((t.size, window.n1))
+            if t.size:
+                nearest = np.searchsorted(0.5 * (t[:-1] + t[1:]), grid.xs, side="right")
+                np.add.at(cells, nearest, W_t)
+            yield (bspline_eval(kernel.generator.order_t, t[:, None] - window.k1s[None, :]),
+                   kernel.scale * cells.T)
+
+    return MeasurementOperator(out, kernel, devices, window, per_device(),
+                               devices.u_matrix(grid.ys) @ W_s)
+
+
+def iftem_operator(out, kernel, devices, window):
+    """Integrate-and-fire operator: A integrates over the firing intervals, M = R.
+
+    A_j[i] holds the integrals of the time-axis B-splines against the leak
+    weight exp(alpha (u - t_i)) over [t_{i-1}, t_i], by the knot-split Gauss
+    rule, so fresh integrals of the iterate match the encoder-recovered ones
+    to root-finding accuracy.  R g = sum_j sum_i I_i^(j) K(., .; s_i^(j), y_j)
+    ||u_j||_L1 with interval midpoints s: M_j is the dual at the midpoints
+    times ||u_j||_L1 and the space factor is the dual at the device positions.
+    """
+    if out.config.mode != "integrate-and-fire":
+        raise InputError("the integrate-and-fire operator requires integrate-and-fire output")
+    gen, dual, k1s = kernel.generator, kernel.dual, window.k1s
+    l1 = devices.u_l1_norms()
+
+    def per_device():
+        for j, t in enumerate(out.times):
+            nodes, w = knot_split_rule(np.concatenate([[out.t_start], t])[:-1], t)
+            w = w * np.exp(out.config.alpha * (nodes - t[:, None]))
+            mids = out.interval_midpoints(j)
+            yield (np.einsum("iq,iqk->ik", w, bspline_eval(gen.order_t, nodes[:, :, None] - k1s)),
+                   kernel.scale * l1[j] * dual.axis_t.eval(mids[:, None] - k1s[None, :]).T)
+
+    return MeasurementOperator(out, kernel, devices, window, per_device(),
+                               dual.axis_s.eval(devices.positions[:, None] - window.k2s[None, :]))
+
 
 def apply_S(out, devices, grid, values_override=None):
     """Crossing-sample quasi-interpolant rendered on the grid.
@@ -38,7 +126,7 @@ def apply_S(out, devices, grid, values_override=None):
     Piecewise constant in time between midpoints of consecutive fires
     (nearest-fire assignment, with the leading and trailing stubs extended
     from the nearest available sample) and blended across space by the
-    device partition of unity.
+    device partition of unity.  The grid reference for `ctem_operator`.
     """
     if out.config.mode != "crossing":
         raise InputError("apply_S requires crossing-mode output")
@@ -56,32 +144,14 @@ def apply_S(out, devices, grid, values_override=None):
     return GridFunction(grid, profiles.T @ U)
 
 
-def apply_R(out, kernel, devices, window, values_override=None):
-    """Integrate-and-fire synthesis operator, assembled in coefficient space.
+def apply_R(out, kernel, devices, window):
+    """Integrate-and-fire synthesis operator R applied to the recovered integrals.
 
-    R g = sum_j sum_i I_i^(j) * K(., .; s_i^(j), y_j) * ||u_j||_L1 with the
-    per-interval integrals I and interval midpoints s; kernel slices are
-    members of the signal space, so R lands in it by construction
-    (coefficients beta-dual values at the slice anchors, truncated to the
-    window).
+    The M side of `iftem_operator`; kernel slices are members of the signal
+    space, so R lands in it by construction.
     """
-    if out.config.mode != "integrate-and-fire":
-        raise InputError("apply_R requires integrate-and-fire output")
-    gen, dual = kernel.generator, kernel.dual
-    k1s, k2s = window.k1s, window.k2s
-    l1 = devices.u_l1_norms()
-    coefs = np.zeros((window.n1, window.n2))
-    vals_src = values_override if values_override is not None else out.values
-    for j in range(len(devices)):
-        t = out.times[j]
-        if t.size == 0:
-            continue
-        I = np.asarray(vals_src[j], dtype=float)
-        mids = out.interval_midpoints(j)
-        bt = dual.axis_t.eval(mids[:, None] - k1s[None, :])
-        bs = dual.axis_s.eval(devices.positions[j] - k2s)
-        coefs += l1[j] * np.outer(bt.T @ I, bs)
-    return VSignal(CoefSeq(kernel.scale * coefs, window.k1_first, window.k2_first), gen)
+    op = iftem_operator(out, kernel, devices, window)
+    return op.synthesize(op.My)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +246,17 @@ def _finish_report(errors, e_ref, tol, predicted, blind, t0, diverged, params):
                                 len(errors) - 1, tol, blind, _time.time() - t0, params)
 
 
-def _run_iteration(step_update, f_true, window, gen, grid, params, n_max, tol, predicted):
-    """Shared driver: f_{n+1} = f_n + update(f_n), errors in the mixed norm.
+def _run_iteration(op, f_true, grid, params, n_max, tol, predicted):
+    """Richardson driver: f_{n+1} = f_n + op.step(f_n), errors in the mixed norm.
 
     With ground truth the error is ||f - f_n||; blind mode tracks the update
     norm ||f_{n+1} - f_n|| instead and scales the tolerance by the first one.
+    Stops at the tolerance, at `n_max`, or after three consecutive error
+    increases (reported as divergence).
     """
     t0 = _time.time()
     blind = f_true is None
+    window, gen = op.window, op.generator
     f_n = VSignal.zeros(window, gen)
     if not blind:
         e_ref = mixed_function_norm(f_true.render(grid), params)
@@ -194,7 +267,7 @@ def _run_iteration(step_update, f_true, window, gen, grid, params, n_max, tol, p
     diverged = False
     rising = 0
     for n in range(1, n_max + 1):
-        upd = step_update(f_n)
+        upd = op.step(f_n)
         f_n = VSignal(CoefSeq(f_n.coeffs.entries + upd.coeffs.entries,
                               window.k1_first, window.k2_first), gen)
         if blind:
@@ -216,100 +289,28 @@ def _run_iteration(step_update, f_true, window, gen, grid, params, n_max, tol, p
     return f_n, report
 
 
+def _max_gap(out):
+    return max((float(out.gaps(j).max()) for j in range(len(out.times))),
+               default=out.config.delta_target)
+
+
 def ctem_iterate(out, kernel, devices, grid, f_true=None, n_max=40, tol=1e-8,
                  params=None, window=None):
-    """Crossing-sample iteration f_{n+1} = f_n + T S (f - f_n).
-
-    The fixed crossing samples come from the encoder output; the iterate is
-    re-sampled exactly at the same times by spline synthesis, so the update
-    sees only the residual.  Stops at the tolerance, at `n_max`, or after
-    three consecutive error increases (reported as divergence).
-    """
+    """Crossing-sample iteration f_{n+1} = f_n + T S (f - f_n) over `ctem_operator`."""
     params = params or MixedNormParams(2.0, 2.0)
     if window is None:
         window = f_true.window if f_true is not None else window_for_grid(grid, kernel.generator)
-    predicted = estimate_r1(kernel, max((float(out.gaps(j).max()) for j in range(len(devices))),
-                                        default=out.config.delta_target), devices.delta_prime)
-    ys = devices.positions
-
-    def step(f_n):
-        resid = [out.values[j] - f_n.eval_slice(ys[j], out.times[j])
-                 for j in range(len(devices))]
-        s_grid = apply_S(out, devices, grid, values_override=resid)
-        return apply_T(kernel, s_grid, window=window)
-
-    return _run_iteration(step, f_true, window, kernel.generator, grid, params, n_max, tol,
-                          predicted)
-
-
-def _interval_quadrature(out, j, alpha):
-    """Gauss nodes and leak-weighted weights for every firing interval of device j.
-
-    Each interval is split at the half-integer lattice (the spline
-    breakpoints), with degenerate zero-length pieces padding the ragged
-    split counts; the rule then integrates spline slices exactly, matching
-    the encoder-side recovered integrals to root-finding accuracy.
-    """
-    t = out.times[j]
-    prev = np.concatenate([[out.t_start], t[:-1]])
-    max_gap = float(np.max(t - prev)) if t.size else 0.0
-    n_pieces = int(np.ceil(max_gap / 0.5)) + 1
-    first = np.ceil((prev + 1e-12) / 0.5) * 0.5
-    edges = [prev]
-    for i in range(n_pieces - 1):
-        edges.append(np.clip(first + 0.5 * i, prev, t))
-    edges.append(t)
-    nodes_list, w_list = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes = lo[:, None] + half[:, None] * (_GAUSS_X[None, :] + 1.0)
-        nodes_list.append(nodes)
-        w_list.append(half[:, None] * _GAUSS_W[None, :] * np.exp(alpha * (nodes - t[:, None])))
-    return np.concatenate(nodes_list, axis=1), np.concatenate(w_list, axis=1)
+    predicted = estimate_r1(kernel, _max_gap(out), devices.delta_prime)
+    op = ctem_operator(out, kernel, devices, grid, window)
+    return _run_iteration(op, f_true, grid, params, n_max, tol, predicted)
 
 
 def iftem_iterate(out, kernel, devices, grid, f_true=None, n_max=40, tol=1e-8,
                   params=None, window=None):
-    """Integrate-and-fire iteration f_{n+1} = f_n + R (f - f_n).
-
-    Fresh leak-weighted integrals of the iterate are taken by Gauss
-    quadrature over the original firing intervals; the encoder-recovered
-    integrals of f itself never change.
-    """
+    """Integrate-and-fire iteration f_{n+1} = f_n + R (f - f_n) over `iftem_operator`."""
     params = params or MixedNormParams(2.0, 2.0)
     if window is None:
         window = f_true.window if f_true is not None else window_for_grid(grid, kernel.generator)
-    alpha = out.config.alpha
-    predicted = estimate_r2(kernel, max((float(out.gaps(j).max()) for j in range(len(devices))),
-                                        default=out.config.delta_target),
-                            devices.delta_prime, alpha)
-    gen = kernel.generator
-    dual = kernel.dual
-    k1s, k2s = window.k1s, window.k2s
-    ys = devices.positions
-    l1 = devices.u_l1_norms()
-    # per-device caches: fresh-integral design matrices and the (fixed-time)
-    # assembly factors of the synthesis operator
-    designs = []
-    synth_t, synth_s = [], []
-    for j in range(len(devices)):
-        nodes, w = _interval_quadrature(out, j, alpha)
-        B = bspline_eval(gen.order_t, nodes.ravel()[:, None] - k1s[None, :])
-        designs.append((B, w, nodes.shape))
-        mids = out.interval_midpoints(j)
-        synth_t.append(kernel.scale * l1[j] * dual.axis_t.eval(mids[:, None] - k1s[None, :]).T)
-        synth_s.append(dual.axis_s.eval(ys[j] - k2s))
-    bs_all = np.stack(synth_s) if synth_s else np.zeros((0, window.n2))
-
-    def step(f_n):
-        cols = np.zeros((window.n1, len(devices)))
-        for j in range(len(devices)):
-            B, w, shape = designs[j]
-            c1 = f_n.slice_coef(ys[j])
-            vals = (B @ c1).reshape(shape)
-            resid = out.values[j] - (vals * w).sum(axis=1)
-            cols[:, j] = synth_t[j] @ resid
-        coefs = cols @ bs_all
-        return VSignal(CoefSeq(coefs, window.k1_first, window.k2_first), gen)
-
-    return _run_iteration(step, f_true, window, gen, grid, params, n_max, tol, predicted)
+    predicted = estimate_r2(kernel, _max_gap(out), devices.delta_prime, out.config.alpha)
+    op = iftem_operator(out, kernel, devices, window)
+    return _run_iteration(op, f_true, grid, params, n_max, tol, predicted)

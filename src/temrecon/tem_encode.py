@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EncodingInvariantError, GapError, InputError, PreconditionError
-from .generator import bspline_eval
+from .generator import bspline_eval, knot_split_rule
 
 BISECTION_TOL = 1e-14
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
@@ -205,11 +205,14 @@ class TemOutput:
                          list(self.tangency))
 
     def write_events_csv(self, path):
+        """One row per fire; each device's rows come from one format template."""
         with open(path, "w") as fh:
             fh.write("device_id,fire_index,time,recovered_value\n")
             for j, (t, v) in enumerate(zip(self.times, self.values)):
-                for i in range(t.size):
-                    fh.write(f"{j},{i},{t[i]:.17g},{v[i]:.17g}\n")
+                row = [j, 0, 0.0, 0.0] * t.size
+                row[1::4], row[2::4] = range(t.size), t.tolist()
+                row[3::4] = np.asarray(v).tolist()
+                fh.write("%d,%d,%.17g,%.17g\n" * t.size % tuple(row))
 
 
 def density_report(out, delta):
@@ -442,22 +445,6 @@ def _bracketed_newton(g_and_slope, lo, hi, start):
     return root
 
 
-def _knot_split_rule(a, b):
-    """Gauss-4 nodes and weights, (n, 8) each, for segments [a[i], b[i]].
-
-    Each segment (at most 0.5 long) is split at its interior half-integer
-    point, if any, so spline breakpoints stay on piece boundaries and the
-    rule is exact for spline slices.
-    """
-    m = np.clip(np.ceil((a + 1e-12) / 0.5) * 0.5, a, b)
-    nodes, weights = [], []
-    for lo, hi in ((a, m), (m, b)):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo[:, None] + half[:, None] * (_GAUSS_X[None, :] + 1.0))
-        weights.append(half[:, None] * _GAUSS_W[None, :])
-    return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
-
-
 def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
     """Crossing-encode every device of a set in lockstep; returns TemOutput.
 
@@ -575,7 +562,7 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     def seg_integral(rows, a_vec, b_vec):
         # (integral of (f + b) exp(alpha (u - b_vec)) over [a_vec, b_vec],
         #  f + b at b_vec), the endpoint riding along as a ninth node
-        nodes, w = _knot_split_rule(a_vec, b_vec)
+        nodes, w = knot_split_rule(a_vec, b_vec)
         vals = _eval_rows(coefs[rows], order, k1s,
                           np.concatenate([nodes, b_vec[:, None]], axis=1)) + b
         w = w * np.exp(alpha * (nodes - b_vec[:, None]))
@@ -584,10 +571,10 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     # whole-step integrals, one design product for all devices and steps:
     # nodes are shared across devices, two knot-split pieces per step
     a_vec, b_vec = edges[:-1], edges[1:]
-    step_nodes, step_w = _knot_split_rule(a_vec, b_vec)     # (n_steps, 8)
+    step_nodes, step_w = knot_split_rule(a_vec, b_vec)      # (n_steps, 8)
     step_w = step_w * np.exp(alpha * (step_nodes - b_vec[:, None]))
     B = bspline_eval(order, step_nodes.ravel()[:, None] - k1s[None, :])
-    fvals = (coefs @ B.T).reshape(J, n_steps, 8)
+    fvals = (coefs @ B.T).reshape(J, *step_nodes.shape)
     if np.max(np.abs(fvals)) > cfg.c_bound + 1e-12:
         raise PreconditionError("signal amplitude exceeds c_bound on a device slice")
     I_step = ((fvals + b) * step_w[None, :, :]).sum(axis=2)  # (J, n_steps)

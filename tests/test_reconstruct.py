@@ -5,12 +5,19 @@ import pytest
 
 from temrecon import (
     DeviceSet,
+    Generator,
+    Kernel,
     MixedNormParams,
+    ResolutionError,
+    SplineFactor1D,
     TemConfig,
     VSignal,
     apply_R,
     apply_S,
+    apply_T,
+    build_shift_invariant_kernel,
     ctem_iterate,
+    dual_generator,
     encode_ctem_devices,
     encode_iftem_devices,
     estimate_r1,
@@ -18,6 +25,7 @@ from temrecon import (
     iftem_iterate,
     mixed_function_norm,
 )
+from temrecon.reconstruct import ctem_operator, iftem_operator
 from temrecon.tem_encode import TemOutput
 
 from conftest import random_vsignal
@@ -102,11 +110,43 @@ def test_fixed_point_residual_vanishes(hat_kernel, hat_gen, small_grid, small_wi
     resid = [out.values[j] - sig.eval_slice(dev.positions[j], out.times[j])
              for j in range(len(dev))]
     assert max(np.max(np.abs(r)) for r in resid) <= 1e-10
-    from temrecon import apply_T
-
     upd = apply_T(hat_kernel, apply_S(out, dev, small_grid, values_override=resid),
                   window=small_window)
     assert np.max(np.abs(upd.coeffs.entries)) <= 1e-10
+
+
+@pytest.mark.parametrize("silent_device", [None, 3])
+def test_ctem_operator_step_matches_grid_path(hat_kernel, hat_gen, small_grid, small_window,
+                                              silent_device):
+    # one step M (y - A f_n) without a grid render equals T S applied to the
+    # rendered residual; a device without fires adds nothing to either side
+    rng = np.random.default_rng(12)
+    sig = random_vsignal(small_window, hat_gen, small_grid, rng)
+    f_n = random_vsignal(small_window, hat_gen, small_grid, rng, sup=0.5)
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    out = encode_ctem_devices(sig, dev, crossing_cfg(), (0.0, 12.0))
+    if silent_device is not None:
+        out.times[silent_device] = np.zeros(0)
+        out.values[silent_device] = np.zeros(0)
+    resid = [out.values[j] - f_n.eval_slice(dev.positions[j], out.times[j])
+             for j in range(len(dev))]
+    want = apply_T(hat_kernel, apply_S(out, dev, small_grid, values_override=resid),
+                   window=small_window)
+    got = ctem_operator(out, hat_kernel, dev, small_grid, small_window).step(f_n)
+    assert np.max(np.abs(want.coeffs.entries)) > 0.1
+    assert np.max(np.abs(got.coeffs.entries - want.coeffs.entries)) <= 1e-12
+
+
+def test_ctem_iterate_order3_unresolved_grid_raises(small_grid):
+    # Simpson at grid 1/32 does not resolve order-3 biorthogonality
+    gen = Generator(3, 3)
+    kernel = build_shift_invariant_kernel(gen, dual_generator(gen))
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    times = np.arange(0.1, 12.0, 0.2)
+    out = TemOutput(crossing_cfg(), dev, 0.0, 12.0, [times] * len(dev),
+                    [np.zeros(times.size)] * len(dev))
+    with pytest.raises(ResolutionError):
+        ctem_iterate(out, kernel, dev, small_grid, n_max=2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +232,15 @@ def test_estimate_r1_resolution_doubling_oracle(hat_kernel):
     assert abs(r64 - r128) <= 1e-3 * max(1.0, r64)
 
 
+def test_shared_axis_factor_matches_separate_factors(hat_kernel, hat_gen, hat_dual):
+    assert hat_kernel.factor_s is hat_kernel.factor_t
+    separate = Kernel(SplineFactor1D(2, hat_dual.axis_t), SplineFactor1D(2, hat_dual.axis_s),
+                      generator=hat_gen, dual=hat_dual)
+    for radius in (0.01, float(np.hypot(0.25, 0.5))):
+        assert separate.omega_w_norm(radius) == hat_kernel.omega_w_norm(radius)
+    assert separate.w_norm() == hat_kernel.w_norm()
+
+
 def test_estimate_r2_formula(hat_kernel):
     assert estimate_r2(hat_kernel, 0.0, 0.0, 0.0) == 0.0
     d, dp = 0.1, 0.2
@@ -209,24 +258,31 @@ def test_estimate_r2_formula(hat_kernel):
 # integrate-and-fire synthesis and iteration
 # ---------------------------------------------------------------------------
 
-def test_apply_r_zero_and_single_fire(hat_kernel, small_grid, small_window):
-    dev = DeviceSet(np.array([6.0]), 6.0, (0.0, 12.0))
-    cfg = if_cfg()
-    t = np.array([5.9])
-    out = TemOutput(cfg, dev, 5.7, 12.0, [t], [np.array([0.0])])
-    zero = apply_R(out, hat_kernel, dev, small_window)
-    assert np.max(np.abs(zero.coeffs.entries)) == 0.0
-    I = 0.37
-    out = TemOutput(cfg, dev, 5.7, 12.0, [t], [np.array([I])])
-    sig = apply_R(out, hat_kernel, dev, small_window)
-    l1 = dev.u_l1_norms()[0]
-    s_mid = 0.5 * (5.7 + 5.9)
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        x, y = rng.uniform(5.0, 7.0, 2)
-        want = I * l1 * hat_kernel.eval(x, y, s_mid, 6.0)
-        got = float(sig.eval_pairs([x], [y])[0])
-        assert got == pytest.approx(want, abs=1e-8)
+def test_apply_r_zero_and_single_fire(hat_kernel, hat_gen, small_grid, small_window):
+    # a second device without fires must add nothing
+    for positions in ([6.0], [6.0, 9.0]):
+        dev = DeviceSet(np.array(positions), 6.0, (0.0, 12.0))
+        cfg = if_cfg()
+        t = np.array([5.9])
+        silent = [np.zeros(0)] * (len(dev) - 1)
+        out = TemOutput(cfg, dev, 5.7, 12.0, [t] + silent, [np.array([0.0])] + silent)
+        zero = apply_R(out, hat_kernel, dev, small_window)
+        assert np.max(np.abs(zero.coeffs.entries)) == 0.0
+        I = 0.37
+        out = TemOutput(cfg, dev, 5.7, 12.0, [t] + silent, [np.array([I])] + silent)
+        sig = apply_R(out, hat_kernel, dev, small_window)
+        # from a zero iterate one step is R applied to the recovered integrals
+        step = iftem_operator(out, hat_kernel, dev, small_window).step(
+            VSignal.zeros(small_window, hat_gen))
+        assert np.array_equal(step.coeffs.entries, sig.coeffs.entries)
+        l1 = dev.u_l1_norms()[0]
+        s_mid = 0.5 * (5.7 + 5.9)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            x, y = rng.uniform(5.0, 7.0, 2)
+            want = I * l1 * hat_kernel.eval(x, y, s_mid, 6.0)
+            got = float(sig.eval_pairs([x], [y])[0])
+            assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_apply_r_boundedness(hat_kernel, hat_gen, small_grid, small_window):

@@ -320,3 +320,9 @@ def test_events_csv(tmp_path, hat_gen, small_grid, small_window):
     # 17 significant digits survive a round trip
     j, i = int(lines[1].split(",")[0]), int(lines[1].split(",")[1])
     assert float(lines[1].split(",")[2]) == out.times[j][i]
+    # same bytes as one f-string per fire
+    want = "device_id,fire_index,time,recovered_value\n" + "".join(
+        f"{j},{i},{t:.17g},{v:.17g}\n"
+        for j, (ts, vs) in enumerate(zip(out.times, out.values))
+        for i, (t, v) in enumerate(zip(ts, vs)))
+    assert path.read_bytes() == want.encode()
