@@ -47,7 +47,6 @@ from .generator import (
     modulus_of_continuity,
 )
 from .kernel_space import (
-    GridFactor1D,
     Kernel,
     SplineFactor1D,
     VSignal,
@@ -83,7 +82,6 @@ from .reconstruct import (
 )
 from .frames import (
     FrameFamily,
-    KernelSum,
     build_Kdelta,
     dual_pair_reconstruct,
     formula_r0_branches,

@@ -97,7 +97,8 @@ class ExperimentConfig:
         Integer fields take integers only (not bools, not 2.5); float fields
         take finite reals, except that `device_spacing` / `theta` may be left
         None to derive them and the exponents p and q, whose range
-        `MixedNormParams` checks, may be inf.
+        `MixedNormParams` checks, may be inf.  The frame fields and the seed
+        also get their ranges checked here.
         """
         def is_int(v):
             return isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -111,8 +112,14 @@ class ExperimentConfig:
                     raise InputError(f"{f.name} must be a number, got {v!r}")
                 if not math.isfinite(v) and f.name not in ("p", "q"):
                     raise InputError(f"{f.name} must be finite, got {v!r}")
-        if not isinstance(self.frame_n_list, list) or not all(map(is_int, self.frame_n_list)):
-            raise InputError(f"frame_n_list must be a list of integers, got {self.frame_n_list!r}")
+        if (not isinstance(self.frame_n_list, list) or not self.frame_n_list
+                or not all(is_int(n) and n >= 0 for n in self.frame_n_list)):
+            raise InputError("frame_n_list must be a non-empty list of integers >= 0, "
+                             f"got {self.frame_n_list!r}")
+        if not self.frame_delta > 0:
+            raise InputError(f"frame_delta must be positive, got {self.frame_delta}")
+        if self.frame_signals < 1:
+            raise InputError(f"frame_signals must be at least 1, got {self.frame_signals}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
 

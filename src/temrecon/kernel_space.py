@@ -162,38 +162,6 @@ class SplineFactor1D:
         return self._w0_from_field(mod, resolution, R)
 
 
-class GridFactor1D:
-    """One-dimensional kernel given by values on a fixed quadrature grid.
-
-    Used for cell-averaged and Neumann-composed kernels where no closed
-    form exists.  Composition is weighted matrix product; norms are the
-    window-restricted row/column estimates.
-    """
-
-    def __init__(self, xs, matrix, weights):
-        self.xs = np.asarray(xs, dtype=float)
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        if self.matrix.shape != (self.xs.size, self.xs.size):
-            raise InputError("grid factor matrix must be square on its grid")
-
-    def compose(self, other):
-        if other.xs.shape != self.xs.shape or not np.array_equal(other.xs, self.xs):
-            raise InputError("grid factors must share a grid to compose")
-        return GridFactor1D(self.xs, self.matrix @ (self.weights[:, None] * other.matrix), self.weights)
-
-    def w0_norm(self, interior=None):
-        """max(sup-row integral, sup-column integral); `interior = (lo, hi)`
-        restricts the sups (not the integrals) to grid points in the interval,
-        for factors assembled on padded grids."""
-        a = np.abs(self.matrix)
-        if interior is None:
-            mask = np.ones(self.xs.size, dtype=bool)
-        else:
-            mask = (self.xs >= interior[0]) & (self.xs <= interior[1])
-        return float(max((a @ self.weights)[mask].max(), (self.weights @ a)[mask].max()))
-
-
 # ---------------------------------------------------------------------------
 # separable kernels
 # ---------------------------------------------------------------------------

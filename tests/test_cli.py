@@ -162,6 +162,12 @@ def test_main_exit_codes(tmp_path, capsys):
     {"q": float("nan")},
     {"p": float("-inf")},
     {"frame_n_list": [2, 4.5]},
+    {"frame_n_list": []},
+    {"frame_n_list": [-1]},
+    {"frame_delta": 0.0},
+    {"frame_delta": -0.25},
+    {"frame_signals": 0},
+    {"frame_signals": -2},
     {"generator_order_t": 1},
 ], ids=json.dumps)
 def test_malformed_config_exit_code_table(tmp_path, capsys, bad):

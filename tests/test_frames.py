@@ -1,4 +1,6 @@
-"""Averaged kernel, Neumann inverse, frame atoms way and dual-pair reconstruction."""
+"""Averaged kernel, Neumann inverse, frame atoms and dual-pair reconstruction."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +8,13 @@ import pytest
 from temrecon import (
     ContractionError,
     FrameFamily,
+    Generator,
+    Kernel,
     MixedNormParams,
     SplineFactor1D,
+    build_shift_invariant_kernel,
     build_Kdelta,
+    dual_generator,
     dual_pair_reconstruct,
     formula_r0_branches,
     frame_atoms,
@@ -21,7 +27,7 @@ from temrecon import (
 )
 from temrecon.frames import _AxisFrame
 from temrecon.generator import DualAxis
-from temrecon.mixed_norm import Grid
+from temrecon.mixed_norm import Grid, composite_weights
 
 from conftest import random_vsignal
 
@@ -32,6 +38,75 @@ def haar_factor():
     axis = DualAxis(order=1, offsets=np.array([0]), b=np.array([1.0]),
                     tail_bound=0.0, symbol_min=1.0, ring_size=1)
     return SplineFactor1D(1, axis)
+
+
+class KernelSum:
+    """Finite sum of separable grid kernels sum_m c_m At_m(x,s) As_m(y,t)."""
+
+    def __init__(self, coefs, terms_t, terms_s, xs, ys):
+        self.coefs = list(coefs)
+        self.terms_t = list(terms_t)
+        self.terms_s = list(terms_s)
+        self.xs, self.ys = xs, ys
+
+    def w_norm_estimate(self, stride_outer=16, stride_inner=8, interior=None):
+        """Nested kernel-norm estimate over strided subgrids.
+
+        Subsampling keeps the cost quadratic instead of quartic.  When the
+        kernels were assembled on a padded grid, `interior = (lo, hi)`
+        restricts every supremum to the stated interval (integrals still run
+        over the whole padded range), which removes the lattice-truncation
+        band near the padding boundary from the sups.
+        """
+        it = np.arange(0, self.xs.size, stride_outer)
+        ip = np.arange(0, self.ys.size, stride_inner)
+        wy_p = composite_weights(ip.size, (self.ys[ip][-1] - self.ys[ip][0]) / (ip.size - 1))
+        wx_o = composite_weights(it.size, (self.xs[it][-1] - self.xs[it][0]) / (it.size - 1))
+        if interior is None:
+            mask_t = np.ones(it.size, dtype=bool)
+            mask_s = np.ones(ip.size, dtype=bool)
+        else:
+            lo, hi = interior
+            mask_t = (self.xs[it] >= lo) & (self.xs[it] <= hi)
+            mask_s = (self.ys[ip] >= lo) & (self.ys[ip] <= hi)
+        stack_s = np.stack([Ms[np.ix_(ip, ip)] for Ms in self.terms_s])  # (m, P, Q)
+        stack_t = np.stack([c * Mt[np.ix_(it, it)] for c, Mt in zip(self.coefs, self.terms_t)])
+        inner = np.zeros((it.size, it.size))
+        for a in range(it.size):
+            for b_ in range(it.size):
+                field = np.abs(np.tensordot(stack_t[:, a, b_], stack_s, axes=(0, 0)))
+                row = np.max((field @ wy_p)[mask_s])
+                col = np.max((wy_p @ field)[mask_s])
+                inner[a, b_] = max(row, col)
+        return max(float(np.max((inner @ wx_o)[mask_t])),
+                   float(np.max((wx_o @ inner)[mask_t])))
+
+
+def w0_norm(matrix, w, xs, interior=None):
+    """max(sup-row integral, sup-column integral) of a grid kernel matrix;
+    `interior = (lo, hi)` restricts the sups (not the integrals) to grid
+    points in the interval, for kernels assembled on padded grids."""
+    a = np.abs(matrix)
+    mask = np.ones(xs.size, dtype=bool) if interior is None else (
+        (xs >= interior[0]) & (xs <= interior[1]))
+    return float(max((a @ w)[mask].max(), (w @ a)[mask].max()))
+
+
+def grid_matrices(ax, xs, w):
+    """Grid renders of one axis frame's coefficient matrices at points `xs`.
+
+    With B, Bd the B-spline and dual at `xs` against the frame's spline
+    indices: M0 = B Bd^T (the kernel), M_delta = B A Bd^T (the averaged
+    kernel), P = B Gd^T and Q = G Bd^T (cell integrals of kernel slices);
+    `render(X)` = B X Bd^T for any coefficient matrix X.
+    """
+    B, Bd = ax.basis(xs)
+
+    def render(X):
+        return B @ X @ Bd.T
+
+    return SimpleNamespace(xs=xs, w=w, render=render, M0=B @ Bd.T, M_delta=render(ax.A),
+                           P=B @ ax.Gd.T, Q=ax.G @ Bd.T)
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +120,11 @@ def test_kdelta_approaches_kernel(hat_kernel, small_grid):
     for delta in (0.4, 0.2, 0.1):
         kd = build_Kdelta(hat_kernel, delta, small_grid)
         ax_t, ax_s = kd.axis_frames
+        mt = grid_matrices(ax_t, small_grid.xs, small_grid.weights_x)
+        ms = grid_matrices(ax_s, small_grid.ys, small_grid.weights_y)
         worst = 0.0
         for (i, j), (p, q) in zip(idx, reversed(idx)):
-            val = kd.scale / hat_kernel.scale**2 * ax_t.M_delta[i, j] * ax_s.M_delta[p, q]
+            val = kd.scale / hat_kernel.scale**2 * mt.M_delta[i, j] * ms.M_delta[p, q]
             ref = hat_kernel.eval(small_grid.xs[i], small_grid.ys[p],
                                   small_grid.xs[j], small_grid.ys[q])
             worst = max(worst, abs(val - ref))
@@ -59,20 +136,22 @@ def test_kdelta_zero_kernel(hat_kernel, small_grid):
     kd = build_Kdelta(hat_kernel.scaled(0.0), 0.25, small_grid)
     assert kd.scale == 0.0
     ax_t, _ = kd.axis_frames
+    mt = grid_matrices(ax_t, small_grid.xs, small_grid.weights_x)
     # underlying factors are unscaled; the kernel scale carries the zero
-    assert abs(kd.scale) * ax_t.M_delta.max() == 0.0
+    assert abs(kd.scale) * mt.M_delta.max() == 0.0
 
 
 def test_kdelta_commutation(hat_kernel, small_grid):
     # T_delta T = T T_delta = T_delta at grid probes, per axis
     kd = build_Kdelta(hat_kernel, 0.25, small_grid)
     ax, _ = kd.axis_frames
-    w = ax.w
-    left = ax.M_delta @ (w[:, None] * ax.M0)
-    right = ax.M0 @ (w[:, None] * ax.M_delta)
+    m = grid_matrices(ax, small_grid.xs, small_grid.weights_x)
+    w = m.w
+    left = m.M_delta @ (w[:, None] * m.M0)
+    right = m.M0 @ (w[:, None] * m.M_delta)
     for i, j in [(64, 200), (150, 150), (300, 90)]:
-        assert left[i, j] == pytest.approx(ax.M_delta[i, j], abs=1e-5)
-        assert right[i, j] == pytest.approx(ax.M_delta[i, j], abs=1e-5)
+        assert left[i, j] == pytest.approx(m.M_delta[i, j], abs=1e-5)
+        assert right[i, j] == pytest.approx(m.M_delta[i, j], abs=1e-5)
 
 
 def test_kdelta_norm_bound(hat_kernel, small_grid):
@@ -80,16 +159,42 @@ def test_kdelta_norm_bound(hat_kernel, small_grid):
     delta = 0.25
     kd = build_Kdelta(hat_kernel, delta, small_grid)
     ax_t, ax_s = kd.axis_frames
-    from temrecon import GridFactor1D
-
-    dt = GridFactor1D(ax_t.xs, ax_t.M0 - ax_t.M_delta, ax_t.w)
-    ds = GridFactor1D(ax_s.xs, ax_s.M0 - ax_s.M_delta, ax_s.w)
-    kt = GridFactor1D(ax_t.xs, ax_t.M_delta, ax_t.w)
-    base_t = GridFactor1D(ax_t.xs, ax_t.M0, ax_t.w)
+    mt = grid_matrices(ax_t, small_grid.xs, small_grid.weights_x)
+    ms = grid_matrices(ax_s, small_grid.ys, small_grid.weights_y)
+    dt = w0_norm(mt.M0 - mt.M_delta, mt.w, mt.xs)
+    ds = w0_norm(ms.M0 - ms.M_delta, ms.w, ms.xs)
+    kt = w0_norm(mt.M_delta, mt.w, mt.xs)
+    base_t = w0_norm(mt.M0, mt.w, mt.xs)
     # split K - K_delta = kappa (x) d + d (x) kappa_delta; bound by factor W0s
-    diff_bound = (base_t.w0_norm() * ds.w0_norm() + dt.w0_norm() * kt.w0_norm())
+    diff_bound = base_t * ds + dt * kt
     rhs = hat_kernel.w_norm() * hat_kernel.omega_w_norm(float(np.sqrt(2.0)) * delta)
     assert diff_bound <= rhs * 1.05
+
+
+def test_axes_shared_only_when_identical(hat_kernel, hat_gen, default_grid, small_grid,
+                                         small_window):
+    kd = build_Kdelta(hat_kernel, 0.25, default_grid)
+    assert kd.axis_frames[0] is kd.axis_frames[1]
+    gen23 = Generator(2, 3)
+    dual23 = dual_generator(gen23)
+    mixed = build_shift_invariant_kernel(gen23, dual23)
+    ax_t, ax_s = build_Kdelta(mixed, 0.25, small_grid).axis_frames
+    assert ax_t is not ax_s and (ax_t.order, ax_s.order) == (2, 3)
+    fam23 = FrameFamily.build(mixed, small_grid, 0.25, PR)
+    sigs23 = [random_vsignal(fam23.window, gen23, small_grid, np.random.default_rng(s))
+              for s in range(2)]
+    assert frame_report(fam23, sigs23)["recon_error"] <= 1e-3
+    # a kernel with equal but distinct axis factors gets two frames and the
+    # same report as the shared one
+    split = Kernel(hat_kernel.factor_t, SplineFactor1D(2, hat_kernel.dual.axis_s),
+                   generator=hat_gen, dual=hat_kernel.dual)
+    ax_t, ax_s = build_Kdelta(split, 0.25, small_grid).axis_frames
+    assert ax_t is not ax_s
+    rng = np.random.default_rng(4)
+    sigs = [random_vsignal(small_window, hat_gen, small_grid, rng) for _ in range(2)]
+    shared = FrameFamily.build(hat_kernel, small_grid, 0.25, PR, window=small_window)
+    separate = FrameFamily.build(split, small_grid, 0.25, PR, window=small_window)
+    assert frame_report(separate, sigs) == frame_report(shared, sigs)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +214,11 @@ def test_neumann_coefficients_match_series():
 
 def test_neumann_plus_identity_at_zero_order(hat_kernel, small_grid):
     kd = build_Kdelta(hat_kernel, 0.25, small_grid)
-    ks = neumann_plus(hat_kernel, kd, 0)
-    assert len(ks.coefs) == 1 and ks.coefs[0] == 1.0
+    gamma, terms_t, _ = neumann_plus(hat_kernel, kd, 0)
+    assert len(gamma) == 1 and gamma[0] == 1.0
     ax_t, _ = kd.axis_frames
-    assert ks.terms_t[0] is ax_t.M0
+    mt = grid_matrices(ax_t, small_grid.xs, small_grid.weights_x)
+    assert np.array_equal(mt.render(terms_t[0]), mt.M0)
 
 
 def test_neumann_plus_contraction_gate(hat_kernel, small_grid):
@@ -127,16 +233,17 @@ def test_neumann_residual_decreases_geometrically(hat_kernel):
     grid = Grid.from_spacing(-4.0, 16.0, -4.0, 16.0, 1.0 / 32.0)
     kd = build_Kdelta(hat_kernel, 0.25, grid)
     ax, _ = kd.axis_frames
-    w = ax.w
+    m = grid_matrices(ax, grid.xs, grid.weights_x)
+    w = m.w
     i0 = 8 * 32  # x = 4.0, well inside the padded range
     probes = [(i0, i0 + 120), (i0 + 60, i0 + 30), (i0 + 100, i0 + 100)]
     resids = []
     for N in (1, 2, 4, 8):
-        ks = neumann_plus(hat_kernel, kd, N)
+        gamma, terms_t, _ = neumann_plus(hat_kernel, kd, N)
         # per-axis composition of the truncated inverse with T_delta
-        comp = sum(c * (Mt @ (w[:, None] * ax.M_delta)) for c, Mt in
-                   zip(ks.coefs, ks.terms_t))
-        resids.append(max(abs(comp[i, j] - ax.M0[i, j]) for i, j in probes))
+        comp = sum(c * (m.render(At) @ (w[:, None] * m.M_delta)) for c, At in
+                   zip(gamma, terms_t))
+        resids.append(max(abs(comp[i, j] - m.M0[i, j]) for i, j in probes))
     assert all(b < a for a, b in zip(resids, resids[1:]))
     assert resids[-1] <= 1e-6 * resids[0]
 
@@ -144,24 +251,26 @@ def test_neumann_residual_decreases_geometrically(hat_kernel):
 def test_neumann_norm_bound_small_lattice(hat_kernel):
     # the (estimated) kernel norm of the truncated inverse obeys the series
     # bound; interior sups on a padded grid keep the boundary band out
-    from temrecon import GridFactor1D
-
     grid = Grid.from_spacing(-8.0, 16.0, -8.0, 16.0, 1.0 / 32.0)
     interior = (0.0, 8.0)
     delta = 1.0 / 128.0
     kd = build_Kdelta(hat_kernel, delta, grid)
-    ax_t, _ = kd.axis_frames
-    dt = GridFactor1D(ax_t.xs, ax_t.M0 - ax_t.M_delta, ax_t.w)
-    kt = GridFactor1D(ax_t.xs, ax_t.M_delta, ax_t.w)
-    base = GridFactor1D(ax_t.xs, ax_t.M0, ax_t.w)
-    r_tilde = (base.w0_norm(interior) * dt.w0_norm(interior)
-               + dt.w0_norm(interior) * kt.w0_norm(interior))
+    ax_t, ax_s = kd.axis_frames
+    mt = grid_matrices(ax_t, grid.xs, grid.weights_x)
+    ms = grid_matrices(ax_s, grid.ys, grid.weights_y)
+    dt = mt.M0 - mt.M_delta
+    r_tilde = (w0_norm(mt.M0, mt.w, mt.xs, interior) * w0_norm(dt, mt.w, mt.xs, interior)
+               + w0_norm(dt, mt.w, mt.xs, interior) * w0_norm(mt.M_delta, mt.w, mt.xs, interior))
     assert r_tilde < 1.0
-    ks = neumann_plus(hat_kernel, kd, 6)
-    est = ks.w_norm_estimate(stride_outer=16, stride_inner=8, interior=interior)
+
+    def rendered(N):
+        gamma, terms_t, terms_s = neumann_plus(hat_kernel, kd, N)
+        return KernelSum(gamma, map(mt.render, terms_t), map(ms.render, terms_s),
+                         grid.xs, grid.ys)
+
+    est = rendered(6).w_norm_estimate(stride_outer=16, stride_inner=8, interior=interior)
     # base norm through the same estimator keeps the quadrature bias common
-    est_base = neumann_plus(hat_kernel, kd, 0).w_norm_estimate(
-        stride_outer=16, stride_inner=8, interior=interior)
+    est_base = rendered(0).w_norm_estimate(stride_outer=16, stride_inner=8, interior=interior)
     assert est <= est_base + r_tilde / (1.0 - r_tilde) + 1e-3
 
 
@@ -239,12 +348,11 @@ def test_haar_atoms_self_dual():
     # reduce to the averaged slices and the pair is self-dual
     factor = haar_factor()
     xs = np.linspace(0.0, 8.0, 257)
-    from temrecon.mixed_norm import composite_weights
-
     w = composite_weights(xs.size, 8.0 / 256.0)
-    ax = _AxisFrame(factor, xs, w, 0.25)
+    ax = _AxisFrame(factor, 0.0, 8.0, 0.25)
+    m = grid_matrices(ax, xs, w)
     # self-duality of the cell-averaged slices (exact cell quadrature)
-    assert np.max(np.abs(ax.P - ax.Q.T)) <= 1e-5
+    assert np.max(np.abs(m.P - m.Q.T)) <= 1e-5
     # reduction: composing the projector with a cell slice returns the slice;
     # for the indicator kernel the composition integral is computable exactly
     # as the overlap of unit cells, so compare against that closed form
@@ -253,7 +361,7 @@ def test_haar_atoms_self_dual():
     for i, l in probes:
         # cells interior to a unit cell: overlap is all or nothing
         overlap = 0.25 if np.floor(xs[i] + 0.5) == np.floor(lam[l] + 0.5) else 0.0
-        assert ax.P[i, l] == pytest.approx(overlap, abs=1e-12)
+        assert m.P[i, l] == pytest.approx(overlap, abs=1e-12)
 
 
 def test_frame_band_and_zero_flag(family, hat_gen, small_grid, small_window):
@@ -316,3 +424,35 @@ def test_frame_atoms_api(family):
     assert atom.shape == family.grid.shape
     assert dual.shape == family.grid.shape
     assert np.all(np.isfinite(atom)) and np.all(np.isfinite(dual))
+
+
+def test_order_zero_is_honoured(hat_kernel, hat_gen, small_grid, small_window):
+    # T_plus(0) = T: N = 0 must not fall back to the largest order in n_list
+    fam = FrameFamily.build(hat_kernel, small_grid, 0.25, PR, n_list=(0, 2),
+                            window=small_window)
+    fam0 = FrameFamily.build(hat_kernel, small_grid, 0.25, PR, n_list=(0,),
+                             window=small_window)
+    sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(5))
+    rep0 = frame_report(fam, [sig], N=0)
+    assert rep0 == frame_report(fam0, [sig])
+    assert rep0["N"] == 0 and frame_report(fam, [sig])["N"] == 2
+    assert rep0["recon_error"] > frame_report(fam, [sig])["recon_error"]
+    assert np.array_equal(fam.atom_values(10, 12, N=0), fam0.atom_values(10, 12))
+    coords = fam.analysis_coefficients(sig)
+    assert np.array_equal(fam.synthesize(coords, N=0).values, fam0.synthesize(coords).values)
+    assert not np.allclose(fam.synthesize(coords, N=0).values, fam.synthesize(coords).values)
+
+
+def test_order3_reconstruction_converges():
+    # cell integrals are exact for every spline order, so the error keeps
+    # falling with N where a grid quadrature would hit its floor
+    gen = Generator(3, 3)
+    kernel = build_shift_invariant_kernel(gen, dual_generator(gen))
+    grid = Grid.from_spacing(0.0, 12.0, 0.0, 12.0, 1.0 / 32.0)
+    fam = FrameFamily.build(kernel, grid, 0.25, PR, n_list=(2, 4, 8))
+    sig = random_vsignal(fam.window, gen, grid, np.random.default_rng(6))
+    denom = mixed_function_norm(sig.render(grid), PR)
+    errs = [mixed_function_norm((sig - dual_pair_reconstruct(sig, fam, N=N)).render(grid), PR)
+            / denom for N in (2, 4, 8)]
+    assert errs[2] < errs[1] < errs[0]
+    assert errs[2] <= 1e-8
