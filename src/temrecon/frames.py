@@ -20,7 +20,8 @@ atom is the cell-averaged kernel slice sum_k G[l, k] dual(. - k).
 Analysis coefficients of a signal in V are scaled cell integrals G c
 (exact, because T f = f there), and synthesis applies the per-axis
 T_plus(N), whose tensor product tends to the inverse of A_t (x) A_s.  The
-grid only renders atoms and signals for norms and reports.
+grid only renders atoms, and signals for norms at exponents other than
+p = q = 2 (`VSignal.norm`).
 
 The contraction gate is a *measured* quantity: the operator norm of
 I - A_t (x) A_s restricted to the coefficient window (an SVD of the
@@ -42,7 +43,6 @@ from .mixed_norm import (
     CoefSeq,
     Grid,
     GridFunction,
-    mixed_function_norm,
     mixed_sequence_norm,
 )
 
@@ -313,12 +313,15 @@ def frame_bounds_check(f, family, slack=0.05):
     Returns a zero-signal flag instead of a ratio for f = 0; the band half
     width is the cached modulus-norm estimate at the joint lattice radius.
     """
-    params = family.params
-    denom = mixed_function_norm(f.render(family.grid), params)
+    return _band_report(f, family, f.norm(family.grid, family.params), slack)
+
+
+def _band_report(f, family, denom, slack=0.05):
+    """`frame_bounds_check` with the signal norm `denom` already taken."""
     if denom == 0.0:
         return FrameBandReport(float("nan"), 0.0, 0.0, False, True)
     coords = family.analysis_coefficients(f)
-    num = mixed_sequence_norm(CoefSeq(coords, 0, 0), params)
+    num = mixed_sequence_norm(CoefSeq(coords, 0, 0), family.params)
     om = family.omega_joint
     lo, hi = 1.0 - om - slack, 1.0 + om + slack
     ratio = num / denom
@@ -347,13 +350,12 @@ def frame_report(family, signals, N=None):
     ratios = []
     errors = []
     for f in signals:
-        rep = frame_bounds_check(f, family)
+        denom = f.norm(family.grid, params)
+        rep = _band_report(f, family, denom)
         if not rep.zero_signal:
             ratios.append(rep.ratio)
-        fh = dual_pair_reconstruct(f, family, N=N)
-        denom = mixed_function_norm(f.render(family.grid), params)
-        if denom > 0:
-            errors.append(mixed_function_norm((f - fh).render(family.grid), params) / denom)
+            fh = dual_pair_reconstruct(f, family, N=N)
+            errors.append((f - fh).norm(family.grid, params) / denom)
     return {
         "delta": family.delta,
         "r0_measured": family.r0_measured,

@@ -124,6 +124,12 @@ class SplineFactor1D:
         grid-aligned breakpoints, the sampled field is exact at the nodes.
         Radii below the grid scale use exact off-grid evaluations at the box
         corners and axis extremes instead (correct to second order there).
+
+        The offset set is a product, so the sup over the box splits by axis:
+        running max/min over the row offsets, then over the column offsets,
+        and mod = max(hi - base, base - lo).  Rounded subtraction is monotone
+        in each operand, so this equals the max of |shifted - base| over all
+        offset pairs bit for bit (the (0, 0) pair only adds a zero).
         """
         if radius < 0:
             raise InputError("modulus radius must be nonnegative")
@@ -139,13 +145,20 @@ class SplineFactor1D:
         nx = field.shape[0] - 2 * pad
         ns = field.shape[1] - 2 * pad
         base = field[pad: pad + nx, pad: pad + ns]
-        mod = np.zeros_like(base)
-        for o1 in offsets:
-            for o2 in offsets:
-                if o1 == 0 and o2 == 0:
-                    continue
-                shifted = field[pad + o1: pad + o1 + nx, pad + o2: pad + o2 + ns]
-                np.maximum(mod, np.abs(shifted - base), out=mod)
+
+        def running(extreme):
+            # rows first: the x range is the short side of the padded table
+            rows = field[pad: pad + nx].copy()
+            for o1 in offsets[1:]:
+                extreme(rows, field[pad + o1: pad + o1 + nx], out=rows)
+            box = rows[:, pad: pad + ns].copy()
+            for o2 in offsets[1:]:
+                extreme(box, rows[:, pad + o2: pad + o2 + ns], out=box)
+            return box
+
+        mod = running(np.maximum)
+        mod -= base
+        np.maximum(mod, base - running(np.minimum), out=mod)
         return self._w0_from_field(mod, resolution, R)
 
     def _box_modulus_w0_direct(self, radius, resolution):
@@ -342,6 +355,24 @@ def synthesis_matrices(grid, gen, window):
     return _SYNTHESIS_CACHE[key]
 
 
+_GRAM_CACHE = {}
+
+
+def gram_matrices(grid, gen, window):
+    """Per-axis Gram matrices G = B^T diag(w) B of the grid quadrature, cached.
+
+    With the grid's own weights, sum(C * (G_t @ C @ G_s)) is the squared
+    grid L2 norm of the signal with coefficients C, equal to the rendered
+    quadrature up to rounding for every generator order.
+    """
+    key = (grid, window.key, gen.order_t, gen.order_s)
+    if key not in _GRAM_CACHE:
+        B_t, B_s = synthesis_matrices(grid, gen, window)
+        _GRAM_CACHE[key] = (B_t.T @ (grid.weights_x[:, None] * B_t),
+                            B_s.T @ (grid.weights_y[:, None] * B_s))
+    return _GRAM_CACHE[key]
+
+
 class VSignal:
     """Member of the shift-invariant signal space: coefficients plus generator."""
 
@@ -362,6 +393,18 @@ class VSignal:
     def render(self, grid):
         B_t, B_s = synthesis_matrices(grid, self.generator, self.window)
         return GridFunction(grid, B_t @ self.coeffs.entries @ B_s.T)
+
+    def norm(self, grid, params):
+        """Mixed (p, q) grid norm of the signal, `mixed_function_norm` of its render.
+
+        At p = q = 2 the quadrature is a quadratic form in the coefficients,
+        read off the cached grid Gram matrices without rendering.
+        """
+        if params.p == 2.0 and params.q == 2.0:
+            G_t, G_s = gram_matrices(grid, self.generator, self.window)
+            C = self.coeffs.entries
+            return float(np.sqrt(max(0.0, np.sum(C * (G_t @ C @ G_s)))))
+        return mixed_function_norm(self.render(grid), params)
 
     def eval_pairs(self, xs, ys):
         """Exact values f(xs[i], ys[i]) by direct spline synthesis."""

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError
 from .generator import bspline_eval, knot_split_rule
 from .kernel_space import VSignal, analysis_matrices, window_for_grid
-from .mixed_norm import CoefSeq, GridFunction, MixedNormParams, mixed_function_norm
+from .mixed_norm import CoefSeq, GridFunction, MixedNormParams
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def _run_iteration(op, f_true, grid, params, n_max, tol, predicted):
     window, gen = op.window, op.generator
     f_n = VSignal.zeros(window, gen)
     if not blind:
-        e_ref = mixed_function_norm(f_true.render(grid), params)
+        e_ref = f_true.norm(grid, params)
         errors = [e_ref]
     else:
         e_ref = None
@@ -271,11 +271,11 @@ def _run_iteration(op, f_true, grid, params, n_max, tol, predicted):
         f_n = VSignal(CoefSeq(f_n.coeffs.entries + upd.coeffs.entries,
                               window.k1_first, window.k2_first), gen)
         if blind:
-            e = mixed_function_norm(upd.render(grid), params)
+            e = upd.norm(grid, params)
             if e_ref is None:
                 e_ref = e if e > 0 else 1.0
         else:
-            e = mixed_function_norm((f_true - f_n).render(grid), params)
+            e = (f_true - f_n).norm(grid, params)
         errors.append(e)
         if e <= tol * e_ref:
             break

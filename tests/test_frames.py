@@ -419,6 +419,25 @@ def test_frame_report_shape(family, hat_gen, small_grid, small_window):
     assert rep["lower_ratio"] <= rep["upper_ratio"]
 
 
+def test_frame_report_skips_zero_signal_and_matches_grid_norms(family, hat_gen, small_grid,
+                                                               small_window):
+    from temrecon import VSignal
+
+    rng = np.random.default_rng(4)
+    sigs = [random_vsignal(small_window, hat_gen, small_grid, rng) for _ in range(3)]
+    rep = frame_report(family, sigs)
+    assert frame_report(family, sigs + [VSignal.zeros(small_window, hat_gen)]) == rep
+    # the p = q = 2 Gram norms agree with the rendered grid norms to rounding
+    errs, ratios = [], []
+    for sig in sigs:
+        denom = mixed_function_norm(sig.render(small_grid), PR)
+        fh = dual_pair_reconstruct(sig, family)
+        errs.append(mixed_function_norm((sig - fh).render(small_grid), PR) / denom)
+        ratios.append(frame_bounds_check(sig, family).ratio)
+    assert rep["recon_error"] == pytest.approx(max(errs), rel=1e-12)
+    assert rep["lower_ratio"] == min(ratios) and rep["upper_ratio"] == max(ratios)
+
+
 def test_frame_atoms_api(family):
     atom, dual = frame_atoms(family, 10, 12)
     assert atom.shape == family.grid.shape

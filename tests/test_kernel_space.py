@@ -4,22 +4,28 @@ import numpy as np
 import pytest
 
 from temrecon import (
+    CoefSeq,
+    Generator,
     GridFunction,
     InputError,
     Kernel,
     MixedNormParams,
     ResolutionError,
     SplineFactor1D,
+    VSignal,
     analysis_bound_check,
     apply_T,
     build_shift_invariant_kernel,
+    dual_generator,
     generic_w_norm,
     kernel_slice,
     mixed_function_norm,
     reproducing_bound,
     reproducing_residual,
+    window_for_grid,
 )
 from temrecon.generator import DualAxis
+from temrecon.kernel_space import N_MODULUS_RADII
 from temrecon.mixed_norm import Grid
 
 from conftest import random_vsignal
@@ -84,6 +90,59 @@ def test_omega_table_strictly_decreasing(hat_kernel):
     vals = [hat_kernel.omega_w_norm(r) for r in (0.4, 0.2, 0.1, 0.05)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert hat_kernel.omega_w_norm(0.0) == 0.0
+
+
+def box_modulus_w0_reference(factor, radius, resolution):
+    """The all-pairs box modulus: |shift - base| over every offset pair."""
+    if radius * resolution < N_MODULUS_RADII:
+        return factor._box_modulus_w0_direct(radius, resolution)
+    pad = int(np.floor(radius * resolution))
+    _, _, field, R = factor._table(resolution, pad_steps=pad)
+    offs = sorted({int(np.floor(radius * resolution * j / N_MODULUS_RADII))
+                   for j in range(1, N_MODULUS_RADII + 1)} - {0})
+    offsets = [0] + [o for off in offs for o in (off, -off)]
+    nx = field.shape[0] - 2 * pad
+    ns = field.shape[1] - 2 * pad
+    base = field[pad: pad + nx, pad: pad + ns]
+    mod = np.zeros_like(base)
+    for o1 in offsets:
+        for o2 in offsets:
+            if o1 == 0 and o2 == 0:
+                continue
+            shifted = field[pad + o1: pad + o1 + nx, pad + o2: pad + o2 + ns]
+            np.maximum(mod, np.abs(shifted - base), out=mod)
+    return factor._w0_from_field(mod, resolution, R)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_box_modulus_matches_all_pairs_reference(order):
+    # the separable running max/min must equal the 17 x 17 offset loop bit for bit
+    gen = Generator(order, order)
+    factor = build_shift_invariant_kernel(gen, dual_generator(gen)).factor_t
+    for resolution in (32, 64):
+        for radius in (0.05, 0.2, 0.3536, 1.0198):
+            assert (factor.box_modulus_w0(radius, resolution)
+                    == box_modulus_w0_reference(factor, radius, resolution))
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (3, 3), (2, 3)])
+def test_vsignal_norm_gram_matches_render(orders):
+    gen = Generator(*orders)
+    grid = Grid.from_spacing(0.0, 12.0, 0.0, 9.0, 1.0 / 32.0)
+    window = window_for_grid(grid, gen)
+    assert window.n1 != window.n2
+    rng = np.random.default_rng(9)
+    sig = random_vsignal(window, gen, grid, rng)
+    pr = MixedNormParams(2.0, 2.0)
+    assert sig.norm(grid, pr) == pytest.approx(
+        mixed_function_norm(sig.render(grid), pr), rel=1e-13, abs=0.0)
+    for p, q in [(1.0, np.inf), (2.0, np.inf), (3.0, 1.5)]:
+        pr = MixedNormParams(p, q)
+        assert sig.norm(grid, pr) == mixed_function_norm(sig.render(grid), pr)
+    zero = VSignal(CoefSeq(np.zeros((window.n1, window.n2)), window.k1_first,
+                           window.k2_first), gen)
+    for p, q in [(2.0, 2.0), (1.0, np.inf)]:
+        assert zero.norm(grid, MixedNormParams(p, q)) == 0.0
 
 
 def test_projector_biorthogonal_delta(hat_kernel, small_grid, small_window, hat_gen):
