@@ -98,13 +98,15 @@ def knot_split_rule(a, b):
     """
     n_pieces = int(np.ceil(np.max(b - a, initial=0.0) / 0.5)) + 1
     first = np.ceil((a + 1e-12) / 0.5) * 0.5
-    edges = [a] + [np.clip(first + 0.5 * i, a, b) for i in range(n_pieces - 1)] + [b]
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo[:, None] + half[:, None] * (_GAUSS_X[None, :] + 1.0))
-        weights.append(half[:, None] * _GAUSS_W[None, :])
-    return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
+    inner = first[:, None] + 0.5 * np.arange(n_pieces - 1)
+    inner = np.minimum(np.maximum(inner, a[:, None]), b[:, None])
+    edges = np.concatenate([a[:, None], inner, b[:, None]], axis=1)
+    lo = edges[:, :-1, None]
+    half = 0.5 * (edges[:, 1:, None] - lo)
+    nodes = lo + half * (_GAUSS_X + 1.0)
+    weights = half * _GAUSS_W
+    width = 4 * n_pieces
+    return nodes.reshape(a.size, width), weights.reshape(a.size, width)
 
 
 # ---------------------------------------------------------------------------

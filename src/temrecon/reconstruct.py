@@ -79,13 +79,20 @@ def ctem_operator(out, kernel, devices, grid, window):
     if out.config.mode != "crossing":
         raise InputError("the crossing operator requires crossing-mode output")
     W_t, W_s = analysis_matrices(kernel, grid, window)
+    # a zero row past the end: a cell that starts there sums to zero
+    W_pad = np.vstack([W_t, np.zeros((1, window.n1))])
 
     def per_device():
         for t in out.times:
-            cells = np.zeros((t.size, window.n1))
+            cells = np.zeros((0, window.n1))
             if t.size:
+                # nearest fire per grid row is nondecreasing, so each cell
+                # is a contiguous block of rows; a cell between two grid
+                # points holds none, and reduceat would copy a row into it
                 nearest = np.searchsorted(0.5 * (t[:-1] + t[1:]), grid.xs, side="right")
-                np.add.at(cells, nearest, W_t)
+                size = np.bincount(nearest, minlength=t.size)
+                cells = np.add.reduceat(W_pad, np.cumsum(size) - size, axis=0)
+                cells[size == 0] = 0.0
             yield (bspline_eval(kernel.generator.order_t, t[:, None] - window.k1s[None, :]),
                    kernel.scale * cells.T)
 

@@ -11,12 +11,17 @@ whenever the signal respects its amplitude bound.
 
 Encoding a device is inherently sequential (each test function depends on
 the previous fire), but devices are independent; the `encode_*_devices`
-fast paths advance all devices of a set in lockstep.  Each fire is
-bracketed by a scan and located by a bracketed Newton iteration: slices are
-piecewise polynomials on the half-integer knot lattice, so the fire is a
-smooth root inside a known bracket.  The fast paths are validated against
-the scalar `ctem_encode` / `iftem_encode` reference implementations, which
-refine by plain bisection.
+fast paths advance all devices of a set in lockstep.  Every slice lies in
+the shift-invariant B-spline space, so it is a fixed polynomial on each
+unit knot piece (integer knots for even orders, half-integer for odd).
+The fast paths convert the slices once per encode into a table of
+per-piece power-basis coefficients, and read values and slopes from it by
+a gather plus Horner.  Each fire is bracketed by a scan.  At order 2 the
+crossing test function is linear on each piece, so the crossing fire is
+solved in closed form inside its bracket; at higher orders, and for every
+integrate-and-fire fire, a bracketed Newton iteration locates it.  The fast
+paths are validated against the scalar `ctem_encode` / `iftem_encode`
+reference implementations, which refine by plain bisection.
 """
 
 import math
@@ -385,26 +390,92 @@ def _slice_matrix(vsig, devices):
     return bs @ vsig.coeffs.entries.T
 
 
-def _eval_rows(coefs, order, k1s, ts, slope=False):
-    """values[j, i] = sum_k coefs[j, k] beta(ts[j, i] - k1s[k]).
+def _piece_polynomials(order):
+    """Power-basis coefficients of the centered B-spline on its unit pieces.
 
-    Only the lattice columns reachable from the span of `ts` are touched,
-    which keeps the per-fire root-finding rounds cheap.  With `slope`, also
-    returns the time derivative, from beta_n'(x) = beta_{n-1}(x + 1/2) -
-    beta_{n-1}(x - 1/2) on the same columns, as a (values, slopes) pair.
+    Row r, column d is the coefficient of u^d in beta(r - order/2 + u),
+    0 <= u < 1.  It comes from the truncated-power form beta_n(x) =
+    sum_i (-1)^i C(n, i) (x + n/2 - i)_+^(n-1) / (n-1)!, summed in exact
+    integers, so each entry is rounded once.
     """
-    lo = int(np.floor(ts.min() - order / 2.0))
-    hi = int(np.ceil(ts.max() + order / 2.0))
-    sel = (k1s >= lo) & (k1s <= hi)
-    if not np.any(sel):
-        return (np.zeros(ts.shape), np.zeros(ts.shape)) if slope else np.zeros(ts.shape)
-    c = coefs[:, sel]
-    x = ts[..., None] - k1s[sel][None, None, :]
-    vals = np.einsum("jik,jk->ji", bspline_eval(order, x), c)
-    if not slope:
-        return vals
-    lower = bspline_eval(order - 1, np.stack((x + 0.5, x - 0.5)))
-    return vals, np.einsum("jik,jk->ji", lower[0] - lower[1], c)
+    n = int(order)
+    Q = np.zeros((n, n))
+    for r in range(n):
+        for d in range(n):
+            s = sum((-1) ** i * math.comb(n, i) * (r - i) ** (n - 1 - d)
+                    for i in range(r + 1))
+            Q[r, d] = math.comb(n - 1, d) * s / math.factorial(n - 1)
+    return Q
+
+
+class _SliceTable:
+    """Device slices as polynomials on the unit pieces between their knots.
+
+    Every slice lies in the shift-invariant B-spline space, so it is one
+    polynomial on each unit piece: pieces sit on the integers for even
+    orders and on the half-integers for odd ones.  `poly[j, s, d]` is the
+    coefficient of u^d on piece s of device j, where u is the distance from
+    the piece's left edge `origin + s`.  The first and the last piece are
+    zero, and every point outside the window reads from them, as
+    `bspline_eval` reads zero there.  Evaluation is a gather plus Horner;
+    the slope runs alongside in the same loop.
+    """
+
+    def __init__(self, vsig, devices):
+        order = vsig.generator.order_t
+        coefs = _slice_matrix(vsig, devices)
+        n_k = coefs.shape[1]
+        Q = _piece_polynomials(order)
+        # B-spline k covers pieces k .. k + order - 1 (counted from the
+        # first real piece), contributing its own piece r to piece k + r
+        self.poly = np.zeros((coefs.shape[0], n_k + order + 1, order))
+        for r in range(order):
+            self.poly[:, 1 + r: 1 + r + n_k] += coefs[:, :, None] * Q[r]
+        self.order = order
+        self.origin = vsig.window.k1_first - order / 2.0 - 1.0
+        self.last = n_k + order
+
+    def locate(self, t):
+        """(piece index, offset from the piece's left edge) of each point."""
+        s = (t - self.origin).astype(np.intp)
+        s = np.minimum(np.maximum(s, 0, out=s), self.last, out=s)
+        return s, t - (self.origin + s)
+
+    def pieces(self, rows, s):
+        """Coefficients of piece s[...] of device rows[...], broadcast together."""
+        flat = self.poly.reshape(-1, self.order)
+        return np.take(flat, s + rows * self.poly.shape[1], axis=0)
+
+    def __call__(self, rows, t, slope=False):
+        """f[i, ...] = slice of device rows[i] at t[i, ...] (or t broadcast).
+
+        `t` is (rows, points) per row, or (points,) shared by every row.
+        With `slope`, returns (values, time derivatives).
+        """
+        s, u = self.locate(t)
+        c = self.pieces(rows[:, None], s)
+        v = c[..., -1]
+        dv = 0.0
+        for d in range(self.order - 2, -1, -1):
+            if slope:
+                dv = dv * u + v
+            v = v * u
+            v += c[..., d]      # in place: one temporary fewer on large calls
+        return (v, dv) if slope else v
+
+
+def _check_slice_amplitude(vals, cfg, rows, ts):
+    """`PreconditionError` naming the device and time of the largest sample
+    when it exceeds the amplitude bound; `ts` broadcasts against `vals`."""
+    mag = np.abs(vals)
+    i = int(np.argmax(mag))
+    if mag.flat[i] > cfg.c_bound + 1e-12:
+        r, k = np.unravel_index(i, vals.shape)
+        t = np.broadcast_to(ts, vals.shape)[r, k]
+        raise PreconditionError(
+            f"{cfg.mode} encoder: signal amplitude {mag.flat[i]:.6g} exceeds "
+            f"c_bound={cfg.c_bound} on device {int(rows[r])} at t={t:.6g}"
+        )
 
 
 def _bracketed_newton(g_and_slope, lo, hi, start):
@@ -445,87 +516,125 @@ def _bracketed_newton(g_and_slope, lo, hi, start):
     return root
 
 
+def _hat_fires(table, rows, lo, hi, t_prev, b, lam):
+    """Crossing fire of each bracket [lo, hi] of an order-2 slice, in closed form.
+
+    g = f + b - lambda (t - t_prev) is linear on each unit piece of a hat
+    slice, with g(lo) > 0 >= g(hi).  Each knot strictly inside a bracket is
+    resolved first: the slice at the knot (the next piece's constant term)
+    keeps the half that holds the sign change.  The fire is then the root
+    of g on the bracket's piece.
+    """
+    s, _ = table.locate(lo)
+    split = np.ones(rows.size, dtype=bool)
+    while True:
+        # the next knot above lo; none past the table's last (zero) piece
+        knot = table.origin + s + 1.0
+        split &= (s < table.last) & (knot < hi)
+        if not split.any():
+            break
+        f_knot = table.pieces(rows, np.minimum(s + 1, table.last))[:, 0]
+        pos = split & (f_knot + b - lam * (knot - t_prev) > 0.0)
+        lo = np.where(pos, knot, lo)
+        hi = np.where(split & ~pos, knot, hi)
+        s = s + pos
+        split = pos      # only a bracket longer than a piece holds another knot
+    c = table.pieces(rows, s)
+    edge = table.origin + s
+    # a decreasing piece is certain unless rounding flipped a sign at an
+    # end; a flat or rising piece then holds the sign change at lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = edge + (c[:, 0] + b - lam * (edge - t_prev)) / (lam - c[:, 1])
+    return np.where(c[:, 1] < lam, np.minimum(np.maximum(root, lo), hi), lo)
+
+
 def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
     """Crossing-encode every device of a set in lockstep; returns TemOutput.
 
     Mathematically identical to running `ctem_encode` on each slice.  The
-    scan brackets each device's next fire, vectorized across devices, and
-    `_bracketed_newton` locates it on g = f + b - lambda (t - t_prev) with
-    g' = f' - lambda, starting from the secant of the two scan samples.
+    scan brackets each device's next fire, vectorized across devices, on
+    the slice table.  Order-2 slices make g = f + b - lambda (t - t_prev)
+    linear on each piece, so `_hat_fires` solves for the fire; higher
+    orders run `_bracketed_newton` on g with g' = f' - lambda, starting
+    from the secant of the two scan samples.
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
     t0, t_end = float(horizon[0]), float(horizon[1])
     step = scan_step if scan_step is not None else cfg.delta_target / 8.0
     b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
-    coefs = _slice_matrix(vsig, devices)
-    k1s = vsig.window.k1s
-    order = vsig.generator.order_t
+    table = _SliceTable(vsig, devices)
     J = len(devices)
     max_fires = int(math.ceil((t_end - t0) * lam / (b - cfg.c_bound))) + 2
     all_times = np.zeros((J, max_fires))
     all_values = np.zeros((J, max_fires))
     counts = np.zeros(J, dtype=int)
     t_prev = np.full(J, t0)
-    active = np.ones(J, dtype=bool)
     tangency = np.zeros(J, dtype=bool)
     n_sub = int(math.ceil(delta / step))
     offsets = np.minimum(step * np.arange(1, n_sub + 1), delta)
-    while np.any(active):
-        idx = np.where(active)[0]
-        cand = t_prev[idx, None] + offsets[None, :]
-        np.minimum(cand, t_end, out=cand)
-        fvals = _eval_rows(coefs[idx], order, k1s, cand)
-        if np.max(np.abs(fvals)) > cfg.c_bound + 1e-12:
-            raise PreconditionError("signal amplitude exceeds c_bound on a device slice")
-        g = fvals + b - lam * (cand - t_prev[idx, None])
-        valid = cand > t_prev[idx, None] + BISECTION_TOL
-        neg = (g <= 0.0) & valid
-        has = neg.any(axis=1)
+    serial = np.arange(J)
+    idx = serial            # the active devices
+    while idx.size:
+        tp = t_prev[idx]
+        cand = np.minimum(tp[:, None] + offsets, t_end)
+        fvals = table(idx, cand)
+        _check_slice_amplitude(fvals, cfg, idx, cand)
+        g = fvals + b - lam * (cand - tp[:, None])
+        neg = (g <= 0.0) & (cand > tp[:, None] + BISECTION_TOL)
         first = np.argmax(neg, axis=1)
+        r = serial[: idx.size]
+        has = neg[r, first]
         # sign-degenerate touch: the scan meets the ramp exactly and the
         # following sample is positive again (first-crossing not certifiable)
-        nxt = np.minimum(first + 1, g.shape[1] - 1)
-        rows_all = np.arange(idx.size)
-        degenerate = has & (g[rows_all, first] == 0.0) & (g[rows_all, nxt] > 0.0)
+        nxt = np.minimum(first + 1, n_sub - 1)
+        degenerate = has & (g[r, first] == 0.0) & (g[r, nxt] > 0.0)
         tangency[idx[degenerate]] = True
-        # rows without a crossing: legal only when the horizon truncated the window
-        truncated = t_prev[idx] + delta > t_end + BISECTION_TOL
-        if np.any(~has & ~truncated):
-            raise EncodingInvariantError(
-                "no crossing found within delta_target despite amplitude bound"
-            )
-        active[idx[~has]] = False
-        rows = idx[has]
-        if rows.size == 0:
-            break
-        fi = first[has]
-        before = np.maximum(fi - 1, 0)
-        hi = cand[has, fi]
-        lo = np.where(fi > 0, cand[has, before], t_prev[rows])
-        # secant of the two scan samples; the midpoint when the bracket
-        # starts at the previous fire, where there is no sample
-        start = 0.5 * (lo + hi)
-        sec = fi > 0
-        g_lo, g_hi = g[has, before][sec], g[has, fi][sec]
-        start[sec] = lo[sec] + g_lo / (g_lo - g_hi) * (hi[sec] - lo[sec])
-        c_rows, tp_rows = coefs[rows], t_prev[rows]
+        if not has.all():
+            # rows without a crossing: legal only when the horizon truncated the window
+            if np.any(tp[~has] + delta <= t_end + BISECTION_TOL):
+                raise EncodingInvariantError(
+                    "no crossing found within delta_target despite amplitude bound"
+                )
+            idx, tp, cand, g, first = idx[has], tp[has], cand[has], g[has], first[has]
+            if idx.size == 0:
+                break
+            r = serial[: idx.size]
+        hi = cand[r, first]
+        lo = np.where(first > 0, cand[r, first - 1], tp)
+        if table.order == 2:
+            t_fire = _hat_fires(table, idx, lo, hi, tp, b, lam)
+        else:
+            # secant of the two scan samples; the midpoint when the bracket
+            # starts at the previous fire, where there is no sample
+            start = 0.5 * (lo + hi)
+            sec = first > 0
+            g_lo, g_hi = g[r, first - 1][sec], g[r, first][sec]
+            start[sec] = lo[sec] + g_lo / (g_lo - g_hi) * (hi[sec] - lo[sec])
 
-        def crossing(sub, t):
-            f, df = _eval_rows(c_rows[sub], order, k1s, t[:, None], slope=True)
-            return f[:, 0] + b - lam * (t - tp_rows[sub]), df[:, 0] - lam
+            def crossing(sub, t):
+                f, df = table(idx[sub], t[:, None], slope=True)
+                return f[:, 0] + b - lam * (t - tp[sub]), df[:, 0] - lam
 
-        t_fire = _bracketed_newton(crossing, lo, hi, start)
-        all_times[rows, counts[rows]] = t_fire
-        all_values[rows, counts[rows]] = -b + lam * (t_fire - t_prev[rows])
-        counts[rows] += 1
-        t_prev[rows] = t_fire
-        active[rows] &= t_prev[rows] < t_end - BISECTION_TOL
-        if np.any(counts >= max_fires):
+            t_fire = _bracketed_newton(crossing, lo, hi, start)
+        c = counts[idx]
+        all_times[idx, c] = t_fire
+        all_values[idx, c] = -b + lam * (t_fire - tp)
+        counts[idx] = c + 1
+        t_prev[idx] = t_fire
+        if c.max() + 1 >= max_fires:
             raise EncodingInvariantError("fire-count bound exceeded")
+        idx = idx[t_fire < t_end - BISECTION_TOL]
     times = [all_times[j, : counts[j]].copy() for j in range(J)]
     values = [all_values[j, : counts[j]].copy() for j in range(J)]
     return TemOutput(cfg, devices, t0, t_end, times, values, list(tangency))
+
+
+def _leaky_rule(a, b, alpha):
+    """`knot_split_rule` over [a[i], b[i]] with the leak weight
+    exp(alpha (u - b[i])) folded into the weights."""
+    nodes, w = knot_split_rule(a, b)
+    return nodes, w * np.exp(alpha * (nodes - b[:, None]))
 
 
 def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
@@ -535,7 +644,8 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     evaluation step at a time.  A step whose integral reaches theta brackets
     a fire, and `_bracketed_newton` locates it on g = theta - y(t) with
     g' = alpha y(t) - f(t) - b, starting from the secant of y between the
-    step ends; y(t) and f(t) come from one knot-split Gauss call.
+    step ends.  y(t) is a knot-split Gauss sum whose nodes, and f(t), are
+    read from the slice table.
     """
     if cfg.mode != "integrate-and-fire":
         raise InputError("config mode must be 'integrate-and-fire'")
@@ -546,9 +656,7 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     # the ladder only needs to isolate fires (gap >= min_gap)
     h = grid_step if grid_step is not None else min_gap
     h = min(h, max(min_gap, BISECTION_TOL), 0.5)
-    coefs = _slice_matrix(vsig, devices)
-    k1s = vsig.window.k1s
-    order = vsig.generator.order_t
+    table = _SliceTable(vsig, devices)
     J = len(devices)
     n_steps = int(math.ceil((t_end - t0) / h))
     edges = np.minimum(t0 + h * np.arange(n_steps + 1), t_end)
@@ -559,25 +667,18 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     t_prev_fire = np.full(J, t0)
     y = np.zeros(J)
 
-    def seg_integral(rows, a_vec, b_vec):
-        # (integral of (f + b) exp(alpha (u - b_vec)) over [a_vec, b_vec],
-        #  f + b at b_vec), the endpoint riding along as a ninth node
-        nodes, w = knot_split_rule(a_vec, b_vec)
-        vals = _eval_rows(coefs[rows], order, k1s,
-                          np.concatenate([nodes, b_vec[:, None]], axis=1)) + b
-        w = w * np.exp(alpha * (nodes - b_vec[:, None]))
-        return (vals[:, :-1] * w).sum(axis=1), vals[:, -1]
-
-    # whole-step integrals, one design product for all devices and steps:
-    # nodes are shared across devices, two knot-split pieces per step
+    # whole-step integrals for all devices and steps at once: the nodes are
+    # shared across devices, two knot-split pieces per step
     a_vec, b_vec = edges[:-1], edges[1:]
-    step_nodes, step_w = knot_split_rule(a_vec, b_vec)      # (n_steps, 8)
-    step_w = step_w * np.exp(alpha * (step_nodes - b_vec[:, None]))
-    B = bspline_eval(order, step_nodes.ravel()[:, None] - k1s[None, :])
-    fvals = (coefs @ B.T).reshape(J, *step_nodes.shape)
-    if np.max(np.abs(fvals)) > cfg.c_bound + 1e-12:
-        raise PreconditionError("signal amplitude exceeds c_bound on a device slice")
-    I_step = ((fvals + b) * step_w[None, :, :]).sum(axis=2)  # (J, n_steps)
+    step_nodes, step_w = _leaky_rule(a_vec, b_vec, alpha)      # (n_steps, 8)
+    every, flat_nodes = np.arange(J), step_nodes.ravel()
+    fvals = table(every, flat_nodes)
+    _check_slice_amplitude(fvals, cfg, every, flat_nodes)
+    # in place, so the largest arrays of an encode exist once
+    fvals += b
+    fvals *= step_w.ravel()
+    I_step = fvals.reshape(J, *step_nodes.shape).sum(axis=2)    # (J, n_steps)
+    del fvals
     step_decay = np.exp(-alpha * (b_vec - a_vec))
 
     for k in range(n_steps):
@@ -591,9 +692,11 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
             s, y0 = seg_start_k[rws], y[rws]
 
             def level(sub, t):
-                integral, integrand = seg_integral(rws[sub], s[sub], t)
-                yt = y0[sub] * np.exp(-alpha * (t - s[sub])) + integral
-                return theta - yt, alpha * yt - integrand
+                # y(t) from the segment start, and f(t) + b at t as a last node
+                nodes, w = _leaky_rule(s[sub], t, alpha)
+                vals = table(rws[sub], np.concatenate([nodes, t[:, None]], axis=1)) + b
+                yt = y0[sub] * np.exp(-alpha * (t - s[sub])) + (vals[:, :-1] * w).sum(axis=1)
+                return theta - yt, alpha * yt - vals[:, -1]
 
             # y < theta at the segment start and >= theta at t_next
             start = s + (theta - y0) / (y_new[rws] - y0) * (t_next - s)
@@ -605,10 +708,10 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
             t_prev_fire[rws] = t_fire
             seg_start_k[rws] = t_fire
             y[rws] = 0.0
-            rest = t_next - t_fire
-            y_new[rws] = np.where(rest > BISECTION_TOL,
-                                  seg_integral(rws, t_fire, np.full(rws.size, t_next))[0],
-                                  0.0)
+            # a fresh integrator over the rest of the step
+            nodes, w = _leaky_rule(t_fire, np.full(rws.size, t_next), alpha)
+            rest = ((table(rws, nodes) + b) * w).sum(axis=1)
+            y_new[rws] = np.where(t_next - t_fire > BISECTION_TOL, rest, 0.0)
             crossed = np.zeros(J, dtype=bool)
             crossed[rws] = y_new[rws] >= theta
             guard += 1

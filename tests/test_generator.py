@@ -18,6 +18,7 @@ from temrecon import (
     modulus_amalgam_1d,
     modulus_of_continuity,
 )
+from temrecon.generator import knot_split_rule
 
 SQRT3 = 1.7320508075688772
 DECAY = 0.2679491924311228  # 2 - sqrt(3)
@@ -194,3 +195,29 @@ def test_dual_csv_export(tmp_path, hat_dual):
     assert float(b) == pytest.approx(hat_dual.axis_t.b[0] * hat_dual.axis_s.b[0])
     n = hat_dual.axis_t.b.size
     assert len(lines) == 1 + n * n
+
+
+def _knot_split_rule_loop(a, b):
+    # the per-piece loop the vectorized rule replaced, kept as its referee
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    n_pieces = int(np.ceil(np.max(b - a, initial=0.0) / 0.5)) + 1
+    first = np.ceil((a + 1e-12) / 0.5) * 0.5
+    edges = [a] + [np.clip(first + 0.5 * i, a, b) for i in range(n_pieces - 1)] + [b]
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes.append(lo[:, None] + half[:, None] * (gx[None, :] + 1.0))
+        weights.append(half[:, None] * gw[None, :])
+    return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
+
+
+def test_knot_split_rule_matches_piecewise_loop():
+    rng = np.random.default_rng(0)
+    for n in (0, 1, 7, 40):
+        a = rng.uniform(-5.0, 40.0, n)
+        a[: n // 3] = np.round(2.0 * a[: n // 3]) / 2.0          # starts on knots
+        for length in (0.0, 1e-13, 0.07, 0.5, 1.3, 3.0):
+            b = a + length * rng.uniform(0.0, 1.0, n)
+            want, got = _knot_split_rule_loop(a, b), knot_split_rule(a, b)
+            assert got[0].shape == want[0].shape
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

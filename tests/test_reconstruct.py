@@ -115,9 +115,10 @@ def test_fixed_point_residual_vanishes(hat_kernel, hat_gen, small_grid, small_wi
     assert np.max(np.abs(upd.coeffs.entries)) <= 1e-10
 
 
-@pytest.mark.parametrize("silent_device", [None, 3])
+@pytest.mark.parametrize("silent_device, crowded", [(None, False), (3, False), (None, True)],
+                         ids=["None", "3", "crowded"])
 def test_ctem_operator_step_matches_grid_path(hat_kernel, hat_gen, small_grid, small_window,
-                                              silent_device):
+                                              silent_device, crowded):
     # one step M (y - A f_n) without a grid render equals T S applied to the
     # rendered residual; a device without fires adds nothing to either side
     rng = np.random.default_rng(12)
@@ -128,6 +129,20 @@ def test_ctem_operator_step_matches_grid_path(hat_kernel, hat_gen, small_grid, s
     if silent_device is not None:
         out.times[silent_device] = np.zeros(0)
         out.values[silent_device] = np.zeros(0)
+    if crowded:
+        # three fires within one grid step inside device 5's widest gap:
+        # the middle fire's nearest-fire cell holds no grid point
+        t, v = out.times[5], out.values[5]
+        i = int(np.argmax(np.diff(t)))
+        xs = small_grid.xs
+        x = xs[np.searchsorted(xs, 0.5 * (t[i] + t[i + 1]))]
+        extra = x + (xs[1] - xs[0]) * np.array([0.2, 0.45, 0.7])
+        assert t[i] < extra[0] and extra[-1] < t[i + 1]
+        out.times[5] = np.concatenate([t[: i + 1], extra, t[i + 1:]])
+        out.values[5] = np.concatenate([v[: i + 1], [0.3, -0.4, 0.5], v[i + 1:]])
+        nearest = np.searchsorted(0.5 * (out.times[5][:-1] + out.times[5][1:]), xs,
+                                  side="right")
+        assert np.bincount(nearest, minlength=out.times[5].size)[i + 2] == 0
     resid = [out.values[j] - f_n.eval_slice(dev.positions[j], out.times[j])
              for j in range(len(dev))]
     want = apply_T(hat_kernel, apply_S(out, dev, small_grid, values_override=resid),

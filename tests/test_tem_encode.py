@@ -1,9 +1,12 @@
 """Device geometry and the two time encoding machines."""
 
+import re
+
 import numpy as np
 import pytest
 
 from temrecon import (
+    CoefSeq,
     DeviceSet,
     GapError,
     Generator,
@@ -11,6 +14,8 @@ from temrecon import (
     InputError,
     PreconditionError,
     TemConfig,
+    VSignal,
+    bspline_eval,
     ctem_encode,
     density_report,
     encode_ctem_devices,
@@ -19,7 +24,7 @@ from temrecon import (
     partition_of_unity,
     window_for_grid,
 )
-from temrecon.tem_encode import TemOutput
+from temrecon.tem_encode import TemOutput, _SliceTable
 
 from conftest import plain_integrator_oracle, random_vsignal
 
@@ -268,6 +273,89 @@ def test_vectorized_matches_scalar_order3():
             assert t_s.size == out.times[j].size
             assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
             assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
+
+
+def test_hat_fires_resolve_several_knots(hat_gen, small_grid, small_window):
+    # scan brackets of 1.5 units hold one or two knots, so the closed form
+    # must pick its piece over more than one knot
+    sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(10))
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    cfg = crossing_cfg(delta_target=3.0)
+    out = encode_ctem_devices(sig, dev, cfg, (0.0, 12.0), scan_step=1.5)
+    for j in range(len(dev)):
+        t_s, v_s, _ = ctem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg,
+                                  (0.0, 12.0), scan_step=1.5)
+        assert t_s.size == out.times[j].size > 0
+        assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
+        assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
+
+
+def test_vectorized_matches_scalar_order4():
+    # the only order >= 4 run of the crossing Newton path
+    gen = Generator(4, 4)
+    grid = Grid.from_spacing(0.0, 8.0, 0.0, 8.0, 1.0 / 32.0)
+    window = window_for_grid(grid, gen, margin_extra=0)
+    sig = random_vsignal(window, gen, grid, np.random.default_rng(9))
+    dev = DeviceSet(np.array([4.0]), 4.0, (0.0, 8.0))
+    cases = [(encode_ctem_devices, ctem_encode, crossing_cfg())]
+    cases += [(encode_iftem_devices, iftem_encode, if_cfg(alpha=a)) for a in (0.0, 0.5)]
+    for fast, scalar, cfg in cases:
+        out = fast(sig, dev, cfg, (0.0, 8.0))
+        t_s, v_s, _ = scalar(lambda x: sig.eval_slice(4.0, x), cfg, (0.0, 8.0))
+        assert t_s.size == out.times[0].size > 0
+        assert np.max(np.abs(t_s - out.times[0])) <= 1e-12
+        assert np.max(np.abs(v_s - out.values[0])) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_slice_table_matches_bspline_design(order):
+    gen = Generator(order, 2)
+    grid = Grid.from_spacing(0.0, 12.0, 0.0, 12.0, 1.0 / 32.0)
+    window = window_for_grid(grid, gen)
+    rng = np.random.default_rng(order)
+    sig = VSignal(CoefSeq(rng.uniform(-1.0, 1.0, (window.n1, window.n2)),
+                          window.k1_first, window.k2_first), gen)
+    dev = DeviceSet(np.sort(rng.uniform(0.0, 12.0, 6)), 12.0, (0.0, 12.0))
+    table = _SliceTable(sig, dev)
+    coefs = np.stack([sig.coeffs.entries @ bspline_eval(2, y - window.k2s)
+                      for y in dev.positions])
+    k1s = window.k1s
+    lo, hi = k1s[0] - order / 2.0, k1s[-1] + order / 2.0   # slice support
+    knots = np.arange(lo, hi + 0.5)
+    outside = np.array([-40.0, lo - 3.3, lo - 1.0, lo, hi, hi + 0.25, hi + 7.0])
+    t = np.concatenate([rng.uniform(lo - 2.0, hi + 2.0, 200), knots, outside])
+    rows = np.arange(len(dev))
+    x = t[:, None] - k1s[None, :]
+    want = coefs @ bspline_eval(order, x).T
+    lower = bspline_eval(order - 1, x + 0.5) - bspline_eval(order - 1, x - 0.5)
+    want_slope = coefs @ lower.T
+    got, got_slope = table(rows, t, slope=True)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.max(np.abs(got_slope - want_slope)) <= 1e-13
+    # per-row points read the same numbers as shared points
+    per_row = table(rows, np.tile(t, (rows.size, 1)))
+    assert np.array_equal(per_row, got)
+    # outside the window the table reads zero, as the B-splines do; slopes
+    # are right derivatives, so a hat slice starts rising at lo
+    out = (t <= lo) | (t >= hi)
+    assert np.all(got[:, out] == 0.0) and np.all(want[:, out] == 0.0)
+    assert np.all(got_slope[:, out & (t != lo)] == 0.0)
+
+
+@pytest.mark.parametrize("encode, cfg", [(encode_ctem_devices, crossing_cfg()),
+                                         (encode_iftem_devices, if_cfg(alpha=0.5))])
+def test_vectorized_amplitude_error_names_device(encode, cfg, hat_gen, small_window):
+    # one space coefficient column of 1.5 > c_bound: only device 7 sees it
+    entries = np.zeros((small_window.n1, small_window.n2))
+    entries[:, 7 - small_window.k2_first] = 1.5
+    sig = VSignal(CoefSeq(entries, small_window.k1_first, small_window.k2_first), hat_gen)
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    with pytest.raises(PreconditionError) as err:
+        encode(sig, dev, cfg, (0.0, 12.0))
+    msg = str(err.value)
+    assert cfg.mode in msg and "on device 7 " in msg
+    t = float(re.search(r"at t=(\S+)", msg).group(1))
+    assert abs(sig.eval_slice(7.0, np.array([t]))[0]) > cfg.c_bound
 
 
 def test_monotone_load_if(hat_gen, small_grid, small_window):
