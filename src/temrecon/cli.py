@@ -7,8 +7,9 @@ deterministic for a fixed config and seed; all randomness flows through a
 single seeded generator and all file writes happen once, at the end of a
 section.
 
-Exit codes: 0 ok, 2 config error, 3 precondition violation, 4
-non-convergence.
+Exit codes: 0 ok, 1 any other numerical error (e.g. `WindowGrowthError`
+for an order >= 4 dual) or a failed selftest, 2 config error, 3
+precondition violation, 4 non-convergence.
 """
 
 import argparse

@@ -9,8 +9,9 @@ f = sum_k c_k beta(. - k) as the small matrix
     A = Gd^T G / delta,   G[l, k]  = int_{cell l} beta(u - k) du,
                           Gd[l, k] = int_{cell l} dual(u - k) du,
 
-with cells lambda_l +- delta / 2 integrated exactly by the knot-split
-Gauss rule.  The truncated Neumann inverse is then a matrix polynomial,
+with cells lambda_l +- delta / 2 integrated exactly: both are differences
+of spline antiderivatives over the lattice edges (`spline_antiderivative`).
+The truncated Neumann inverse is then a matrix polynomial,
 
     T_plus(N) = sum_{n=0..N} (I - A)^n = sum_m gamma_m A^m,
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionError, InputError
-from .generator import bspline_eval, knot_split_rule
+from .generator import bspline_eval, spline_antiderivative
 from .kernel_space import VSignal, window_for_grid
 from .mixed_norm import (
     CoefSeq,
@@ -74,15 +75,11 @@ class _AxisFrame:
         self.order = factor.order
         self.dual_axis = factor.dual_axis
         self.lattice = _lattice(lo, hi, delta)
-        a, b = self.lattice - delta / 2.0, self.lattice + delta / 2.0
+        edges = np.append(self.lattice - delta / 2.0, self.lattice[-1] + delta / 2.0)
         r = self.order / 2.0
-        self.ks = np.arange(int(np.floor(a[0] - r)) + 1, int(np.ceil(b[-1] + r)))
-        nodes, wq = knot_split_rule(a, b)
-        x = nodes.ravel()[:, None] - self.ks[None, :]
-        w = wq.ravel()[:, None]
-        cells = (self.lattice.size, nodes.shape[1], self.ks.size)
-        self.G = (bspline_eval(self.order, x) * w).reshape(cells).sum(axis=1)
-        self.Gd = (self.dual_axis.eval(x) * w).reshape(cells).sum(axis=1)
+        self.ks = np.arange(int(np.floor(edges[0] - r)) + 1, int(np.ceil(edges[-1] + r)))
+        self.G = np.diff(spline_antiderivative(self.order, edges, self.ks), axis=0)
+        self.Gd = np.diff(self.dual_axis.antiderivative(edges, self.ks), axis=0)
         self.A = self.Gd.T @ self.G / delta
 
     def index(self, ks):

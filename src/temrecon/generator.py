@@ -56,10 +56,6 @@ def bspline_eval(order, x):
     return vals[0]
 
 
-def bspline_support(order):
-    return (-order / 2.0, order / 2.0)
-
-
 def bspline_autocorr(order):
     """Integer-shift inner products a(j) = <beta, beta(.-j)>, j = -(order-1)..order-1.
 
@@ -68,6 +64,40 @@ def bspline_autocorr(order):
     """
     offsets = np.arange(-(order - 1), order)
     return offsets, bspline_eval(2 * order, offsets.astype(float))
+
+
+def spline_basis(order, x):
+    """(first, vals), vals[i, l] = beta(x[i] - first[i] + l), first = floor(x + order/2).
+
+    The support is left-closed, so these are the only `order` shifts with
+    beta(x - m) nonzero; they serve every integer shift of x (`spline_sum`).
+    """
+    x = np.asarray(x, dtype=float)
+    first = np.floor(x + order / 2.0).astype(int)
+    return first, np.stack([bspline_eval(order, x - (first - l)) for l in range(order)], axis=1)
+
+
+def spline_sum(basis, ks, c, right=0.0):
+    """S[i, j] = sum_m c(m) beta(x[i] - ks[j] - m) on `spline_basis(order, x)`,
+    where c(m) reads the table c, is 0 for m < 0 and `right` for m >= c.size."""
+    first, vals = basis
+    table = np.concatenate([[0.0], c, [right]])
+    shift = first[:, None] - np.asarray(ks)[None, :] + 1
+    out = np.zeros(shift.shape)
+    for l in range(vals.shape[1]):
+        out += table[np.clip(shift - l, 0, table.size - 1)] * vals[:, l, None]
+    return out
+
+
+def spline_antiderivative(order, x, ks, b=(1.0,)):
+    """A[i, j] = int_{-inf}^{x[i]} sum_m b[m] beta(u - ks[j] - m) du, 1-d x.
+
+    beta integrates to sum_{m >= 0} beta_{order + 1}(x - 1/2 - m) (de Boor),
+    so A is the order + 1 spline sum of the running sum C of b, which keeps
+    its total past the table.  Interval integrals are differences of rows.
+    """
+    C = np.cumsum(b)
+    return spline_sum(spline_basis(order + 1, np.asarray(x, dtype=float) - 0.5), ks, C, C[-1])
 
 
 def gauss_panel_rule(lo, hi, points_per_panel, panel=0.5):
@@ -281,23 +311,14 @@ class DualAxis:
         return float(np.abs(self.b).sum())
 
     def eval(self, x):
-        """dual(x) = sum_j b(j) beta(x - j), using only the `order` shifts
-        whose spline factor can be nonzero at each point.
-
-        The spline support is [-order/2, order/2): left-closed, so the
-        contributing shifts are the `order` integers ending at
-        floor(x + order/2) (this matters for the discontinuous order-1 case).
-        """
+        """dual(x) = sum_j b(j) beta(x - j) for any shape of x, by `spline_sum`."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        j_last = np.floor(x + self.order / 2.0).astype(int)
-        for l in range(self.order):
-            j = j_last - l
-            idx = j - int(self.offsets[0])
-            valid = (idx >= 0) & (idx < self.b.size)
-            coef = np.where(valid, self.b[np.clip(idx, 0, self.b.size - 1)], 0.0)
-            out += coef * bspline_eval(self.order, x - j)
-        return out
+        basis = spline_basis(self.order, x.ravel())
+        return spline_sum(basis, self.offsets[:1], self.b).reshape(x.shape)
+
+    def antiderivative(self, x, ks):
+        """D[i, j] = int_{-inf}^{x[i]} dual(u - ks[j]) du, 1-d x."""
+        return spline_antiderivative(self.order, x, np.asarray(ks) + self.offsets[0], self.b)
 
 
 def dual_coeffs_from_autocorr(a_offsets, a_values, order, ring_size=64, trunc=TRUNC_TOL):
@@ -402,10 +423,6 @@ class DualGenerator:
 
     def amalgam_norm(self, samples_per_unit=64):
         return self.amalgam_norm_t(samples_per_unit) * self.amalgam_norm_s(samples_per_unit)
-
-    def coef_2d(self):
-        """Dense separable coefficient window b(k1, k2) = b_t(k1) * b_s(k2)."""
-        return np.outer(self.axis_t.b, self.axis_s.b)
 
     def write_csv(self, path):
         with open(path, "w") as fh:

@@ -197,6 +197,8 @@ class Kernel:
         self.stats_resolution = stats_resolution
         self._w0 = {}
         self._omega_raw = {}
+        self._analysis = {}  # (grid, window key) -> apply_T's (W_t, W_s)
+        self._resolved = set()  # (grid, window key) pairs that passed the check
 
     def eval(self, x, y, s, t):
         x, y, s, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
@@ -438,40 +440,29 @@ class VSignal:
                                self.coeffs.k1_first, self.coeffs.k2_first), self.generator)
 
 
-def analysis_matrices(kernel, grid, window, self_check=True):
-    """Per-axis matrices W[i, k] = grid weight i * dual(grid point i - k), cached.
-
-    With `self_check` the grid must first resolve biorthogonality of the
-    basis pair (`_grid_resolution_check`), the condition for the projector
-    to be idempotent on this grid; it raises `ResolutionError` otherwise.
-    """
-    if self_check:
-        _grid_resolution_check(kernel, grid, window)
-    cache = getattr(kernel, "_analysis_cache", None)
-    if cache is None:
-        cache = kernel._analysis_cache = {}
-    key = (grid, window.key)
-    if key not in cache:
-        wx, wy = grid.weights_x, grid.weights_y
-        W_t = wx[:, None] * kernel.dual.axis_t.eval(grid.xs[:, None] - window.k1s[None, :])
-        W_s = wy[:, None] * kernel.dual.axis_s.eval(grid.ys[:, None] - window.k2s[None, :])
-        cache[key] = (W_t, W_s)
-    return cache[key]
-
-
 def apply_T(kernel, f, window=None, self_check=True):
     """Idempotent projector onto the signal space, in analysis/synthesis form.
 
-    Coefficients are quadrature inner products of f against dual shifts;
-    identical to the integral operator with the separable kernel but at
-    two-matrix-product cost.  `self_check` is passed to `analysis_matrices`.
+    Coefficients are grid inner products of f against dual shifts, W_t^T f W_s
+    with W[i, k] = grid weight i * dual(grid point i - k) cached on the
+    kernel.  With `self_check` the grid must first resolve biorthogonality
+    of the basis pair (`_grid_resolution_check`), the condition for the
+    projector to be idempotent on this grid; else `ResolutionError`.
     """
     if kernel.dual is None or kernel.generator is None:
         raise InputError("projector requires a generator-backed kernel")
     grid = f.grid
     if window is None:
         window = window_for_grid(grid, kernel.generator)
-    W_t, W_s = analysis_matrices(kernel, grid, window, self_check)
+    if self_check:
+        _grid_resolution_check(kernel, grid, window)
+    key = (grid, window.key)
+    if key not in kernel._analysis:
+        dual = kernel.dual
+        kernel._analysis[key] = (
+            grid.weights_x[:, None] * dual.axis_t.eval(grid.xs[:, None] - window.k1s[None, :]),
+            grid.weights_y[:, None] * dual.axis_s.eval(grid.ys[:, None] - window.k2s[None, :]))
+    W_t, W_s = kernel._analysis[key]
     coefs = kernel.scale * (W_t.T @ f.values @ W_s)
     return VSignal(CoefSeq(coefs, window.k1_first, window.k2_first), kernel.generator)
 
@@ -483,11 +474,8 @@ def _grid_resolution_check(kernel, grid, window, tol=1e-8):
     window index, so only that local slice of the grid enters.  Results are
     cached on the kernel, making the check free after the first call.
     """
-    cache = getattr(kernel, "_rescheck_cache", None)
-    if cache is None:
-        cache = kernel._rescheck_cache = {}
     key = (grid, window.key)
-    if key in cache:
+    if key in kernel._resolved:
         return
     gen, dual = kernel.generator, kernel.dual
     k10 = (window.k1_first + window.k1_last) // 2
@@ -520,7 +508,7 @@ def _grid_resolution_check(kernel, grid, window, tol=1e-8):
         raise ResolutionError(
             f"grid quadrature breaks biorthogonality by {worst:.3e}; grid too coarse"
         )
-    cache[key] = True
+    kernel._resolved.add(key)
 
 
 def kernel_slice(kernel, s, t, grid):

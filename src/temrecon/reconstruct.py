@@ -7,10 +7,11 @@ A_j re-measures the iterate's slice at the original firing times, y_j holds
 the encoder-recovered measurements of the signal, and M_j maps the residual
 back to time-axis coefficients, which one space factor spreads across
 space.  The crossing machine samples at the fires and uses M = T S, the
-projector after the nearest-fire quasi-interpolant, read off the grid
-analysis matrices without rendering a grid function; the integrate-and-fire
-machine takes leak-weighted interval integrals and uses M = R, kernel
-slices at the interval midpoints.  No second encoding pass is ever needed.
+projector after the nearest-fire quasi-interpolant, built from exact
+interval integrals of the dual (differences of its spline antiderivative)
+without a grid; the integrate-and-fire machine takes leak-weighted interval
+integrals and uses M = R, kernel slices at the interval midpoints.  No
+second encoding pass is ever needed.
 
 Divergence is a reported outcome, not an exception: the sufficient rate
 bounds are wildly pessimistic and experiments deliberately sweep past them.
@@ -22,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .generator import bspline_eval, knot_split_rule
-from .kernel_space import VSignal, analysis_matrices, window_for_grid
+from .generator import bspline_eval, knot_split_rule, spline_basis, spline_sum
+from .kernel_space import VSignal, window_for_grid
 from .mixed_norm import CoefSeq, GridFunction, MixedNormParams
+from .tem_encode import density_report
 
 
 # ---------------------------------------------------------------------------
@@ -66,38 +68,37 @@ class MeasurementOperator:
         return self.synthesize(self.My - np.einsum("jkl,lj->kj", self.MA, slices))
 
 
-def ctem_operator(out, kernel, devices, grid, window):
+def ctem_operator(out, kernel, devices, window):
     """Crossing operator: A samples at the fire times, M = T S.
 
     S holds each residual sample constant over its nearest-fire cell (breaks
-    at midpoints of consecutive fires, stubs extended to the grid ends) and
-    blends devices by the partition of unity; T analyses against the dual on
-    the grid.  So M_j sums the rows of the time analysis matrix over each
-    cell, and the space factor is the partition of unity analysed in space.
-    Raises `ResolutionError` where the grid does not resolve T.
+    at midpoints of consecutive fires, stubs extended to [t_start, t_end])
+    and blends devices by the partition of unity; T analyses against the
+    dual.  So M_j holds the exact dual integrals over the cells, and the
+    space factor those of the partition weights, constant between ball ends
+    (clipped to the device window).
     """
     if out.config.mode != "crossing":
         raise InputError("the crossing operator requires crossing-mode output")
-    W_t, W_s = analysis_matrices(kernel, grid, window)
-    # a zero row past the end: a cell that starts there sums to zero
-    W_pad = np.vstack([W_t, np.zeros((1, window.n1))])
+    gen, dual = kernel.generator, kernel.dual
+    edges = [np.concatenate([[out.t_start], 0.5 * (t[:-1] + t[1:]), [out.t_end]])
+             if t.size else np.zeros(0) for t in out.times]
+    # spline values of every device's edges at once, the gather per device
+    first, vals = spline_basis(gen.order_t + 1, np.concatenate(edges) - 0.5)
+    split = np.cumsum([e.size for e in edges])[:-1]
+    C, k1s = np.cumsum(dual.axis_t.b), window.k1s + dual.axis_t.offsets[0]
 
     def per_device():
-        for t in out.times:
-            cells = np.zeros((0, window.n1))
-            if t.size:
-                # nearest fire per grid row is nondecreasing, so each cell
-                # is a contiguous block of rows; a cell between two grid
-                # points holds none, and reduceat would copy a row into it
-                nearest = np.searchsorted(0.5 * (t[:-1] + t[1:]), grid.xs, side="right")
-                size = np.bincount(nearest, minlength=t.size)
-                cells = np.add.reduceat(W_pad, np.cumsum(size) - size, axis=0)
-                cells[size == 0] = 0.0
-            yield (bspline_eval(kernel.generator.order_t, t[:, None] - window.k1s[None, :]),
-                   kernel.scale * cells.T)
+        for t, f, v in zip(out.times, np.split(first, split), np.split(vals, split)):
+            yield (bspline_eval(gen.order_t, t[:, None] - window.k1s[None, :]),
+                   kernel.scale * np.diff(spline_sum((f, v), k1s, C, C[-1]), axis=0).T)
 
-    return MeasurementOperator(out, kernel, devices, window, per_device(),
-                               devices.u_matrix(grid.ys) @ W_s)
+    # a repeated cut makes an empty piece, whose integrals are exactly 0
+    pos, r = devices.positions, devices.delta_prime
+    cuts = np.sort(np.clip(np.concatenate([pos - r, pos + r, devices.window]), *devices.window))
+    pieces = np.diff(dual.axis_s.antiderivative(cuts, window.k2s), axis=0)
+    space = devices.u_matrix(0.5 * (cuts[:-1] + cuts[1:])) @ pieces
+    return MeasurementOperator(out, kernel, devices, window, per_device(), space)
 
 
 def iftem_operator(out, kernel, devices, window):
@@ -259,9 +260,10 @@ def _run_iteration(op, f_true, grid, params, n_max, tol, predicted):
     With ground truth the error is ||f - f_n||; blind mode tracks the update
     norm ||f_{n+1} - f_n|| instead and scales the tolerance by the first one.
     Stops at the tolerance, at `n_max`, or after three consecutive error
-    increases (reported as divergence).
+    increases (reported as divergence).  `params` defaults to p = q = 2.
     """
     t0 = _time.time()
+    params = params or MixedNormParams(2.0, 2.0)
     blind = f_true is None
     window, gen = op.window, op.generator
     f_n = VSignal.zeros(window, gen)
@@ -296,28 +298,23 @@ def _run_iteration(op, f_true, grid, params, n_max, tol, predicted):
     return f_n, report
 
 
-def _max_gap(out):
-    return max((float(out.gaps(j).max()) for j in range(len(out.times))),
-               default=out.config.delta_target)
-
-
 def ctem_iterate(out, kernel, devices, grid, f_true=None, n_max=40, tol=1e-8,
                  params=None, window=None):
     """Crossing-sample iteration f_{n+1} = f_n + T S (f - f_n) over `ctem_operator`."""
-    params = params or MixedNormParams(2.0, 2.0)
     if window is None:
         window = f_true.window if f_true is not None else window_for_grid(grid, kernel.generator)
-    predicted = estimate_r1(kernel, _max_gap(out), devices.delta_prime)
-    op = ctem_operator(out, kernel, devices, grid, window)
+    max_gap = density_report(out, out.config.delta_target)[0]
+    predicted = estimate_r1(kernel, max_gap, devices.delta_prime)
+    op = ctem_operator(out, kernel, devices, window)
     return _run_iteration(op, f_true, grid, params, n_max, tol, predicted)
 
 
 def iftem_iterate(out, kernel, devices, grid, f_true=None, n_max=40, tol=1e-8,
                   params=None, window=None):
     """Integrate-and-fire iteration f_{n+1} = f_n + R (f - f_n) over `iftem_operator`."""
-    params = params or MixedNormParams(2.0, 2.0)
     if window is None:
         window = f_true.window if f_true is not None else window_for_grid(grid, kernel.generator)
-    predicted = estimate_r2(kernel, _max_gap(out), devices.delta_prime, out.config.alpha)
+    max_gap = density_report(out, out.config.delta_target)[0]
+    predicted = estimate_r2(kernel, max_gap, devices.delta_prime, out.config.alpha)
     op = iftem_operator(out, kernel, devices, window)
     return _run_iteration(op, f_true, grid, params, n_max, tol, predicted)

@@ -147,6 +147,18 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("mode", ["crossing", "integrate-and-fire"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_reconstruct_order_sweep_exits_0(tmp_path, mode, order):
+    # order-3 crossing used to stop with ResolutionError (exit 1) at grid 1/32
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": mode, "generator_order_t": order,
+                               "generator_order_s": order, "x_max": 8.0, "y_max": 8.0}))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["converged"]
+
+
 @pytest.mark.parametrize("bad", [
     {"alpha": float("nan")},
     {"tol": float("inf")},

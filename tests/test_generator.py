@@ -18,7 +18,13 @@ from temrecon import (
     modulus_amalgam_1d,
     modulus_of_continuity,
 )
-from temrecon.generator import knot_split_rule
+from temrecon.generator import (
+    DualAxis,
+    spline_antiderivative,
+    knot_split_rule,
+    spline_basis,
+    spline_sum,
+)
 
 SQRT3 = 1.7320508075688772
 DECAY = 0.2679491924311228  # 2 - sqrt(3)
@@ -221,3 +227,68 @@ def test_knot_split_rule_matches_piecewise_loop():
             want, got = _knot_split_rule_loop(a, b), knot_split_rule(a, b)
             assert got[0].shape == want[0].shape
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _dual_axis(order):
+    # ring 256 keeps the order 4 and 5 dual tails below the truncation bound
+    offs, vals = bspline_autocorr(order)
+    b_offsets, b, tail, sym_min = dual_coeffs_from_autocorr(offs, vals, order, 256)
+    return DualAxis(order, b_offsets, b, tail, sym_min, 256)
+
+
+def _dual_eval_loop(axis, x):
+    # the per-shift loop `DualAxis.eval` replaced, kept as its referee
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    j_last = np.floor(x + axis.order / 2.0).astype(int)
+    for l in range(axis.order):
+        j = j_last - l
+        idx = j - int(axis.offsets[0])
+        valid = (idx >= 0) & (idx < axis.b.size)
+        coef = np.where(valid, axis.b[np.clip(idx, 0, axis.b.size - 1)], 0.0)
+        out += coef * bspline_eval(axis.order, x - j)
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_dual_eval_matches_shift_loop(order):
+    axis = _dual_axis(order)
+    rng = np.random.default_rng(order)
+    x1 = np.concatenate([rng.uniform(-25.0, 25.0, 500), np.arange(-25.0, 25.5, 0.5)])
+    x2 = x1[:, None] - np.arange(-6, 7)[None, :]
+    for x in (x1, x2, 0.5, -1.25):
+        want, got = _dual_eval_loop(axis, x), axis.eval(x)
+        assert np.shape(got) == np.shape(want) and np.all(got == want)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_antiderivative_rows_match_gauss_cells(order):
+    axis = _dual_axis(order)
+    rng = np.random.default_rng(10 + order)
+    a = rng.uniform(-15.0, 15.0, 120)
+    a[:40] = np.round(2.0 * a[:40]) / 2.0                 # cells starting on knots
+    b = a + rng.uniform(0.0, 2.0, a.size)
+    ks = np.arange(-12, 13)
+    nodes, w = knot_split_rule(a, b)
+    x = nodes[:, :, None] - ks
+    want_b = np.einsum("iq,iqk->ik", w, bspline_eval(order, x))
+    want_d = np.einsum("iq,iqk->ik", w, axis.eval(x))
+    got_b = spline_antiderivative(order, b, ks) - spline_antiderivative(order, a, ks)
+    got_d = axis.antiderivative(b, ks) - axis.antiderivative(a, ks)
+    assert np.max(np.abs(got_b - want_b)) <= 1e-13
+    assert np.max(np.abs(got_d - want_d)) <= 1e-13
+
+
+def test_spline_sum_reads_zero_left_and_total_right():
+    c = np.array([0.5, -2.0, 3.0])
+    for order in (2, 3, 4):
+        x = np.array([-7.3, -order / 2.0, 9.0, 40.25])
+        got = spline_sum(spline_basis(order, x), [0], c, right=7.0)[:, 0]
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert abs(got[2] - 7.0) <= 1e-14 and abs(got[3] - 7.0) <= 1e-14
+    axis = _dual_axis(3)
+    ends = np.array([-axis.reach - 1.0, axis.reach + 5.0])     # past both shifts
+    D = axis.antiderivative(ends, [0, 4])
+    assert np.all(D[0] == 0.0) and np.max(np.abs(D[1] - axis.b.sum())) <= 1e-14
+    Phi = spline_antiderivative(3, ends, [0, 4])
+    assert np.all(Phi[0] == 0.0) and np.max(np.abs(Phi[1] - 1.0)) <= 1e-14

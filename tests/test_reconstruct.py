@@ -6,6 +6,8 @@ import pytest
 from temrecon import (
     DeviceSet,
     Generator,
+    Grid,
+    GridFunction,
     Kernel,
     MixedNormParams,
     ResolutionError,
@@ -24,7 +26,9 @@ from temrecon import (
     estimate_r2,
     iftem_iterate,
     mixed_function_norm,
+    window_for_grid,
 )
+from temrecon.generator import knot_split_rule
 from temrecon.reconstruct import ctem_operator, iftem_operator
 from temrecon.tem_encode import TemOutput
 
@@ -115,53 +119,101 @@ def test_fixed_point_residual_vanishes(hat_kernel, hat_gen, small_grid, small_wi
     assert np.max(np.abs(upd.coeffs.entries)) <= 1e-10
 
 
-@pytest.mark.parametrize("silent_device, crowded", [(None, False), (3, False), (None, True)],
-                         ids=["None", "3", "crowded"])
-def test_ctem_operator_step_matches_grid_path(hat_kernel, hat_gen, small_grid, small_window,
-                                              silent_device, crowded):
-    # one step M (y - A f_n) without a grid render equals T S applied to the
-    # rendered residual; a device without fires adds nothing to either side
+def _crossing_case(gen, grid, window, silent_device=None, crowded=False):
+    """A crossing encode on [0, 12]^2 with an iterate f_n and its residuals.
+
+    `silent_device` loses its fires; `crowded` puts three fires within one
+    grid step inside device 5's widest gap, so one nearest-fire cell is
+    shorter than the grid step.
+    """
     rng = np.random.default_rng(12)
-    sig = random_vsignal(small_window, hat_gen, small_grid, rng)
-    f_n = random_vsignal(small_window, hat_gen, small_grid, rng, sup=0.5)
+    sig = random_vsignal(window, gen, grid, rng)
+    f_n = random_vsignal(window, gen, grid, rng, sup=0.5)
     dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
     out = encode_ctem_devices(sig, dev, crossing_cfg(), (0.0, 12.0))
     if silent_device is not None:
         out.times[silent_device] = np.zeros(0)
         out.values[silent_device] = np.zeros(0)
     if crowded:
-        # three fires within one grid step inside device 5's widest gap:
-        # the middle fire's nearest-fire cell holds no grid point
         t, v = out.times[5], out.values[5]
         i = int(np.argmax(np.diff(t)))
-        xs = small_grid.xs
+        xs = grid.xs
         x = xs[np.searchsorted(xs, 0.5 * (t[i] + t[i + 1]))]
         extra = x + (xs[1] - xs[0]) * np.array([0.2, 0.45, 0.7])
         assert t[i] < extra[0] and extra[-1] < t[i + 1]
         out.times[5] = np.concatenate([t[: i + 1], extra, t[i + 1:]])
         out.values[5] = np.concatenate([v[: i + 1], [0.3, -0.4, 0.5], v[i + 1:]])
-        nearest = np.searchsorted(0.5 * (out.times[5][:-1] + out.times[5][1:]), xs,
-                                  side="right")
-        assert np.bincount(nearest, minlength=out.times[5].size)[i + 2] == 0
     resid = [out.values[j] - f_n.eval_slice(dev.positions[j], out.times[j])
              for j in range(len(dev))]
-    want = apply_T(hat_kernel, apply_S(out, dev, small_grid, values_override=resid),
-                   window=small_window)
-    got = ctem_operator(out, hat_kernel, dev, small_grid, small_window).step(f_n)
-    assert np.max(np.abs(want.coeffs.entries)) > 0.1
-    assert np.max(np.abs(got.coeffs.entries - want.coeffs.entries)) <= 1e-12
+    return dev, out, f_n, resid
 
 
-def test_ctem_iterate_order3_unresolved_grid_raises(small_grid):
+def _gauss_dual_integrals(axis, a, b, ks):
+    """Integrals of dual(. - k) over [a[i], b[i]] by the knot-split Gauss rule."""
+    nodes, w = knot_split_rule(a, b)
+    return np.einsum("iq,iqk->ik", w, axis.eval(nodes[:, :, None] - ks))
+
+
+@pytest.mark.parametrize("silent_device, crowded", [(None, False), (3, False), (None, True)],
+                         ids=["None", "3", "crowded"])
+def test_ctem_operator_step_matches_gauss_cells(hat_kernel, hat_gen, small_grid, small_window,
+                                                silent_device, crowded):
+    # one step M (y - A f_n) against M_j and the space factor built
+    # independently: Gauss integrals of the dual over the nearest-fire cells
+    # and over the pieces between ball ends, weights counted at the midpoints
+    dev, out, f_n, resid = _crossing_case(hat_gen, small_grid, small_window,
+                                          silent_device, crowded)
+    dual, w = hat_kernel.dual, small_window
+    cols = np.zeros((w.n1, len(dev)))
+    for j, t in enumerate(out.times):
+        if t.size:
+            edges = np.concatenate([[0.0], 0.5 * (t[:-1] + t[1:]), [12.0]])
+            cells = _gauss_dual_integrals(dual.axis_t, edges[:-1], edges[1:], w.k1s)
+            cols[:, j] = hat_kernel.scale * cells.T @ resid[j]
+    ends = np.unique(np.clip(np.concatenate([dev.positions - 0.5, dev.positions + 0.5]),
+                             0.0, 12.0))
+    pieces = _gauss_dual_integrals(dual.axis_s, ends[:-1], ends[1:], w.k2s)
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    cover = np.abs(mids[None, :] - dev.positions[:, None]) <= 0.5
+    want = cols @ ((cover / cover.sum(axis=0)) @ pieces)
+    got = ctem_operator(out, hat_kernel, dev, small_window).step(f_n)
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(got.coeffs.entries - want)) <= 1e-13
+
+
+def test_ctem_operator_step_tends_to_grid_path(hat_kernel, hat_gen, small_grid, small_window):
+    # T S applied to the rendered residual approaches the exact step as the
+    # grid refines: its cells end at grid points, an O(h) error
+    dev, out, f_n, resid = _crossing_case(hat_gen, small_grid, small_window)
+    got = ctem_operator(out, hat_kernel, dev, small_window).step(f_n).coeffs.entries
+    diffs = []
+    for h in (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0):
+        grid = Grid.from_spacing(0.0, 12.0, 0.0, 12.0, h)
+        want = apply_T(hat_kernel, apply_S(out, dev, grid, values_override=resid),
+                       window=small_window)
+        diffs.append(np.max(np.abs(want.coeffs.entries - got)))
+    assert diffs[0] > diffs[1] > diffs[2]
+    assert diffs[0] >= 5.0 * diffs[2]
+
+
+def test_ctem_iterate_order3_converges(small_grid):
+    gen = Generator(3, 3)
+    kernel = build_shift_invariant_kernel(gen, dual_generator(gen))
+    window = window_for_grid(small_grid, gen)
+    sig = random_vsignal(window, gen, small_grid, np.random.default_rng(5))
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    out = encode_ctem_devices(sig, dev, crossing_cfg(), (0.0, 12.0))
+    _, rep = ctem_iterate(out, kernel, dev, small_grid, f_true=sig, n_max=40, tol=1e-8)
+    assert rep.converged and not rep.diverged
+    assert rep.r_hat < 0.5
+
+
+def test_apply_t_order3_unresolved_grid_raises(small_grid):
     # Simpson at grid 1/32 does not resolve order-3 biorthogonality
     gen = Generator(3, 3)
     kernel = build_shift_invariant_kernel(gen, dual_generator(gen))
-    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
-    times = np.arange(0.1, 12.0, 0.2)
-    out = TemOutput(crossing_cfg(), dev, 0.0, 12.0, [times] * len(dev),
-                    [np.zeros(times.size)] * len(dev))
     with pytest.raises(ResolutionError):
-        ctem_iterate(out, kernel, dev, small_grid, n_max=2)
+        apply_T(kernel, GridFunction(small_grid, np.zeros(small_grid.shape)))
 
 
 # ---------------------------------------------------------------------------
