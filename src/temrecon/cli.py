@@ -166,11 +166,27 @@ def save_config(cfg, path):
         fh.write("\n")
 
 
+def _on_axis(ks, axis):
+    """Whether every knot in `ks` equals (exactly) an abscissa of the sorted `axis`."""
+    i = np.minimum(np.searchsorted(axis, ks), axis.size - 1)
+    return bool(np.all(axis[i] == ks))
+
+
 def synth_random_vsignal(window, gen, grid, rng, target_sup):
-    """Random window signal scaled so the rendered grid supremum is `target_sup`."""
+    """Random window signal scaled so the rendered grid supremum is `target_sup`.
+
+    For a hat x hat signal whose window knots are all grid abscissae the
+    grid supremum is max |c| without a render: the value at a knot is its
+    coefficient exactly and every other grid value is a convex combination
+    of coefficients.  Any other signal is rendered.
+    """
     coefs = rng.uniform(-1.0, 1.0, (window.n1, window.n2))
     sig = VSignal(CoefSeq(coefs, window.k1_first, window.k2_first), gen)
-    peak = float(np.max(np.abs(sig.render(grid).values)))
+    if (gen.order_t == gen.order_s == 2 and _on_axis(window.k1s, grid.xs)
+            and _on_axis(window.k2s, grid.ys)):
+        peak = float(np.max(np.abs(coefs)))
+    else:
+        peak = float(np.max(np.abs(sig.render(grid).values)))
     return sig.scaled(target_sup / peak)
 
 

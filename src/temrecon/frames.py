@@ -25,15 +25,19 @@ grid only renders atoms, and signals for norms at exponents other than
 p = q = 2 (`VSignal.norm`).
 
 The contraction gate is a *measured* quantity: the operator norm of
-I - A_t (x) A_s restricted to the coefficient window (an SVD of the
-Kronecker product).  The two expressions the sufficient condition takes a
-maximum over are both reported alongside; at desk-scale lattice spacings
-they sit far above one while the measured contraction is comfortably
-small.
+I - A_t (x) A_s restricted to the coefficient window.  When the window
+blocks are symmetric (to rounding, which they are whenever delta divides
+one) it is read off the per-axis spectra, max |1 - lambda_i mu_j|, from two
+small symmetric eigenproblems; otherwise it is the largest singular value
+of the Kronecker product.  The two expressions the sufficient condition
+takes a maximum over are both reported alongside; at desk-scale lattice
+spacings they sit far above one while the measured contraction is
+comfortably small.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +58,13 @@ from .mixed_norm import (
 # 0): pad 0: 3.9e-9, 1: 3.3e-10, 2: 2.8e-11, 3: 2.6e-12, 4: 7.8e-13,
 # 8: 7.0e-13; 4 is where the error reaches its floor.
 PAD = 4
+
+# Largest bound on |r0_dense - r0_spectral| at which `measured_r0` takes the
+# per-axis spectra.  Measured bounds: 3.6e-16 to 8.8e-16 for orders (2, 2),
+# (3, 3) and (2, 3) at delta 0.125, 0.25, 0.5 and 1; 9e-4 to 1.3e-3 at the
+# asymmetric delta = 0.32.  The dense SVD itself is accurate only to about
+# eps * ||I - M||, so a bound of this size leaves r0 unchanged in effect.
+SPECTRAL_GAP_MAX = 1e-12
 
 
 def _lattice(lo, hi, delta):
@@ -161,15 +172,30 @@ def neumann_plus(kernel, kdelta, N, r0=None):
 def measured_r0(kernel, kdelta, window=None):
     """Operator norm of I - T_delta restricted to the coefficient window.
 
-    The window blocks of the per-axis matrices A are combined by Kronecker
-    product and the largest singular value of I - A_t (x) A_s is returned.
-    The default window is the interior window of the range K_delta covers.
+    The window blocks A_t and A_s of the per-axis matrices act on the
+    window coefficients as A_t (x) A_s.  With S = (A + A^T) / 2 their
+    symmetric parts, I - S_t (x) S_s has eigenvalues 1 - lambda_i mu_j, so
+    its norm is max |1 - lambda_i mu_j|.  By Weyl's inequality that differs
+    from the norm of I - A_t (x) A_s by at most
+
+        gap = ||A_t - S_t|| ||A_s|| + ||S_t|| ||A_s - S_s||   (2-norms),
+
+    and the spectra are used when gap <= SPECTRAL_GAP_MAX.  Otherwise the
+    largest singular value of the Kronecker product is taken.  The default
+    window is the interior window of the range K_delta covers.
     """
     ax_t, ax_s = kdelta.axis_frames
     if window is None:
         window = window_for_grid(kdelta.grid, kernel.generator)
     it, is_ = ax_t.index(window.k1s), ax_s.index(window.k2s)
-    M2 = np.kron(ax_t.A[np.ix_(it, it)], ax_s.A[np.ix_(is_, is_)])
+    A_t, A_s = ax_t.A[np.ix_(it, it)], ax_s.A[np.ix_(is_, is_)]
+    S_t, S_s = 0.5 * (A_t + A_t.T), 0.5 * (A_s + A_s.T)
+    lam, mu = np.linalg.eigvalsh(S_t), np.linalg.eigvalsh(S_s)
+    gap = (np.linalg.norm(A_t - S_t, 2) * np.linalg.norm(A_s, 2)
+           + np.max(np.abs(lam)) * np.linalg.norm(A_s - S_s, 2))
+    if gap <= SPECTRAL_GAP_MAX:
+        return float(np.max(np.abs(1.0 - np.outer(lam, mu))))
+    M2 = np.kron(A_t, A_s)
     return float(np.linalg.norm(np.eye(M2.shape[0]) - M2, 2))
 
 
@@ -227,16 +253,20 @@ class FrameFamily:
         fam = cls(kernel, grid, delta, params, tuple(sorted(n_list)), window,
                   r0, b1, b2, kernel.omega_w_norm(math.sqrt(2.0) * delta))
         fam._axes = kdelta.axis_frames
-        fam._assemble()
+        ax_t, ax_s = fam._axes
+        fam._win_t = ax_t.index(window.k1s)
+        fam._win_s = ax_s.index(window.k2s)
         return fam
 
-    def _assemble(self):
+    @cached_property
+    def _bases(self):
+        """(B_t, Bd_t, B_s, Bd_s): per-axis renders on the signal grid.
+
+        Only atom renders and `synthesize` read them, so they are built on
+        first use; analysis and reconstruction stay in coefficient space.
+        """
         ax_t, ax_s = self._axes
-        self._win_t = ax_t.index(self.window.k1s)
-        self._win_s = ax_s.index(self.window.k2s)
-        # per-axis renders on the signal grid, for atoms and synthesis
-        self._B_t, self._Bd_t = ax_t.basis(self.grid.xs)
-        self._B_s, self._Bd_s = ax_s.basis(self.grid.ys)
+        return ax_t.basis(self.grid.xs) + ax_s.basis(self.grid.ys)
 
     @property
     def lattice_t(self):
@@ -272,8 +302,9 @@ class FrameFamily:
         """Synthesis atom at a lattice index pair, rendered on the grid."""
         ax_t, ax_s = self._axes
         N = self._order(N)
-        a_t = self._B_t @ (ax_t.t_plus(N) @ ax_t.Gd[l1_index])
-        a_s = self._B_s @ (ax_s.t_plus(N) @ ax_s.Gd[l2_index])
+        B_t, _, B_s, _ = self._bases
+        a_t = B_t @ (ax_t.t_plus(N) @ ax_t.Gd[l1_index])
+        a_s = B_s @ (ax_s.t_plus(N) @ ax_s.Gd[l2_index])
         return self._synthesis_scale() * np.outer(a_t, a_s)
 
     def dual_atom_values(self, l1_index, l2_index):
@@ -281,12 +312,13 @@ class FrameFamily:
         ax_t, ax_s = self._axes
         p, q = self.params.p, self.params.q
         scale = self.delta ** (1.0 / p - 1.0) * self.delta ** (1.0 / q - 1.0) * self.kernel.scale
-        return scale * np.outer(self._Bd_t @ ax_t.G[l1_index], self._Bd_s @ ax_s.G[l2_index])
+        _, Bd_t, _, Bd_s = self._bases
+        return scale * np.outer(Bd_t @ ax_t.G[l1_index], Bd_s @ ax_s.G[l2_index])
 
     def synthesize(self, coefficients, N=None):
         """Grid render of sum_lambda c_lambda * atom_lambda."""
-        return GridFunction(self.grid,
-                            self._B_t @ self.synthesis_coefficients(coefficients, N) @ self._B_s.T)
+        B_t, _, B_s, _ = self._bases
+        return GridFunction(self.grid, B_t @ self.synthesis_coefficients(coefficients, N) @ B_s.T)
 
 
 def frame_atoms(family, l1_index, l2_index, N=None):

@@ -99,8 +99,11 @@ class DeviceSet:
         endpoints, so the integral is a finite sum of interval lengths
         divided by covering counts.
         """
-        events = np.unique(np.concatenate([self.positions - self.delta_prime,
-                                           self.positions + self.delta_prime]))
+        # sorted distinct ball endpoints, as np.unique computes them; np.unique
+        # itself imports numpy.ma on first use (about 12 ms of a cold run)
+        ends = np.sort(np.concatenate([self.positions - self.delta_prime,
+                                       self.positions + self.delta_prime]))
+        events = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
         out = np.zeros(self.positions.size)
         for lo, hi in zip(events[:-1], events[1:]):
             mid = 0.5 * (lo + hi)

@@ -1,11 +1,16 @@
 """Configuration handling, experiment runner, selftest, command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from temrecon import InputError
+import temrecon
+from temrecon import Generator, Grid, InputError, VSignal, window_for_grid
 from temrecon.cli import (
     ExperimentConfig,
     load_config,
@@ -16,6 +21,8 @@ from temrecon.cli import (
     selftest,
     synth_random_vsignal,
 )
+
+from conftest import random_vsignal
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -66,6 +73,55 @@ def test_synth_signal_hits_target_sup(hat_gen, small_grid, small_window):
     sig = synth_random_vsignal(small_window, hat_gen, small_grid, rng, 0.8)
     peak = float(np.max(np.abs(sig.render(small_grid).values)))
     assert peak == pytest.approx(0.8, rel=1e-14)
+
+
+def _synth_bytes(window, gen, grid, seeds, synth):
+    return [synth(window, gen, grid, np.random.default_rng(s), 0.8).coeffs.entries.tobytes()
+            for s in seeds]
+
+
+@pytest.mark.parametrize("step", [1.0 / 32.0, 0.1])
+def test_hat_sup_without_render_matches_render(hat_gen, step, monkeypatch):
+    # every window knot is a grid abscissa: the sup is max |c|, bit for bit
+    grid = Grid.from_spacing(0.0, 32.0, 0.0, 32.0, step)
+    window = window_for_grid(grid, hat_gen)
+    seeds = range(200)
+    ref = _synth_bytes(window, hat_gen, grid, seeds, random_vsignal)
+
+    def no_render(self, grid):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr(VSignal, "render", no_render)
+    assert _synth_bytes(window, hat_gen, grid, seeds, synth_random_vsignal) == ref
+
+
+@pytest.mark.parametrize("orders, step", [((2, 2), 0.3), ((2, 3), 1.0 / 32.0)])
+def test_synth_signal_renders_off_the_hat_lattice(orders, step, monkeypatch):
+    # integers off the grid (step 0.3) or a non-hat axis: the sup needs the render
+    gen = Generator(*orders)
+    grid = Grid.from_spacing(0.0, 12.0, 0.0, 12.0, step)
+    window = window_for_grid(grid, gen)
+    seeds = range(20)
+    ref = _synth_bytes(window, gen, grid, seeds, random_vsignal)
+    calls = []
+    render = VSignal.render
+    monkeypatch.setattr(VSignal, "render", lambda self, g: calls.append(1) or render(self, g))
+    assert _synth_bytes(window, gen, grid, seeds, synth_random_vsignal) == ref
+    assert len(calls) == len(seeds)
+
+
+def test_integrate_and_fire_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs ~12 ms to import on a fresh process's first operation
+    code = ("import sys\n"
+            "from temrecon.cli import ExperimentConfig, run_experiment\n"
+            "cfg = ExperimentConfig(mode='integrate-and-fire', x_max=8.0, y_max=8.0, seed=3)\n"
+            f"assert run_experiment(cfg, {str(tmp_path)!r})['converged']\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(temrecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _small_cfg(**kw):

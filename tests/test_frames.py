@@ -24,6 +24,7 @@ from temrecon import (
     mixed_function_norm,
     neumann_coefficients,
     neumann_plus,
+    window_for_grid,
 )
 from temrecon.frames import _AxisFrame
 from temrecon.generator import DualAxis
@@ -292,6 +293,45 @@ def test_measured_r0_decreases(hat_kernel, small_grid):
     assert vals[2] < vals[1] < vals[0] < 1.0
 
 
+def dense_r0(kdelta, window):
+    """Referee: largest singular value of I - A_t (x) A_s on the window blocks."""
+    ax_t, ax_s = kdelta.axis_frames
+    it, is_ = ax_t.index(window.k1s), ax_s.index(window.k2s)
+    M2 = np.kron(ax_t.A[np.ix_(it, it)], ax_s.A[np.ix_(is_, is_)])
+    return float(np.linalg.norm(np.eye(M2.shape[0]) - M2, 2))
+
+
+def _desk_kdelta(orders, delta):
+    gen = Generator(*orders)
+    kernel = build_shift_invariant_kernel(gen, dual_generator(gen))
+    ext = Grid.from_spacing(-4.0, 36.0, -4.0, 36.0, 1.0 / 32.0)
+    window = window_for_grid(Grid.from_spacing(0.0, 32.0, 0.0, 32.0, 1.0 / 32.0), gen)
+    return kernel, build_Kdelta(kernel, delta, ext), window
+
+
+@pytest.mark.parametrize("delta", [0.125, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("orders", [(2, 2), (3, 3), (2, 3)])
+def test_measured_r0_spectral_matches_dense(orders, delta, monkeypatch):
+    # delta divides one: the window blocks are symmetric to rounding, so r0
+    # comes from the per-axis spectra and never forms the Kronecker product
+    kernel, kd, window = _desk_kdelta(orders, delta)
+    ref = dense_r0(kd, window)
+
+    def no_kron(*args):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    # absolute: the SVD referee is itself accurate only to ~eps * ||I - M||
+    assert abs(measured_r0(kernel, kd, window=window) - ref) <= 1e-14
+
+
+def test_measured_r0_asymmetric_takes_dense_path():
+    # at delta = 0.32 the window blocks are asymmetric (~1e-3), beyond the
+    # Weyl bound the spectral path allows
+    kernel, kd, window = _desk_kdelta((2, 2), 0.32)
+    assert measured_r0(kernel, kd, window=window) == dense_r0(kd, window)
+
+
 def test_formula_branches(hat_kernel):
     b1, b2 = formula_r0_branches(hat_kernel, 0.25)
     assert b1 == np.inf  # product above one at desk-scale lattices
@@ -436,6 +476,27 @@ def test_frame_report_skips_zero_signal_and_matches_grid_norms(family, hat_gen, 
         ratios.append(frame_bounds_check(sig, family).ratio)
     assert rep["recon_error"] == pytest.approx(max(errs), rel=1e-12)
     assert rep["lower_ratio"] == min(ratios) and rep["upper_ratio"] == max(ratios)
+
+
+def test_grid_bases_built_on_first_use(hat_kernel, hat_gen, small_grid, small_window):
+    fam = FrameFamily.build(hat_kernel, small_grid, 0.25, PR, n_list=(2, 4),
+                            window=small_window)
+    sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(8))
+    frame_report(fam, [sig])
+    # analysis and reconstruction hold no grid-sized array
+    assert not any(isinstance(v, np.ndarray) and small_grid.xs.size in v.shape
+                   for v in vars(fam).values())
+    ax_t, ax_s = fam._axes
+    B_t, Bd_t = ax_t.basis(small_grid.xs)
+    B_s, Bd_s = ax_s.basis(small_grid.ys)
+    scale = fam._synthesis_scale()
+    eager = scale * np.outer(B_t @ (ax_t.t_plus(4) @ ax_t.Gd[10]),
+                             B_s @ (ax_s.t_plus(4) @ ax_s.Gd[12]))
+    assert np.array_equal(fam.atom_values(10, 12), eager)
+    dual_scale = (fam.delta ** (1.0 / PR.p - 1.0) * fam.delta ** (1.0 / PR.q - 1.0)
+                  * hat_kernel.scale)
+    eager_dual = dual_scale * np.outer(Bd_t @ ax_t.G[10], Bd_s @ ax_s.G[12])
+    assert np.array_equal(fam.dual_atom_values(10, 12), eager_dual)
 
 
 def test_frame_atoms_api(family):
