@@ -18,7 +18,6 @@ from .errors import (
     ResolutionError,
     SingularGeneratorError,
     TemreconError,
-    WindowGrowthError,
 )
 from .mixed_norm import (
     CoefSeq,

@@ -7,9 +7,12 @@ deterministic for a fixed config and seed; all randomness flows through a
 single seeded generator and all file writes happen once, at the end of a
 section.
 
-Exit codes: 0 ok, 1 any other numerical error (e.g. `WindowGrowthError`
-for an order >= 4 dual) or a failed selftest, 2 config error, 3
-precondition violation, 4 non-convergence.
+Exit codes: 0 ok, 1 any other numerical error (e.g. a dual generator
+whose biorthogonality residual fails the kernel gate) or a failed
+selftest, 2 config error, 3 precondition violation, 4 non-convergence.
+Config errors include every contract that needs only the config: the
+generator orders, the interior coefficient window on the grid, and the
+frame lattice on the padded range.
 """
 
 import argparse
@@ -22,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ContractionError, InputError, PreconditionError, TemreconError
-from .frames import FrameFamily, frame_report
+from .frames import PAD, FrameFamily, _lattice, frame_report
 from .generator import Generator, dual_generator
 from .kernel_space import (
     VSignal,
@@ -88,9 +91,10 @@ class ExperimentConfig:
             raise InputError("tol must be positive and n_max at least 1")
         # constructing the derived objects validates the remaining contracts
         self.tem_config()
-        self.grid()
         MixedNormParams(self.p, self.q)
-        Generator(self.generator_order_t, self.generator_order_s)
+        window_for_grid(self.grid(), Generator(self.generator_order_t, self.generator_order_s))
+        for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max)):
+            _lattice(lo - PAD, hi + PAD, self.frame_delta)  # as `FrameFamily.build` lays it
 
     def _check_numbers(self):
         """Type and finiteness of every numeric field, before any arithmetic.

@@ -36,10 +36,6 @@ class SingularGeneratorError(TemreconError):
     """Gram symbol of a generator is (numerically) not bounded below."""
 
 
-class WindowGrowthError(TemreconError):
-    """Dual-coefficient tail bound exceeds tolerance; ring must grow."""
-
-
 class ContractionError(TemreconError):
     """A measured contraction constant is >= 1 where < 1 is required."""
 

@@ -4,9 +4,9 @@ The concrete generator family is the centered cardinal B-spline, tensored
 over the time and space axes.  Orders >= 2 give continuous, compactly
 supported generators that form a partition of unity and have a Gram symbol
 bounded away from zero, so a dual generator with absolutely summable
-expansion coefficients exists.  The dual solve inverts the periodized Gram
-symbol on a ring by discrete Fourier transform and truncates the (geometric)
-coefficient tail.
+expansion coefficients exists.  The dual solve writes the inverse filter of
+the Gram sequence in closed form over the roots of its symbol and truncates
+it where a proven bound on the geometric tail falls below `TRUNC_TOL`.
 
 Amalgam ("sum of unit-cell suprema") norms and moduli of continuity are
 grid estimates at a documented resolution: cell suprema are maxima over
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SingularGeneratorError, WindowGrowthError
+from .errors import InputError, SingularGeneratorError
 
 BIORTH_TOL = 1e-8
 TAIL_TOL = 1e-10
@@ -294,8 +294,6 @@ class DualAxis:
     offsets: np.ndarray
     b: np.ndarray
     tail_bound: float
-    symbol_min: float
-    ring_size: int
 
     @property
     def radius(self):
@@ -321,50 +319,46 @@ class DualAxis:
         return spline_antiderivative(self.order, x, np.asarray(ks) + self.offsets[0], self.b)
 
 
-def dual_coeffs_from_autocorr(a_offsets, a_values, order, ring_size=64, trunc=TRUNC_TOL):
-    """Solve the periodized deconvolution a * b = delta on a ring.
+def dual_coeffs_from_autocorr(a_offsets, a_values):
+    """Inverse filter b (a * b = delta) of a symmetric Gram sequence a, in closed form.
 
-    The autocorrelation symbol is a trigonometric polynomial with positive
-    minimum, so the ring inverse converges geometrically to the absolutely
-    summable inverse filter; coefficients below `trunc` are dropped and the
-    largest dropped magnitude is reported as the tail bound.
+    With n = max |offset|, P(z) = z^n a(z) has its 2n roots in pairs z, 1/z.
+    Over the n roots z_i inside the unit disk, b_k = sum_i c_i z_i^|k| with
+    c_i = z_i^(n-1) / P'(z_i) (Unser, Aldroubi and Eden, B-spline signal
+    processing, IEEE TSP 1993); Newton steps on P polish the `np.roots`
+    output.  b is kept out to the smallest radius K at which the bound
+    sum_{|k|>K} |b_k| <= sum_i 2 |c_i| |z_i|^(K+1) / (1 - |z_i|) is below
+    `TRUNC_TOL`, and that bound is returned as the tail bound.
     """
     a_offsets = np.asarray(a_offsets, dtype=int)
     a_values = np.asarray(a_values, dtype=float)
-    if ring_size < 2 * (int(np.max(np.abs(a_offsets))) + 1):
-        raise InputError("ring size too small for the autocorrelation support")
-    ring = np.zeros(ring_size)
-    for off, val in zip(a_offsets, a_values):
-        ring[off % ring_size] += val
-    symbol = np.real(np.fft.fft(ring))
-    symbol_min = float(symbol.min())
+    xi = np.linspace(0.0, np.pi, 33)
+    symbol_min = float(np.min(np.cos(np.outer(xi, a_offsets)) @ a_values))
     if symbol_min < 1e-8:
         raise SingularGeneratorError(
             f"Gram symbol lower bound {symbol_min:.3e} below 1e-08; generator is singular"
         )
-    b_ring = np.real(np.fft.ifft(1.0 / np.fft.fft(ring)))
-    radius_max = ring_size // 2
-    full = np.array([b_ring[j % ring_size] for j in range(-radius_max, radius_max + 1)])
-    mags = np.abs(full)
-    keep = radius_max
-    while keep > 0 and mags[radius_max + keep] < trunc and mags[radius_max - keep] < trunc:
-        keep -= 1
-    dropped = np.concatenate([mags[: radius_max - keep], mags[radius_max + keep + 1:]])
-    if dropped.size:
-        tail_bound = float(dropped.max())
-    else:
-        # nothing fell below the truncation threshold: extrapolate the
-        # geometric tail from the outermost retained coefficients
-        edge, prev = mags[-1], mags[-2]
-        ratio = edge / prev if prev > 0 else 1.0
-        tail_bound = float(edge * ratio / (1.0 - ratio)) if ratio < 1.0 else float(edge)
-    if tail_bound > TAIL_TOL:
-        raise WindowGrowthError(
-            f"dual tail bound {tail_bound:.3e} above {TAIL_TOL:.0e}; increase ring_size"
-        )
-    offsets = np.arange(-keep, keep + 1)
-    b = full[radius_max - keep: radius_max + keep + 1].copy()
-    return offsets, b, tail_bound, symbol_min
+    n = int(np.max(np.abs(a_offsets)))
+    P = np.zeros(2 * n + 1)
+    np.add.at(P, n - a_offsets, a_values)  # highest power first
+    if n == 0:
+        return np.array([0]), np.array([1.0 / P[0]]), 0.0
+    dP = np.polyder(P)
+    z = np.roots(P)
+    z = z[np.argsort(np.abs(z))[:n]]
+    for _ in range(3):
+        z = z - np.polyval(P, z) / np.polyval(dP, z)
+    c = z ** (n - 1) / np.polyval(dP, z)
+    mag = np.abs(z)
+    w = 2.0 * np.abs(c) / (1.0 - mag)
+    # the bound is at most sum(w) max(mag)^(K+1), below TRUNC_TOL from K = k_max on
+    k_max = max(int(np.ceil(np.log(TRUNC_TOL / w.sum()) / np.log(mag.max()))), 0)
+    ks = np.arange(k_max + 1)
+    tails = w @ mag[:, None] ** (ks + 1)
+    radius = int(np.argmax(tails < TRUNC_TOL))
+    half = np.real(c @ z[:, None] ** ks[: radius + 1])
+    b = np.concatenate([half[:0:-1], half])
+    return np.arange(-radius, radius + 1), b, float(tails[radius])
 
 
 def _biorth_integrals_1d(order, axis):
@@ -372,7 +366,7 @@ def _biorth_integrals_1d(order, axis):
 
     Gauss panels aligned to half-integer knots make the rule exact for the
     piecewise-polynomial integrand, giving an oracle independent of the
-    Fourier ring solve.
+    root solve.
     """
     reach = axis.reach
     r = int(np.ceil(reach + order / 2.0))
@@ -432,21 +426,19 @@ class DualGenerator:
                     fh.write(f"{k1},{k2},{self.axis_t.b[i] * self.axis_s.b[j]:.17g}\n")
 
 
-def _solve_axis(order, ring_size):
-    offs, vals = bspline_autocorr(order)
-    b_offsets, b, tail, sym_min = dual_coeffs_from_autocorr(offs, vals, order, ring_size)
-    return DualAxis(order, b_offsets, b, tail, sym_min, ring_size)
+def _solve_axis(order):
+    return DualAxis(order, *dual_coeffs_from_autocorr(*bspline_autocorr(order)))
 
 
-def dual_generator(gen, ring_size=64):
+def dual_generator(gen):
     """Dual generator of a tensor B-spline generator.
 
-    Per axis: exact autocorrelation, ring deconvolution, truncation.  The
-    reported biorthogonality residual comes from an independent panel-Gauss
-    quadrature of <dual, phi(. - j)> over the joint support.
+    Per axis: exact autocorrelation, closed-form inverse filter, truncation.
+    The reported biorthogonality residual comes from an independent
+    panel-Gauss quadrature of <dual, phi(. - j)> over the joint support.
     """
-    axis_t = _solve_axis(gen.order_t, ring_size)
-    axis_s = axis_t if gen.order_s == gen.order_t else _solve_axis(gen.order_s, ring_size)
+    axis_t = _solve_axis(gen.order_t)
+    axis_s = axis_t if gen.order_s == gen.order_t else _solve_axis(gen.order_s)
     _, it = _biorth_integrals_1d(gen.order_t, axis_t)
     _, is_ = _biorth_integrals_1d(gen.order_s, axis_s)
     prod = np.outer(it, is_)

@@ -203,16 +203,41 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("mode", ["crossing", "integrate-and-fire"])
-@pytest.mark.parametrize("order", [2, 3])
-def test_reconstruct_order_sweep_exits_0(tmp_path, mode, order):
-    # order-3 crossing used to stop with ResolutionError (exit 1) at grid 1/32
+def _write_order_cfg(tmp_path, order, extent, mode="crossing"):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": mode, "generator_order_t": order,
-                               "generator_order_s": order, "x_max": 8.0, "y_max": 8.0}))
+                               "generator_order_s": order, "x_max": extent, "y_max": extent}))
+    return cfg
+
+
+@pytest.mark.parametrize("mode", ["crossing", "integrate-and-fire"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_reconstruct_order_sweep_exits_0(tmp_path, mode, order):
+    # order-3 crossing used to stop with ResolutionError (exit 1) at grid 1/32,
+    # order 4 with a dual tail that did not fit a 64-point Fourier ring
+    cfg = _write_order_cfg(tmp_path, order, 8.0, mode)
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["converged"]
+
+
+@pytest.mark.parametrize("command, order, extent", [
+    ("frames", 4, 8.0),
+    ("reconstruct", 5, 14.0),
+    ("frames", 5, 14.0),
+    ("reconstruct", 6, 14.0),
+    ("frames", 6, 14.0),
+])
+def test_high_order_sweep_exits_0(tmp_path, command, order, extent):
+    # orders 5 and 6 need [0, 14]^2 for an interior coefficient window
+    cfg = _write_order_cfg(tmp_path, order, extent)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+    if command == "reconstruct":
+        assert json.loads((out / "summary.json").read_text())["converged"]
+    else:
+        rep = json.loads((out / "frame_report.json").read_text())
+        assert rep["r0_measured"] < 1.0 and rep["recon_error"] <= 1e-3
 
 
 @pytest.mark.parametrize("bad", [
@@ -237,6 +262,9 @@ def test_reconstruct_order_sweep_exits_0(tmp_path, mode, order):
     {"frame_signals": 0},
     {"frame_signals": -2},
     {"generator_order_t": 1},
+    {"x_max": 4, "y_max": 4},
+    {"generator_order_t": 5, "generator_order_s": 5, "x_max": 8, "y_max": 8},
+    {"frame_delta": 0.3},
 ], ids=json.dumps)
 def test_malformed_config_exit_code_table(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"

@@ -36,8 +36,7 @@ PR = MixedNormParams(2.0, 2.0)
 
 
 def haar_factor():
-    axis = DualAxis(order=1, offsets=np.array([0]), b=np.array([1.0]),
-                    tail_bound=0.0, symbol_min=1.0, ring_size=1)
+    axis = DualAxis(order=1, offsets=np.array([0]), b=np.array([1.0]), tail_bound=0.0)
     return SplineFactor1D(1, axis)
 
 

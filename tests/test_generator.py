@@ -7,19 +7,19 @@ from temrecon import (
     Generator,
     InputError,
     SingularGeneratorError,
-    WindowGrowthError,
     amalgam_norm_1d,
     amalgam_norm_2d,
     bspline_autocorr,
     bspline_eval,
     dual_coeffs_from_autocorr,
+    dual_generator,
     generator_info,
     modulus_1d,
     modulus_amalgam_1d,
     modulus_of_continuity,
 )
 from temrecon.generator import (
-    DualAxis,
+    BIORTH_TOL,
     spline_antiderivative,
     knot_split_rule,
     spline_basis,
@@ -111,7 +111,7 @@ def test_modulus_amalgam_vanishes():
 
 
 def test_dual_identity_for_unit_gram():
-    offs, b, tail, _ = dual_coeffs_from_autocorr([0], [1.0], order=2, ring_size=16)
+    offs, b, tail = dual_coeffs_from_autocorr([0], [1.0])
     assert list(offs) == [0]
     assert b[0] == pytest.approx(1.0, abs=1e-14)
     assert tail <= 1e-10
@@ -123,17 +123,21 @@ def test_dual_hat_center_value_and_decay(hat_dual):
     mags = np.abs(ax.b)
     ratios = mags[ax.radius + 3:] / mags[ax.radius + 2: -1]
     assert np.all(ratios < 0.27)  # geometric decay beyond |k| = 2
-    # ring wraparound only perturbs the outermost coefficients
-    for k in range(ax.radius + 2, ax.radius + 12):
+    # b_k = sqrt(3) (sqrt(3) - 2)^|k| out to the truncation radius
+    for k in range(ax.radius + 2, 2 * ax.radius):
         assert mags[k + 1] / mags[k] == pytest.approx(DECAY, rel=1e-6)
     # even symmetry
     assert np.allclose(ax.b, ax.b[::-1], atol=1e-15)
 
 
-def test_dual_hat_against_dense_solve(hat_dual):
-    # periodized Gram matrix inverted by a dense linear solve
-    L = 64
-    offs, vals = bspline_autocorr(2)
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_dual_against_dense_solve(order):
+    # periodized Gram matrix inverted by a dense linear solve on a ring of 4 (K + 1)
+    gen = Generator(order, order)
+    dual = dual_generator(gen)
+    ax = dual.axis_t
+    L = 4 * (ax.radius + 1)
+    offs, vals = bspline_autocorr(order)
     A = np.zeros((L, L))
     for i in range(L):
         for o, v in zip(offs, vals):
@@ -141,9 +145,13 @@ def test_dual_hat_against_dense_solve(hat_dual):
     e = np.zeros(L)
     e[0] = 1.0
     b_dense = np.linalg.solve(A, e)
-    ax = hat_dual.axis_t
-    for j in range(-ax.radius, ax.radius + 1):
-        assert b_dense[j % L] == pytest.approx(ax.b[ax.radius + j], abs=1e-13)
+    kept = b_dense[np.arange(-ax.radius, ax.radius + 1) % L]
+    assert np.max(np.abs(kept - ax.b)) <= 1e-14 * np.max(np.abs(ax.b))
+    # the dropped tail is within the bound, which the root nearest the circle
+    # makes tight: the two agree to rounding (1e-13 relative)
+    dropped = np.abs(b_dense[ax.radius + 1: L - ax.radius]).sum()
+    assert dropped <= ax.tail_bound * (1.0 + 1e-12)
+    assert dual.biorth_residual <= BIORTH_TOL
 
 
 def test_biorthogonality_quadrature_oracle(hat_gen, hat_dual):
@@ -162,11 +170,10 @@ def test_biorthogonality_quadrature_oracle(hat_gen, hat_dual):
     assert hat_dual.biorth_residual <= 1e-8
 
 
-def test_singular_and_window_errors():
+def test_singular_gram_symbol_raises():
+    # (1 + cos xi) / 2 vanishes at xi = pi
     with pytest.raises(SingularGeneratorError):
-        dual_coeffs_from_autocorr([-1, 0, 1], [0.25, 0.5, 0.25], order=2, ring_size=64)
-    with pytest.raises(WindowGrowthError):
-        dual_coeffs_from_autocorr([-1, 0, 1], [1.0 / 6, 2.0 / 3, 1.0 / 6], order=2, ring_size=8)
+        dual_coeffs_from_autocorr([-1, 0, 1], [0.25, 0.5, 0.25])
 
 
 def test_dual_amalgam_bound(hat_gen, hat_dual):
@@ -230,10 +237,7 @@ def test_knot_split_rule_matches_piecewise_loop():
 
 
 def _dual_axis(order):
-    # ring 256 keeps the order 4 and 5 dual tails below the truncation bound
-    offs, vals = bspline_autocorr(order)
-    b_offsets, b, tail, sym_min = dual_coeffs_from_autocorr(offs, vals, order, 256)
-    return DualAxis(order, b_offsets, b, tail, sym_min, 256)
+    return dual_generator(Generator(order, order)).axis_t
 
 
 def _dual_eval_loop(axis, x):

@@ -32,8 +32,7 @@ from conftest import random_vsignal
 
 
 def haar_factor():
-    axis = DualAxis(order=1, offsets=np.array([0]), b=np.array([1.0]),
-                    tail_bound=0.0, symbol_min=1.0, ring_size=1)
+    axis = DualAxis(order=1, offsets=np.array([0]), b=np.array([1.0]), tail_bound=0.0)
     return SplineFactor1D(1, axis)
 
 
