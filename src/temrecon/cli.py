@@ -7,12 +7,12 @@ deterministic for a fixed config and seed; all randomness flows through a
 single seeded generator and all file writes happen once, at the end of a
 section.
 
-Exit codes: 0 ok, 1 any other numerical error (e.g. a dual generator
-whose biorthogonality residual fails the kernel gate) or a failed
-selftest, 2 config error, 3 precondition violation, 4 non-convergence.
+Exit codes: 0 ok, 1 any other numerical error (e.g. an encoder invariant
+that fails) or a failed selftest, 2 config error, 3 precondition
+violation, 4 non-convergence.
 Config errors include every contract that needs only the config: the
-generator orders, the interior coefficient window on the grid, and the
-frame lattice on the padded range.
+generator orders (2 to 13), the interior coefficient window on the grid,
+and the frame lattice and the grid on the padded range.
 """
 
 import argparse
@@ -45,6 +45,9 @@ from .tem_encode import (
 )
 
 MODES = ("crossing", "integrate-and-fire")
+# the highest generator order whose dual passes the kernel's biorthogonality
+# gate (BIORTH_TOL = 1e-8): 13 leaves 8.1e-10, 14 reaches 1.1e-8
+MAX_ORDER = 13
 
 
 @dataclass
@@ -92,9 +95,21 @@ class ExperimentConfig:
         # constructing the derived objects validates the remaining contracts
         self.tem_config()
         MixedNormParams(self.p, self.q)
-        window_for_grid(self.grid(), Generator(self.generator_order_t, self.generator_order_s))
+        gen = Generator(self.generator_order_t, self.generator_order_s)
+        if max(self.generator_order_t, self.generator_order_s) > MAX_ORDER:
+            raise InputError(f"generator orders above {MAX_ORDER} fail the dual's "
+                             f"biorthogonality gate, got {self.generator_order_t}, "
+                             f"{self.generator_order_s}")
+        grid = self.grid()
+        window_for_grid(grid, gen)
         for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max)):
             _lattice(lo - PAD, hi + PAD, self.frame_delta)  # as `FrameFamily.build` lays it
+        try:  # the padded grid of `FrameFamily.build`
+            Grid.from_spacing(grid.x_min - PAD, grid.x_max + PAD, grid.y_min - PAD,
+                              grid.y_max + PAD, grid.h_x)
+        except InputError:
+            raise InputError(f"grid_step={self.grid_step} does not divide the range padded "
+                             f"by {PAD} units per side, as the frame lattice needs") from None
 
     def _check_numbers(self):
         """Type and finiteness of every numeric field, before any arithmetic.

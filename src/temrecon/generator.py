@@ -14,6 +14,7 @@ closed-cell sample grids, shift suprema run over a finite direction/radius
 probe set.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .errors import InputError, SingularGeneratorError
 BIORTH_TOL = 1e-8
 TAIL_TOL = 1e-10
 TRUNC_TOL = 1e-14
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
 # ---------------------------------------------------------------------------
@@ -117,26 +117,127 @@ def gauss_panel_rule(lo, hi, points_per_panel, panel=0.5):
     return nodes, weights
 
 
-def knot_split_rule(a, b):
-    """Gauss-4 nodes and weights, (n, 4 * pieces) each, for segments [a[i], b[i]].
+def piece_polynomials(order):
+    """Power-basis coefficients of the centered B-spline on its unit pieces.
 
-    Each segment is split at its interior half-integer points, so spline
-    breakpoints stay on piece boundaries and the rule is exact for spline
-    slices through degree 7.  Every segment gets the piece count of the
-    longest one, ceil(max(b - a) / 0.5) + 1; zero-length pieces pad the
-    shorter segments, so everything stays a rectangular array.
+    Row r, column d is the coefficient of u^d in beta(r - order/2 + u),
+    0 <= u < 1.  It comes from the truncated-power form beta_n(x) =
+    sum_i (-1)^i C(n, i) (x + n/2 - i)_+^(n-1) / (n-1)!, summed in exact
+    integers, so each entry is rounded once.
     """
-    n_pieces = int(np.ceil(np.max(b - a, initial=0.0) / 0.5)) + 1
-    first = np.ceil((a + 1e-12) / 0.5) * 0.5
-    inner = first[:, None] + 0.5 * np.arange(n_pieces - 1)
-    inner = np.minimum(np.maximum(inner, a[:, None]), b[:, None])
-    edges = np.concatenate([a[:, None], inner, b[:, None]], axis=1)
-    lo = edges[:, :-1, None]
-    half = 0.5 * (edges[:, 1:, None] - lo)
-    nodes = lo + half * (_GAUSS_X + 1.0)
-    weights = half * _GAUSS_W
-    width = 4 * n_pieces
-    return nodes.reshape(a.size, width), weights.reshape(a.size, width)
+    n = int(order)
+    Q = np.zeros((n, n))
+    for r in range(n):
+        for d in range(n):
+            s = sum((-1) ** i * math.comb(n, i) * (r - i) ** (n - 1 - d)
+                    for i in range(r + 1))
+            Q[r, d] = math.comb(n - 1, d) * s / math.factorial(n - 1)
+    return Q
+
+
+def taylor_shift(c, u):
+    """Coefficients of p(u + w) in w, given those of p(v) in v on the last axis.
+
+    Repeated synthetic division, order^2 / 2 array operations; u
+    broadcasts against c[..., 0].  Returns a new array.
+    """
+    c = np.array(c, dtype=float)
+    n = c.shape[-1]
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[..., j] += u * c[..., j + 1]
+    return c
+
+
+def _series_terms(x_max):
+    """Length K of the moment series for x <= x_max: the first omitted term
+    x^K / K! is at most 2^-56 and K >= 2 x_max, so the tail is at most 2^-55
+    of the sum."""
+    K, term = 0, 1.0
+    while term > 2.0 ** -56 or K < 2.0 * x_max:
+        K += 1
+        term *= x_max / K
+    return K
+
+
+class LeakMoments:
+    """M(h)[..., d] = int_0^h exp(-alpha (h - v)) v^d dv for d < order.
+
+    Every leak-weighted integral of a piece polynomial sum_d c_d v^d, with
+    v measured from the interval start, is sum_d c_d M_d(h).  With
+    x = alpha h, the positive series
+    M_d = exp(-x) h^(d+1) sum_k x^k / (k! (k + d + 1)) holds where x < d,
+    and where x >= d the forward recurrence M_d = (h^d - d M_(d-1)) / alpha
+    from M_0 = -expm1(-x) / alpha, which is stable there.  At alpha = 0 the
+    series is its first term, h^(d+1) / (d+1).  `x_max` bounds alpha h over
+    every call; it fixes the series length, so the series is one product
+    of the powers of h with a fixed (powers, order) matrix, and an
+    evaluation is a handful of array operations.
+    """
+
+    def __init__(self, alpha, order, x_max):
+        self.alpha, self.order = float(alpha), int(order)
+        # the series serves x < d <= order - 1 only; below x_max = 1 it
+        # serves M_0 as well and no element needs the recurrence
+        x_series = min(float(x_max), self.order - 1.0)
+        self.recurrence = [d for d in range(1, self.order) if d <= x_max]
+        exact_m0 = bool(self.recurrence) or x_max > x_series
+        # powers of h / unit stay at most 1 over the series range, at any alpha
+        self.unit = x_series / self.alpha if x_series > 0.0 else 1.0
+        self.h_series = self.unit if exact_m0 else None
+        K = _series_terms(x_series)
+        # M_d = sum_k coef[k + d, d] (h / unit)^(k + d + 1)
+        self.coef = np.zeros((K + self.order - 1, self.order))
+        for d in range(self.order):
+            for k in range(K):
+                self.coef[k + d, d] = (x_series ** k * self.unit ** (d + 1)
+                                       / (math.factorial(k) * (k + d + 1.0)))
+
+    def __call__(self, h):
+        h = np.asarray(h, dtype=float)
+        hs = h if self.h_series is None else np.minimum(h, self.h_series)
+        powers = np.repeat((hs / self.unit)[..., None], self.coef.shape[0], axis=-1)
+        np.multiply.accumulate(powers, axis=-1, out=powers)
+        M = powers @ self.coef
+        if self.alpha == 0.0:
+            return M
+        M *= np.exp(-self.alpha * hs)[..., None]
+        if self.h_series is not None:
+            x = self.alpha * h
+            m = np.expm1(-x) / -self.alpha
+            M[..., 0] = m
+            for d in self.recurrence:
+                m = np.where(x < d, M[..., d], (h ** d - d * m) / self.alpha)
+                M[..., d] = m
+        return M
+
+
+def spline_leaky_integrals(order, a, b, alpha):
+    """(k0, R): R[i, l] = int_a[i]^b[i] exp(-alpha (b[i] - u)) beta(u - k0[i] - l) du.
+
+    Each interval is cut at the knots of the unit pieces it meets; on a
+    piece every B-spline is one row of `piece_polynomials`, so each part is
+    those rows, Taylor-shifted to the part's start, against the
+    `LeakMoments` of the part, carried to b[i] by the leak.  An interval of
+    length h meets at most order + ceil(h) B-splines, the columns of R.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    Q = piece_polynomials(order)
+    first = np.floor(a + order / 2.0)          # as `spline_basis`: first piece's splines
+    edge = first - order / 2.0
+    longest = float(np.max(b - a, initial=0.0))
+    n_pieces = int(np.ceil(longest)) + 1
+    moments = LeakMoments(alpha, order, alpha * min(longest, 1.0))
+    R = np.zeros((a.size, n_pieces + order - 1))
+    for p in range(n_pieces):
+        lo = np.maximum(a, edge + p)
+        hi = np.minimum(b, edge + p + 1.0)
+        M = moments(np.maximum(hi - lo, 0.0))
+        M *= np.exp(-alpha * (b - hi))[:, None]
+        rows = taylor_shift(np.broadcast_to(Q, (a.size, order, order)), (lo - edge - p)[:, None])
+        # spline first + p - l is row l of Q on this piece: column p + order - 1 - l
+        R[:, p: p + order] += np.einsum("ild,id->il", rows, M)[:, ::-1]
+    return first.astype(int) - (order - 1), R
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ back to time-axis coefficients, which one space factor spreads across
 space.  The crossing machine samples at the fires and uses M = T S, the
 projector after the nearest-fire quasi-interpolant, built from exact
 interval integrals of the dual (differences of its spline antiderivative)
-without a grid; the integrate-and-fire machine takes leak-weighted interval
-integrals and uses M = R, kernel slices at the interval midpoints.  No
-second encoding pass is ever needed.
+without a grid; the integrate-and-fire machine takes exact leak-weighted
+interval integrals (`generator.spline_leaky_integrals`, on the moments of
+`generator.LeakMoments`) and uses M = R, kernel slices at the interval
+midpoints.  No second encoding pass is ever needed.
 
 Divergence is a reported outcome, not an exception: the sufficient rate
 bounds are wildly pessimistic and experiments deliberately sweep past them.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .generator import bspline_eval, knot_split_rule, spline_basis, spline_sum
+from .generator import bspline_eval, spline_basis, spline_leaky_integrals, spline_sum
 from .kernel_space import VSignal, window_for_grid
 from .mixed_norm import CoefSeq, GridFunction, MixedNormParams
 from .tem_encode import density_report
@@ -37,25 +38,19 @@ class MeasurementOperator:
     """Richardson update c -> M (y - A c) of one machine, folded per device.
 
     Per device j the measurement matrix A_j (fires x n1) and the synthesis
-    matrix M_j (n1 x fires) enter the update only through M_j y_j and the
-    n1 x n1 product M_j A_j, which is all the operator keeps (its size does
-    not grow with the fire count).  The update column of device j is
-    M_j y_j - (M_j A_j) c_j, with c_j = C slice_s[j] the time-axis
-    coefficients of the iterate's slice at the device; the columns then
-    spread across space through `space` (devices x n2).
+    matrix M_j (n1 x fires) enter the update only through M_j y_j, column j
+    of `My`, and the n1 x n1 product M_j A_j, `MA[j]`, which is all the
+    operator keeps (its size does not grow with the fire count).  The update
+    column of device j is M_j y_j - (M_j A_j) c_j, with c_j = C slice_s[j]
+    the time-axis coefficients of the iterate's slice at the device; the
+    columns then spread across space through `space` (devices x n2).
     """
 
-    def __init__(self, out, kernel, devices, window, per_device, space):
-        """`per_device` yields (A_j, M_j) for each device in order."""
-        n1, J = window.n1, len(devices)
+    def __init__(self, kernel, devices, window, My, MA, space):
         self.window, self.generator, self.space = window, kernel.generator, space
         self.slice_s = bspline_eval(kernel.generator.order_s,
                                     devices.positions[:, None] - window.k2s[None, :])
-        self.My = np.zeros((n1, J))
-        self.MA = np.zeros((J, n1, n1))
-        for j, (A_j, M_j) in enumerate(per_device):
-            self.My[:, j] = M_j @ out.values[j]
-            self.MA[j] = M_j @ A_j
+        self.My, self.MA = My, MA
 
     def synthesize(self, cols):
         """Signal with coefficients sum_j cols[:, j] (x) space[j]."""
@@ -88,44 +83,73 @@ def ctem_operator(out, kernel, devices, window):
     split = np.cumsum([e.size for e in edges])[:-1]
     C, k1s = np.cumsum(dual.axis_t.b), window.k1s + dual.axis_t.offsets[0]
 
-    def per_device():
-        for t, f, v in zip(out.times, np.split(first, split), np.split(vals, split)):
-            yield (bspline_eval(gen.order_t, t[:, None] - window.k1s[None, :]),
-                   kernel.scale * np.diff(spline_sum((f, v), k1s, C, C[-1]), axis=0).T)
+    My, MA = np.zeros((window.n1, len(devices))), np.zeros((len(devices), window.n1, window.n1))
+    for j, (t, f, v) in enumerate(zip(out.times, np.split(first, split), np.split(vals, split))):
+        A_j = bspline_eval(gen.order_t, t[:, None] - window.k1s[None, :])
+        M_j = kernel.scale * np.diff(spline_sum((f, v), k1s, C, C[-1]), axis=0).T
+        My[:, j], MA[j] = M_j @ out.values[j], M_j @ A_j
 
     # a repeated cut makes an empty piece, whose integrals are exactly 0
     pos, r = devices.positions, devices.delta_prime
     cuts = np.sort(np.clip(np.concatenate([pos - r, pos + r, devices.window]), *devices.window))
     pieces = np.diff(dual.axis_s.antiderivative(cuts, window.k2s), axis=0)
     space = devices.u_matrix(0.5 * (cuts[:-1] + cuts[1:])) @ pieces
-    return MeasurementOperator(out, kernel, devices, window, per_device(), space)
+    return MeasurementOperator(kernel, devices, window, My, MA, space)
+
+
+# devices per fold of `iftem_operator`: its arrays never span every fire
+_BLOCK = 32
 
 
 def iftem_operator(out, kernel, devices, window):
     """Integrate-and-fire operator: A integrates over the firing intervals, M = R.
 
-    A_j[i] holds the integrals of the time-axis B-splines against the leak
-    weight exp(alpha (u - t_i)) over [t_{i-1}, t_i], by the knot-split Gauss
-    rule, so fresh integrals of the iterate match the encoder-recovered ones
-    to root-finding accuracy.  R g = sum_j sum_i I_i^(j) K(., .; s_i^(j), y_j)
-    ||u_j||_L1 with interval midpoints s: M_j is the dual at the midpoints
-    times ||u_j||_L1 and the space factor is the dual at the device positions.
+    A_j[i] holds the exact integrals of the time-axis B-splines against the
+    leak weight exp(alpha (u - t_i)) over [t_{i-1}, t_i], banded
+    (`spline_leaky_integrals`), so fresh integrals of the iterate match the
+    encoder-recovered ones to root-finding accuracy.
+    R g = sum_j sum_i I_i^(j) K(., .; s_i^(j), y_j) ||u_j||_L1 with interval
+    midpoints s: M_j is the dual at the midpoints times ||u_j||_L1, and the
+    space factor is the dual at the device positions.  The dual is
+    sum_m b_m beta(. - m), so with B_j the B-spline basis at the midpoints
+    (one `spline_basis`, `order` entries per row) and T the b-gather
+    T[n, k] = b_(n - k), M_j = ||u_j|| T^T B_j^T: M_j A_j and M_j y_j fold
+    through the banded products B_j^T A_j and B_j^T y_j, and no fires x n1
+    matrix is formed.  `_BLOCK` devices are folded at a time.
     """
     if out.config.mode != "integrate-and-fire":
         raise InputError("the integrate-and-fire operator requires integrate-and-fire output")
-    gen, dual, k1s = kernel.generator, kernel.dual, window.k1s
-    l1 = devices.u_l1_norms()
-
-    def per_device():
-        for j, t in enumerate(out.times):
-            nodes, w = knot_split_rule(np.concatenate([[out.t_start], t])[:-1], t)
-            w = w * np.exp(out.config.alpha * (nodes - t[:, None]))
-            mids = out.interval_midpoints(j)
-            yield (np.einsum("iq,iqk->ik", w, bspline_eval(gen.order_t, nodes[:, :, None] - k1s)),
-                   kernel.scale * l1[j] * dual.axis_t.eval(mids[:, None] - k1s[None, :]).T)
-
-    return MeasurementOperator(out, kernel, devices, window, per_device(),
-                               dual.axis_s.eval(devices.positions[:, None] - window.k2s[None, :]))
+    order, axis, n1, J = kernel.generator.order_t, kernel.dual.axis_t, window.n1, len(devices)
+    weight = kernel.scale * devices.u_l1_norms()
+    # every midpoint basis index n lies in [n_lo, n_lo + N)
+    n_lo = int(np.floor(out.t_start + order / 2.0)) - (order - 1)
+    N = int(np.floor(out.t_end + order / 2.0)) + 1 - n_lo
+    lag = (n_lo + np.arange(N))[:, None] - window.k1s[None, :] - axis.offsets[0]
+    inside = (lag >= 0) & (lag < axis.b.size)
+    T = np.where(inside, axis.b[np.clip(lag, 0, axis.b.size - 1)], 0.0)
+    My, MA = np.zeros((n1, J)), np.zeros((J, n1, n1))
+    for j0 in range(0, J, _BLOCK):
+        ts = out.times[j0: j0 + _BLOCK]
+        nb = len(ts)
+        t = np.concatenate(ts)
+        a = np.concatenate([np.concatenate([[out.t_start], tj])[:-1] for tj in ts])
+        device = np.repeat(np.arange(nb), [tj.size for tj in ts])
+        k0, R = spline_leaky_integrals(order, a, t, out.config.alpha)
+        first, V = spline_basis(order, 0.5 * (a + t))
+        rows = (device * N + first - n_lo)[:, None] - np.arange(order)    # B_j columns
+        cols = k0[:, None] - window.k1_first + np.arange(R.shape[1])     # A_j columns
+        R = np.where((cols >= 0) & (cols < n1), R, 0.0)                   # off the window
+        flat = rows[:, :, None] * n1 + np.clip(cols, 0, n1 - 1)[:, None, :]
+        G = np.bincount(flat.ravel(), (V[:, :, None] * R[:, None, :]).ravel(),
+                        minlength=nb * N * n1).reshape(nb, N, n1)
+        g = np.bincount(rows.ravel(), (V * np.concatenate(out.values[j0: j0 + nb])[:, None]).ravel(),
+                        minlength=nb * N).reshape(nb, N)
+        w = weight[j0: j0 + nb]
+        MA[j0: j0 + nb] = w[:, None, None] * (T.T @ G)
+        My[:, j0: j0 + nb] = (g @ T).T * w
+    return MeasurementOperator(kernel, devices, window, My, MA,
+                               kernel.dual.axis_s.eval(devices.positions[:, None]
+                                                       - window.k2s[None, :]))
 
 
 def apply_S(out, devices, grid, values_override=None):

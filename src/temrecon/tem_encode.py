@@ -16,12 +16,17 @@ the shift-invariant B-spline space, so it is a fixed polynomial on each
 unit knot piece (integer knots for even orders, half-integer for odd).
 The fast paths convert the slices once per encode into a table of
 per-piece power-basis coefficients, and read values and slopes from it by
-a gather plus Horner.  Each fire is bracketed by a scan.  At order 2 the
-crossing test function is linear on each piece, so the crossing fire is
-solved in closed form inside its bracket; at higher orders, and for every
-integrate-and-fire fire, a bracketed Newton iteration locates it.  The fast
-paths are validated against the scalar `ctem_encode` / `iftem_encode`
-reference implementations, which refine by plain bisection.
+a gather plus Horner.  Each crossing fire is bracketed by a scan.  At
+order 2 the crossing test function is linear on each piece, so the fire is
+solved in closed form inside its bracket; at higher orders a bracketed
+Newton iteration locates it.  The integrate-and-fire running integral is
+exact: a piece polynomial, Taylor-shifted to the interval start, against
+the leak-weighted moments of `generator.LeakMoments`.  Each device walks a
+shared ladder of evaluation steps to the step where the integral reaches
+the threshold, and the bracketed Newton iteration locates the fire on it.
+The fast paths are validated against the scalar `ctem_encode` /
+`iftem_encode` reference implementations, which refine by plain bisection
+(the integrate-and-fire one on Gauss quadrature).
 """
 
 import math
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EncodingInvariantError, GapError, InputError, PreconditionError
-from .generator import bspline_eval, knot_split_rule
+from .generator import LeakMoments, bspline_eval, piece_polynomials, taylor_shift
 
 BISECTION_TOL = 1e-14
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
@@ -194,12 +199,6 @@ class TemOutput:
             return np.array([self.t_end - self.t_start])
         edges = np.concatenate([[self.t_start], t, [self.t_end]])
         return np.diff(edges)
-
-    def interval_midpoints(self, j):
-        """Midpoints s_i of the intervals ending at each fire of device j."""
-        t = self.times[j]
-        prev = np.concatenate([[self.t_start], t[:-1]])
-        return 0.5 * (prev + t)
 
     def fire_count(self):
         return int(sum(t.size for t in self.times))
@@ -393,24 +392,6 @@ def _slice_matrix(vsig, devices):
     return bs @ vsig.coeffs.entries.T
 
 
-def _piece_polynomials(order):
-    """Power-basis coefficients of the centered B-spline on its unit pieces.
-
-    Row r, column d is the coefficient of u^d in beta(r - order/2 + u),
-    0 <= u < 1.  It comes from the truncated-power form beta_n(x) =
-    sum_i (-1)^i C(n, i) (x + n/2 - i)_+^(n-1) / (n-1)!, summed in exact
-    integers, so each entry is rounded once.
-    """
-    n = int(order)
-    Q = np.zeros((n, n))
-    for r in range(n):
-        for d in range(n):
-            s = sum((-1) ** i * math.comb(n, i) * (r - i) ** (n - 1 - d)
-                    for i in range(r + 1))
-            Q[r, d] = math.comb(n - 1, d) * s / math.factorial(n - 1)
-    return Q
-
-
 class _SliceTable:
     """Device slices as polynomials on the unit pieces between their knots.
 
@@ -428,7 +409,7 @@ class _SliceTable:
         order = vsig.generator.order_t
         coefs = _slice_matrix(vsig, devices)
         n_k = coefs.shape[1]
-        Q = _piece_polynomials(order)
+        Q = piece_polynomials(order)
         # B-spline k covers pieces k .. k + order - 1 (counted from the
         # first real piece), contributing its own piece r to piece k + r
         self.poly = np.zeros((coefs.shape[0], n_k + order + 1, order))
@@ -633,30 +614,122 @@ def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
     return TemOutput(cfg, devices, t0, t_end, times, values, list(tangency))
 
 
-def _leaky_rule(a, b, alpha):
-    """`knot_split_rule` over [a[i], b[i]] with the leak weight
-    exp(alpha (u - b[i])) folded into the weights."""
-    nodes, w = knot_split_rule(a, b)
-    return nodes, w * np.exp(alpha * (nodes - b[:, None]))
+def _check_table_amplitude(table, cfg, lo, hi, n_sub):
+    """Amplitude precondition of every slice over [lo, hi], from the table.
+
+    Each piece meeting [lo, hi] is sampled at its two ends and n_sub - 1
+    evenly spaced interior points, and the slices at lo and hi.  A linear
+    piece takes its extremes at its ends, so n_sub = 1 is exact at order 2.
+    """
+    (first, last), _ = table.locate(np.array([lo, hi]))
+    s = np.arange(first, last + 1)
+    u = np.arange(n_sub + 1) / n_sub
+    ts = np.concatenate([(table.origin + s[:, None] + u).ravel(), [lo, hi]])
+    every = np.arange(table.poly.shape[0])
+    vals = table.poly[:, s] @ (u ** np.arange(table.order)[:, None])
+    vals = np.concatenate([vals.reshape(every.size, -1), table(every, ts[-2:])], axis=1)
+    vals[:, (ts < lo) | (ts > hi)] = 0.0
+    _check_slice_amplitude(vals, cfg, every, ts)
+
+
+def _step_integrals(table, a, b, moments, bias):
+    """I[k, j] = int_a[k]^b[k] exp(-alpha (b[k] - u)) (f_j(u) + bias) du.
+
+    Steps shorter than a piece cross at most one knot q.  The steps are
+    shared by every device, so each part is the gathered piece coefficients,
+    Taylor-shifted to the part's start, against one (steps, order) table of
+    moments.
+    """
+    s, u = table.locate(a)
+    q = np.clip(table.origin + s + 1.0, a, b)      # past the table the piece is zero
+    head = moments(q - a) * np.exp(-moments.alpha * (b - q))[:, None]
+    I = np.einsum("jkd,kd->kj", taylor_shift(table.poly[:, s], u), head)
+    I += np.einsum("jkd,kd->kj", table.poly[:, np.minimum(s + 1, table.last)], moments(b - q))
+    I += bias * moments(b - a)[:, :1]
+    return I
+
+
+class _LeakySegments:
+    """Leaky running integrals of a batch of device slices from given starts.
+
+    Row i holds y(t) = y0[i] exp(-alpha (t - s[i])) +
+    int_s[i]^t exp(-alpha (t - u)) (f(u) + bias) du for s[i] <= t <= hi[i],
+    with hi[i] - s[i] shorter than a piece.  Such a segment crosses at most
+    one knot q[i].  Both sides' starts, start values and biased piece
+    coefficients (Taylor-shifted to the start) are fixed at construction,
+    rows 0..n-1 before q and n..2n-1 after it, so an evaluation gathers its
+    side and takes one `LeakMoments` call.
+    """
+
+    def __init__(self, table, rows, s, y0, hi, moments, bias):
+        n = rows.size
+        self.moments, self.n, self.hi = moments, n, hi
+        p, u = table.locate(s)
+        self.q = np.clip(table.origin + p + 1.0, s, hi)
+        self.starts = np.concatenate([s, self.q])
+        self.coefs = np.concatenate([taylor_shift(table.pieces(rows, p), u),
+                                     table.pieces(rows, np.minimum(p + 1, table.last))])
+        self.coefs[:, 0] += bias
+        self.bases = np.concatenate([y0, self._y(y0, self.coefs[:n], self.q - s)])
+
+    def _y(self, base, c, h):
+        y = base * np.exp(-self.moments.alpha * h)
+        y += (c * self.moments(h)).sum(axis=1)
+        return y
+
+    def at(self, sub, t):
+        """(y(t), f(t) + bias) for rows sub at points t."""
+        side = sub + self.n * (t > self.q[sub])
+        h = t - self.starts[side]
+        c = self.coefs[side]
+        f = c[:, -1]
+        for d in range(c.shape[1] - 2, -1, -1):
+            f = f * h + c[:, d]
+        return self._y(self.bases[side], c, h), f
+
+    def newton_start(self, y_hi, theta):
+        """A start for y(t) = theta per row, given y(hi) = y_hi >= theta > y0.
+
+        The crossing lies on one side of q, a single piece, where the
+        quadratic through y and y' at the side's start and y at its end is
+        read at theta; the secant stands in where that quadratic has no
+        root.  It starts Newton about 1e-6 from the root where the secant
+        across the whole step starts it about 1e-3 away.
+        """
+        n = self.n
+        past = (self.bases[n:] < theta) & (self.q < self.hi)    # beyond q
+        t_lo = np.where(past, self.q, self.starts[:n])
+        y_lo = np.where(past, self.bases[n:], self.bases[:n])
+        slope = np.where(past, self.coefs[n:, 0], self.coefs[:n, 0]) - self.moments.alpha * y_lo
+        H = np.where(past, self.hi, self.q) - t_lo
+        Y = np.where(past, y_hi, self.bases[n:]) - y_lo
+        D = theta - y_lo
+        curve = (Y - slope * H) / (H * H)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(slope * slope + 4.0 * curve * D)
+            tau = np.where(root + slope > 0.0, 2.0 * D / (slope + root), D / Y * H)
+        return np.clip(t_lo + tau, self.starts[:n], self.hi)
 
 
 def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     """Integrate-and-fire-encode every device of a set; returns TemOutput.
 
-    Grid-synchronous: the leaky recurrence advances all devices one
-    evaluation step at a time.  A step whose integral reaches theta brackets
-    a fire, and `_bracketed_newton` locates it on g = theta - y(t) with
-    g' = alpha y(t) - f(t) - b, starting from the secant of y between the
-    step ends.  y(t) is a knot-split Gauss sum whose nodes, and f(t), are
-    read from the slice table.
+    Each round locates the next fire of every device at once.  The leaky
+    recurrence runs over a ladder of evaluation steps shared by all
+    devices, with exact step integrals of the slice table: a device walks
+    from the step holding its last fire until the running integral reaches
+    theta at a step end.  That step brackets the fire, and
+    `_bracketed_newton` locates it on g = theta - y(t) with
+    g' = alpha y(t) - f(t) - b, from a quadratic start on the bracket's
+    piece.  y(t) is exact: piece coefficients against `LeakMoments`.
     """
     if cfg.mode != "integrate-and-fire":
         raise InputError("config mode must be 'integrate-and-fire'")
     t0, t_end = float(horizon[0]), float(horizon[1])
     b, alpha, theta = cfg.b_level, cfg.alpha, cfg.theta
     min_gap = theta / (cfg.b_level + cfg.c_bound)
-    # the knot-split recurrence is exact for spline slices at any step, so
-    # the ladder only needs to isolate fires (gap >= min_gap)
+    # the step integrals are exact for spline slices at any step, so the
+    # ladder only needs to isolate fires (gap >= min_gap)
     h = grid_step if grid_step is not None else min_gap
     h = min(h, max(min_gap, BISECTION_TOL), 0.5)
     table = _SliceTable(vsig, devices)
@@ -667,62 +740,57 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     all_times = np.zeros((J, max_fires))
     all_ints = np.zeros((J, max_fires))
     counts = np.zeros(J, dtype=int)
-    t_prev_fire = np.full(J, t0)
-    y = np.zeros(J)
+    moments = LeakMoments(alpha, table.order, alpha * h)   # no integral spans more than a step
 
-    # whole-step integrals for all devices and steps at once: the nodes are
-    # shared across devices, two knot-split pieces per step
+    # as dense as the 8 Gauss nodes per step that the step integrals replaced
+    _check_table_amplitude(table, cfg, t0, t_end, 1 if table.order == 2 else math.ceil(8.0 / h))
     a_vec, b_vec = edges[:-1], edges[1:]
-    step_nodes, step_w = _leaky_rule(a_vec, b_vec, alpha)      # (n_steps, 8)
-    every, flat_nodes = np.arange(J), step_nodes.ravel()
-    fvals = table(every, flat_nodes)
-    _check_slice_amplitude(fvals, cfg, every, flat_nodes)
-    # in place, so the largest arrays of an encode exist once
-    fvals += b
-    fvals *= step_w.ravel()
-    I_step = fvals.reshape(J, *step_nodes.shape).sum(axis=2)    # (J, n_steps)
-    del fvals
+    I_step = _step_integrals(table, a_vec, b_vec, moments, b)   # (n_steps, J)
     step_decay = np.exp(-alpha * (b_vec - a_vec))
 
-    for k in range(n_steps):
-        t_next = edges[k + 1]
-        seg_start_k = np.full(J, edges[k])
-        y_new = y * step_decay[k] + I_step[:, k]
-        crossed = y_new >= theta
-        guard = 0
-        while np.any(crossed):
-            rws = np.where(crossed)[0]
-            s, y0 = seg_start_k[rws], y[rws]
+    # per device: the step k holding the segment start s (the last fire, or
+    # a step edge), y at s, y at the end of step k, fires so far in step k
+    k = np.zeros(J, dtype=int)
+    s = np.full(J, t0)
+    y_s = np.zeros(J)
+    y_end = I_step[0].copy()
+    in_step = np.zeros(J, dtype=int)
+    t_prev_fire = np.full(J, t0)
+    idx = np.arange(J)              # devices with steps left
+    while True:
+        walk = idx[y_end[idx] < theta]
+        while walk.size:
+            k[walk] += 1
+            walk = walk[k[walk] < n_steps]
+            s[walk], y_s[walk], in_step[walk] = edges[k[walk]], y_end[walk], 0
+            y_end[walk] = y_s[walk] * step_decay[k[walk]] + I_step[k[walk], walk]
+            walk = walk[y_end[walk] < theta]
+        idx = idx[k[idx] < n_steps]
+        if idx.size == 0:
+            break
+        s0, y0, hi = s[idx], y_s[idx], edges[k[idx] + 1]
+        segment = _LeakySegments(table, idx, s0, y0, hi, moments, b)
 
-            def level(sub, t):
-                # y(t) from the segment start, and f(t) + b at t as a last node
-                nodes, w = _leaky_rule(s[sub], t, alpha)
-                vals = table(rws[sub], np.concatenate([nodes, t[:, None]], axis=1)) + b
-                yt = y0[sub] * np.exp(-alpha * (t - s[sub])) + (vals[:, :-1] * w).sum(axis=1)
-                return theta - yt, alpha * yt - vals[:, -1]
+        def level(sub, t):
+            yt, ft = segment.at(sub, t)
+            return theta - yt, alpha * yt - ft
 
-            # y < theta at the segment start and >= theta at t_next
-            start = s + (theta - y0) / (y_new[rws] - y0) * (t_next - s)
-            t_fire = _bracketed_newton(level, s, np.full(rws.size, t_next), start)
-            gap = t_fire - t_prev_fire[rws]
-            all_times[rws, counts[rws]] = t_fire
-            all_ints[rws, counts[rws]] = theta - b * cfg.kappa_alpha(gap)
-            counts[rws] += 1
-            t_prev_fire[rws] = t_fire
-            seg_start_k[rws] = t_fire
-            y[rws] = 0.0
-            # a fresh integrator over the rest of the step
-            nodes, w = _leaky_rule(t_fire, np.full(rws.size, t_next), alpha)
-            rest = ((table(rws, nodes) + b) * w).sum(axis=1)
-            y_new[rws] = np.where(t_next - t_fire > BISECTION_TOL, rest, 0.0)
-            crossed = np.zeros(J, dtype=bool)
-            crossed[rws] = y_new[rws] >= theta
-            guard += 1
-            if guard > 8:
-                raise EncodingInvariantError("too many fires within one evaluation step")
-        y = y_new
-        if np.any(counts >= max_fires):
+        t_fire = _bracketed_newton(level, s0, hi, segment.newton_start(y_end[idx], theta))
+        c = counts[idx]
+        all_times[idx, c] = t_fire
+        all_ints[idx, c] = theta - b * cfg.kappa_alpha(t_fire - t_prev_fire[idx])
+        counts[idx] = c + 1
+        if c.max() + 1 >= max_fires:
             raise EncodingInvariantError("fire-count bound exceeded")
+        in_step[idx] += 1
+        if in_step[idx].max() > 8:
+            raise EncodingInvariantError("too many fires within one evaluation step")
+        # a fresh integrator over the rest of the step: y at the step end
+        # less what the fire took away, carried to the step end
+        y_fire = segment.at(np.arange(idx.size), t_fire)[0]
+        rest = y_end[idx] - y_fire * np.exp(-alpha * (hi - t_fire))
+        y_end[idx] = np.where(hi - t_fire > BISECTION_TOL, rest, 0.0)
+        t_prev_fire[idx], s[idx], y_s[idx] = t_fire, t_fire, 0.0
     times = [all_times[j, : counts[j]].copy() for j in range(J)]
     ints = [all_ints[j, : counts[j]].copy() for j in range(J)]
     return TemOutput(cfg, devices, t0, t_end, times, ints, [False] * J)

@@ -12,6 +12,7 @@ import pytest
 import temrecon
 from temrecon import Generator, Grid, InputError, VSignal, window_for_grid
 from temrecon.cli import (
+    MAX_ORDER,
     ExperimentConfig,
     load_config,
     main,
@@ -265,6 +266,9 @@ def test_high_order_sweep_exits_0(tmp_path, command, order, extent):
     {"x_max": 4, "y_max": 4},
     {"generator_order_t": 5, "generator_order_s": 5, "x_max": 8, "y_max": 8},
     {"frame_delta": 0.3},
+    {"grid_step": 0.3, "x_max": 12, "y_max": 12},
+    {"generator_order_t": 14},
+    {"generator_order_s": 14, "x_max": 40, "y_max": 40},
 ], ids=json.dumps)
 def test_malformed_config_exit_code_table(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"
@@ -273,6 +277,13 @@ def test_malformed_config_exit_code_table(tmp_path, capsys, bad):
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_the_highest_order():
+    # 13 is the highest order whose dual passes the kernel's biorthogonality
+    # gate; the exit-code table checks that 14 is refused
+    cfg = ExperimentConfig(generator_order_t=MAX_ORDER, generator_order_s=MAX_ORDER)
+    assert MAX_ORDER == 13 and cfg.generator_order_s == 13
 
 
 def test_config_accepts_infinite_exponent(tmp_path):

@@ -20,11 +20,15 @@ from temrecon import (
 )
 from temrecon.generator import (
     BIORTH_TOL,
+    LeakMoments,
     spline_antiderivative,
-    knot_split_rule,
     spline_basis,
+    spline_leaky_integrals,
     spline_sum,
+    taylor_shift,
 )
+
+from conftest import knot_split_rule, subpanel_rule
 
 SQRT3 = 1.7320508075688772
 DECAY = 0.2679491924311228  # 2 - sqrt(3)
@@ -296,3 +300,56 @@ def test_spline_sum_reads_zero_left_and_total_right():
     assert np.all(D[0] == 0.0) and np.max(np.abs(D[1] - axis.b.sum())) <= 1e-14
     Phi = spline_antiderivative(3, ends, [0, 4])
     assert np.all(Phi[0] == 0.0) and np.max(np.abs(Phi[1] - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_leak_moments_match_subpanel_gauss(order):
+    # x = alpha h runs across every switch between the series (x < d) and
+    # the forward recurrence (x >= d), and past the series range at 40
+    rng = np.random.default_rng(30 + order)
+    h = np.concatenate([[0.0, 1e-9], rng.uniform(0.0, 1.0, 60), [1.0]])
+    for alpha in (0.0, 0.5, 4.0, 40.0):
+        got = LeakMoments(alpha, order, alpha)(h)
+        nodes, w = subpanel_rule(np.zeros_like(h), h)
+        w = w * np.exp(alpha * (nodes - h[:, None]))
+        want = np.stack([(w * nodes ** d).sum(axis=1) for d in range(order)], axis=1)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        assert np.all(got[0] == 0.0)
+    exact = h[:, None] ** np.arange(1, order + 1) / np.arange(1, order + 1)
+    assert np.max(np.abs(LeakMoments(0.0, order, 0.0)(h) - exact)) <= 1e-16
+
+
+def test_taylor_shift_recenters_polynomials():
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-1.0, 1.0, (40, 4))
+    u = rng.uniform(0.0, 1.0, 40)
+    w = rng.uniform(0.0, 1.0, 40)
+    shifted = taylor_shift(c, u)
+    want = np.polynomial.polynomial.polyval(u + w, c.T, tensor=False)
+    got = np.polynomial.polynomial.polyval(w, shifted.T, tensor=False)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.array_equal(taylor_shift(c, 0.0), c)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 4.0, 40.0])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_leaky_rows_match_subpanel_gauss(order, alpha):
+    rng = np.random.default_rng(20 + order)
+    a = rng.uniform(-10.0, 10.0, 150)
+    a[:50] = np.round(2.0 * a[:50]) / 2.0                 # starting on knots
+    length = rng.uniform(0.0, 0.25, a.size)                # one or two pieces
+    length[100:] = rng.uniform(0.25, 2.5, 50)              # several pieces
+    length[:5] = 0.0
+    b = a + length
+    k0, R = spline_leaky_integrals(order, a, b, alpha)
+    assert R.shape[1] == order + int(np.ceil(length.max()))
+    nodes, w = subpanel_rule(a, b)
+    w = w * np.exp(alpha * (nodes - b[:, None]))
+    # the band, and one spline past it on each side, whose integrals are 0
+    ks = k0[:, None] + np.arange(-1, R.shape[1] + 1)
+    want = np.einsum("iq,iqk->ik", w, bspline_eval(order, nodes[:, :, None] - ks[:, None, :]))
+    assert np.max(np.abs(want[:, [0, -1]])) == 0.0
+    want = want[:, 1:-1]
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(R - want) <= 1e-14 * scale)
+    assert np.all(R[:5] == 0.0) and np.all(scale[5:] > 0.0)

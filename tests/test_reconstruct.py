@@ -28,11 +28,11 @@ from temrecon import (
     mixed_function_norm,
     window_for_grid,
 )
-from temrecon.generator import knot_split_rule
+from temrecon.cli import ExperimentConfig, run_experiment
 from temrecon.reconstruct import ctem_operator, iftem_operator
 from temrecon.tem_encode import TemOutput
 
-from conftest import random_vsignal
+from conftest import knot_split_rule, random_vsignal
 
 PR = MixedNormParams(2.0, 2.0)
 
@@ -400,6 +400,17 @@ def test_iftem_alpha_raises_measured_ratio(hat_kernel, hat_gen, small_grid, smal
                                n_max=40, tol=1e-8)
         rhats[alpha] = rep.r_hat
     assert rhats[0.5] > rhats[0.0]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 4.0, 40.0])
+def test_iftem_floor_below_1e13_at_any_leak(tmp_path, alpha):
+    # exact leak-weighted rows: the recovered integrals and the iterate's
+    # fresh ones agree to rounding, so the error floor does not grow with
+    # alpha (Gauss-4 rows stalled at 2e-12 at alpha 4 and 8e-10 at 40)
+    cfg = ExperimentConfig(mode="integrate-and-fire", x_max=12.0, y_max=12.0, alpha=alpha,
+                           tol=1e-13, n_max=60, seed=3)
+    summary = run_experiment(cfg, tmp_path)
+    assert summary["converged"] and not summary["diverged"]
 
 
 def test_iftem_divergence_is_reported(hat_kernel, hat_gen, small_grid, small_window):
