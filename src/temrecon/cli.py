@@ -7,9 +7,8 @@ deterministic for a fixed config and seed; all randomness flows through a
 single seeded generator and all file writes happen once, at the end of a
 section.
 
-Exit codes: 0 ok, 1 any other numerical error (e.g. an encoder invariant
-that fails) or a failed selftest, 2 config error, 3 precondition
-violation, 4 non-convergence.
+Exit codes: 0 ok, 2 config error, and for an error a run raises the code
+`EXIT_CODES` gives its class (see `main`); a failed selftest exits 1.
 Config errors include every contract that needs only the config: the
 generator orders (2 to 13), the interior coefficient window on the grid,
 and the frame lattice and the grid on the padded range.
@@ -24,7 +23,17 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractionError, InputError, PreconditionError, TemreconError
+from .errors import (
+    ContractionError,
+    EncodingInvariantError,
+    GapError,
+    GridMismatchError,
+    InputError,
+    PreconditionError,
+    ResolutionError,
+    SingularGeneratorError,
+    TemreconError,
+)
 from .frames import PAD, FrameFamily, _lattice, frame_report
 from .generator import Generator, dual_generator
 from .kernel_space import (
@@ -45,6 +54,19 @@ from .tem_encode import (
 )
 
 MODES = ("crossing", "integrate-and-fire")
+# (exit code, message prefix) of each error class a run raises; `main` reads
+# the entry of the nearest class in the error's MRO
+EXIT_CODES = {
+    InputError: (1, "error"),
+    GridMismatchError: (1, "error"),
+    ResolutionError: (1, "error"),
+    SingularGeneratorError: (1, "error"),
+    EncodingInvariantError: (1, "error"),
+    TemreconError: (1, "error"),
+    PreconditionError: (3, "precondition error"),
+    GapError: (3, "precondition error"),
+    ContractionError: (4, "non-convergence"),
+}
 # the highest generator order whose dual passes the kernel's biorthogonality
 # gate (BIORTH_TOL = 1e-8): 13 leaves 8.1e-10, 14 reaches 1.1e-8
 MAX_ORDER = 13
@@ -218,6 +240,21 @@ def _build_stack(cfg):
     return gen, dual, kernel, grid, window
 
 
+def _encode(cfg, seed):
+    """Build the stack, draw the seed's signal and encode it on the devices.
+
+    The steps the `encode` subcommand and `run_experiment` share; returns
+    (kernel, grid, window, devices, signal, encoder output).
+    """
+    rng = np.random.default_rng(seed)
+    gen, _, kernel, grid, window = _build_stack(cfg)
+    devices = cfg.devices()
+    signal = synth_random_vsignal(window, gen, grid, rng, 0.8 * cfg.c_bound)
+    encode = encode_ctem_devices if cfg.mode == "crossing" else encode_iftem_devices
+    out = encode(signal, devices, cfg.tem_config(), (cfg.x_min, cfg.x_max))
+    return kernel, grid, window, devices, signal, out
+
+
 def run_experiment(cfg, out_dir, seed=None):
     """Synthesize, encode, reconstruct, and write all artifacts.
 
@@ -230,26 +267,12 @@ def run_experiment(cfg, out_dir, seed=None):
     os.makedirs(out_dir, exist_ok=True)
     seed = cfg.seed if seed is None else seed
     save_config(cfg, f"{out_dir}/config_echo.json")  # effective config, defaults applied
-    rng = np.random.default_rng(seed)
-    gen, dual, kernel, grid, window = _build_stack(cfg)
-    devices = cfg.devices()
-    tem_cfg = cfg.tem_config()
-    horizon = (cfg.x_min, cfg.x_max)
-    signal = synth_random_vsignal(window, gen, grid, rng, 0.8 * cfg.c_bound)
-    if cfg.mode == "crossing":
-        out = encode_ctem_devices(signal, devices, tem_cfg, horizon)
-    else:
-        out = encode_iftem_devices(signal, devices, tem_cfg, horizon)
+    kernel, grid, window, devices, signal, out = _encode(cfg, seed)
     out.write_events_csv(f"{out_dir}/events.csv")
-    max_gap, n_fires, ok = density_report(out, tem_cfg.delta_target)
-    if cfg.mode == "crossing":
-        rec, report = ctem_iterate(out, kernel, devices, grid, f_true=signal,
-                                   n_max=cfg.n_max, tol=cfg.tol, params=cfg.params(),
-                                   window=window)
-    else:
-        rec, report = iftem_iterate(out, kernel, devices, grid, f_true=signal,
-                                    n_max=cfg.n_max, tol=cfg.tol, params=cfg.params(),
-                                    window=window)
+    max_gap, n_fires, ok = density_report(out, cfg.delta_target)
+    iterate = ctem_iterate if cfg.mode == "crossing" else iftem_iterate
+    rec, report = iterate(out, kernel, devices, grid, f_true=signal, n_max=cfg.n_max,
+                          tol=cfg.tol, params=cfg.params(), window=window)
     report.write_convergence_csv(f"{out_dir}/convergence.csv")
     rec.coeffs.write_csv(f"{out_dir}/reconstruction.csv")
     summary = report.summary_dict()
@@ -486,6 +509,15 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns the exit code.
+
+    0 ok; 2 a config that fails to load or validate; for an error a run
+    raises, the code of its class in `EXIT_CODES`: 1 for `InputError`,
+    `GridMismatchError`, `ResolutionError`, `SingularGeneratorError` and
+    `EncodingInvariantError`, 3 for `PreconditionError` and `GapError`,
+    4 for `ContractionError`.  `reconstruct` also exits 4 when the
+    iteration stops unconverged; `selftest` exits 1 when a suite fails.
+    """
     args = _parser().parse_args(argv)
     if args.command == "selftest":
         ok, _ = selftest(fast=args.fast)
@@ -503,26 +535,15 @@ def main(argv=None):
             import os
 
             os.makedirs(args.out_dir, exist_ok=True)
-            seed = cfg.seed if args.seed is None else args.seed
-            rng = np.random.default_rng(seed)
-            gen, dual, kernel, grid, window = _build_stack(cfg)
-            sig = synth_random_vsignal(window, gen, grid, rng, 0.8 * cfg.c_bound)
-            devices = cfg.devices()
-            enc = encode_ctem_devices if cfg.mode == "crossing" else encode_iftem_devices
-            out = enc(sig, devices, cfg.tem_config(), (cfg.x_min, cfg.x_max))
+            out = _encode(cfg, cfg.seed if args.seed is None else args.seed)[-1]
             out.write_events_csv(f"{args.out_dir}/events.csv")
             return 0
         summary = run_experiment(cfg, args.out_dir, seed=args.seed)
         return 0 if summary["converged"] else 4
-    except (PreconditionError,) as e:
-        print(f"precondition error: {e}", file=sys.stderr)
-        return 3
-    except ContractionError as e:
-        print(f"non-convergence: {e}", file=sys.stderr)
-        return 4
     except TemreconError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        code, label = next(EXIT_CODES[c] for c in type(e).__mro__ if c in EXIT_CODES)
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

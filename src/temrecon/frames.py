@@ -206,8 +206,8 @@ def formula_r0_branches(kernel, delta, d=1):
     ||K|| * ||omega(K)|| reaches one (the expression loses meaning there).
     """
     radius = math.sqrt(d + 1) * delta
-    W = kernel.w_norm()
     om = kernel.omega_w_norm(radius)
+    W = kernel.w_norm()
     branch2 = om
     prod = W * om
     if prod >= 1.0:

@@ -467,15 +467,20 @@ def _biorth_integrals_1d(order, axis):
 
     Gauss panels aligned to half-integer knots make the rule exact for the
     piecewise-polynomial integrand, giving an oracle independent of the
-    root solve.
+    root solve: it reads only dual values and B-spline values.  Each node
+    meets the `order` shifts that `spline_basis` finds there, so the
+    products are scattered into their shifts band by band.
     """
     reach = axis.reach
     r = int(np.ceil(reach + order / 2.0))
     nodes, weights = gauss_panel_rule(-reach, reach, order + 1)
     dual_vals = axis.eval(nodes) * weights
-    js = np.arange(-r, r + 1)
-    vals = np.array([float(dual_vals @ bspline_eval(order, nodes - j)) for j in js])
-    return js, vals
+    first, vals = spline_basis(order, nodes)
+    out = np.zeros(2 * r + 1)
+    for l in range(order):
+        # vals[:, l] is beta(node - j) at j = first - l
+        out += np.bincount(first - l + r, weights=dual_vals * vals[:, l], minlength=out.size)
+    return np.arange(-r, r + 1), out
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,56 @@ from .mixed_norm import CoefSeq, GridFunction, composite_weights, mixed_function
 
 DEFAULT_STATS_RESOLUTION = 64
 N_MODULUS_RADII = 8
+# output columns per tile of the box-modulus passes: at resolution 64 a tile
+# and its four running extremes take under 1 MB and stay in a 2 MB L2
+MODULUS_TILE = 256
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional kernel factors
 # ---------------------------------------------------------------------------
+
+class KappaTable:
+    """kappa of one factor at x = i h, -pad <= i <= resolution + pad, and
+    s = n h, |n| <= R resolution + pad, with h = 1 / resolution and
+    R = ceil(reach) + 1, handed out one block of columns at a time.
+
+    The dual is evaluated once, on the lattice n h widened by the range of
+    the shifts k; the columns of shift k are the slice of that array at
+    n - k resolution.  For a power-of-two resolution n h - k equals
+    (n - k resolution) h exactly, so every block is `eval_outer` on the
+    same points bit for bit.
+    """
+
+    def __init__(self, factor, resolution, pad_steps=0):
+        self.R = int(np.ceil(factor.reach)) + 1
+        h = 1.0 / resolution
+        xs = np.arange(-pad_steps, resolution + pad_steps + 1) * h
+        n_first = -self.R * resolution - pad_steps
+        self.n_rows = xs.size
+        self.n_cols = 2 * (self.R * resolution + pad_steps) + 1
+        r = factor.order / 2.0
+        k_lo = int(np.floor(xs[0] - r))
+        k_hi = int(np.ceil(xs[-1] + r))
+        lattice = np.arange(n_first - k_hi * resolution, n_first + self.n_cols - k_lo * resolution)
+        self.dual = factor.dual_axis.eval(lattice * h)
+        # (first row, B-spline values on its run of rows, dual offset) per
+        # shift k, ascending: beta(x - k) is positive on one run of rows and
+        # elsewhere would only add zeros
+        self.terms = []
+        for k in range(k_lo, k_hi + 1):
+            bu = bspline_eval(factor.order, xs - k)
+            rows = np.flatnonzero(bu)
+            if rows.size:
+                self.terms.append((rows[0], bu[rows[0]: rows[-1] + 1], (k_hi - k) * resolution))
+
+    def columns(self, c0, width):
+        """The `width` columns from column c0, all rows, as a new array."""
+        out = np.zeros((self.n_rows, width))
+        for i0, bu, start in self.terms:
+            out[i0: i0 + bu.size] += np.outer(bu, self.dual[start + c0: start + c0 + width])
+        return out
+
 
 class SplineFactor1D:
     """kappa(u, v) = sum_k beta(u - k) dual_beta(v - k) for one axis.
@@ -80,31 +125,22 @@ class SplineFactor1D:
 
     # -- W0-norm machinery ---------------------------------------------------
 
-    def _table(self, resolution, pad_steps=0):
-        """kappa sampled on x in [-pad, 1 + pad], s in [-R - pad, R + pad]."""
-        R = int(np.ceil(self.reach)) + 1
-        h = 1.0 / resolution
-        xs = np.arange(-pad_steps, resolution + pad_steps + 1) * h
-        ss = np.arange(-R * resolution - pad_steps, R * resolution + pad_steps + 1) * h
-        return xs, ss, self.eval_outer(xs, ss), R
-
     @staticmethod
-    def _w0_from_field(field, resolution, R, pad_steps=0):
-        """W0 norm of a diagonally shift-invariant field sampled as in `_table`.
+    def _w0_from_field(field, resolution, R):
+        """W0 norm of a diagonally shift-invariant field sampled as in `KappaTable`.
 
-        `field` rows cover x in [0, 1] after stripping `pad_steps`; columns
-        cover s in [-R, R].  Row direction: sup over one period of the row
-        integrals.  Column direction: integrals over the real line fold into
-        sums of one-period integrals of shifted columns.
+        `field` rows cover x in [0, 1]; columns cover s in [-R, R].  Row
+        direction: sup over one period of the row integrals.  Column
+        direction: integrals over the real line fold into sums of one-period
+        integrals of shifted columns.
         """
-        core = field[pad_steps: field.shape[0] - pad_steps,
-                     pad_steps: field.shape[1] - pad_steps]
+        core = np.abs(field)
         n_rows, n_cols = core.shape
         w_s = composite_weights(n_cols, 1.0 / resolution)
-        sup_row = float(np.max(np.abs(core) @ w_s))
+        sup_row = float(np.max(core @ w_s))
 
         w_x = composite_weights(n_rows, 1.0 / resolution)
-        col_int = w_x @ np.abs(core)  # integral over x in [0, 1] per column
+        col_int = w_x @ core  # integral over x in [0, 1] per column
         # fold columns one unit apart: int_R |k(u, s*)| du = sum_m J(s* - m)
         sup_col = 0.0
         for l in range(resolution):
@@ -113,60 +149,88 @@ class SplineFactor1D:
         return max(sup_row, sup_col)
 
     def w0_norm(self, resolution=DEFAULT_STATS_RESOLUTION):
-        _, _, field, R = self._table(resolution)
-        return self._w0_from_field(field, resolution, R)
+        """W0 norm of kappa, read from the unpadded table."""
+        return self.w0_and_box_modulus(0.0, resolution)[0]
 
     def box_modulus_w0(self, radius, resolution=DEFAULT_STATS_RESOLUTION):
-        """W0 norm of the box modulus sup_{|du|,|dv| <= radius} |kappa shift - kappa|.
+        """W0 norm of the box modulus sup_{|du|,|dv| <= radius} |kappa shift - kappa|."""
+        return self.w0_and_box_modulus(radius, resolution)[1]
 
-        Shifts are snapped to the sample grid (ladder of 8 radii per axis,
-        both signs), so shifted reads are array views and, for generators with
-        grid-aligned breakpoints, the sampled field is exact at the nodes.
-        Radii below the grid scale use exact off-grid evaluations at the box
-        corners and axis extremes instead (correct to second order there).
+    def w0_and_box_modulus(self, radius, resolution=DEFAULT_STATS_RESOLUTION):
+        """(W0 norm of kappa, W0 norm of its box modulus at `radius`) from one table.
+
+        The table is padded by the largest shift; the W0 norm reads its core,
+        which equals the unpadded table bit for bit (the extra shifts k add
+        nothing there).  Shifts are snapped to the sample grid (ladder of 8
+        radii per axis, both signs), so shifted reads are array views and,
+        for generators with grid-aligned breakpoints, the sampled field is
+        exact at the nodes.  Radii below the grid scale use exact off-grid
+        evaluations at the box corners and axis extremes instead (correct to
+        second order there).
 
         The offset set is a product, so the sup over the box splits by axis:
         running max/min over the row offsets, then over the column offsets,
         and mod = max(hi - base, base - lo).  Rounded subtraction is monotone
         in each operand, so this equals the max of |shifted - base| over all
-        offset pairs bit for bit (the (0, 0) pair only adds a zero).
+        offset pairs bit for bit (the (0, 0) pair only adds a zero).  The
+        table is built and both passes run one tile of `MODULUS_TILE` output
+        columns at a time, both extremes together, on one contiguous array,
+        so every pass is a flat array operation on data that stays in cache
+        and the padded table is never whole in memory; max and min are
+        exact, so neither the tiling nor the flat shifts change a bit.
         """
         if radius < 0:
             raise InputError("modulus radius must be nonnegative")
-        if radius == 0:
-            return 0.0
-        if radius * resolution < N_MODULUS_RADII:
-            return self._box_modulus_w0_direct(radius, resolution)
-        pad = int(np.floor(radius * resolution))
-        _, _, field, R = self._table(resolution, pad_steps=pad)
+        on_grid = radius * resolution >= N_MODULUS_RADII
+        pad = int(np.floor(radius * resolution)) if on_grid else 0
+        table = KappaTable(self, resolution, pad)
+        R = table.R
+        nx = table.n_rows - 2 * pad
+        ns = table.n_cols - 2 * pad
+        if not on_grid:
+            core = table.columns(0, ns)
+            w0 = self._w0_from_field(core, resolution, R)
+            if radius == 0:
+                return w0, 0.0
+            return w0, self._box_modulus_w0_direct(core, R, radius, resolution)
         offs = sorted({int(np.floor(radius * resolution * j / N_MODULUS_RADII))
                        for j in range(1, N_MODULUS_RADII + 1)} - {0})
-        offsets = [0] + [o for off in offs for o in (off, -off)]
-        nx = field.shape[0] - 2 * pad
-        ns = field.shape[1] - 2 * pad
-        base = field[pad: pad + nx, pad: pad + ns]
+        offsets = [o for off in offs for o in (off, -off)]
+        core = np.empty((nx, ns))
+        mod = np.empty((nx, ns))
+        for c0 in range(0, ns, MODULUS_TILE):
+            w = min(MODULUS_TILE, ns - c0)
+            width = w + 2 * pad
+            n = nx * width
+            # the tile's output columns with their column offsets, flat: a
+            # row offset is a shift by whole rows
+            tile = table.columns(c0, width).ravel()
+            base = tile[pad * width: pad * width + n]
+            hi = base.copy()
+            lo = base.copy()
+            for o1 in offsets:
+                shifted = tile[(pad + o1) * width: (pad + o1) * width + n]
+                np.maximum(hi, shifted, out=hi)
+                np.minimum(lo, shifted, out=lo)
+            # a column offset is a flat shift too; it stays inside its row
+            # for the kept columns pad .. pad + w, and the rest is dropped
+            box_hi = hi.copy()
+            box_lo = lo.copy()
+            inner = slice(pad, n - pad)
+            for o2 in offsets:
+                np.maximum(box_hi[inner], hi[pad + o2: n - pad + o2], out=box_hi[inner])
+                np.minimum(box_lo[inner], lo[pad + o2: n - pad + o2], out=box_lo[inner])
+            box_hi -= base
+            np.subtract(base, box_lo, out=box_lo)
+            np.maximum(box_hi, box_lo, out=box_hi)
+            core[:, c0: c0 + w] = base.reshape(nx, width)[:, pad: pad + w]
+            mod[:, c0: c0 + w] = box_hi.reshape(nx, width)[:, pad: pad + w]
+        return self._w0_from_field(core, resolution, R), self._w0_from_field(mod, resolution, R)
 
-        def running(extreme):
-            # rows first: the x range is the short side of the padded table
-            rows = field[pad: pad + nx].copy()
-            for o1 in offsets[1:]:
-                extreme(rows, field[pad + o1: pad + o1 + nx], out=rows)
-            box = rows[:, pad: pad + ns].copy()
-            for o2 in offsets[1:]:
-                extreme(box, rows[:, pad + o2: pad + o2 + ns], out=box)
-            return box
-
-        mod = running(np.maximum)
-        mod -= base
-        np.maximum(mod, base - running(np.minimum), out=mod)
-        return self._w0_from_field(mod, resolution, R)
-
-    def _box_modulus_w0_direct(self, radius, resolution):
-        R = int(np.ceil(self.reach)) + 1
+    def _box_modulus_w0_direct(self, base, R, radius, resolution):
         h = 1.0 / resolution
         xs = np.arange(0, resolution + 1) * h
         ss = np.arange(-R * resolution, R * resolution + 1) * h
-        base = self.eval_outer(xs, ss)
         mod = np.zeros_like(base)
         shifts = [(dx, ds) for dx in (-radius, 0.0, radius)
                   for ds in (-radius, 0.0, radius) if (dx, ds) != (0.0, 0.0)]
@@ -219,6 +283,12 @@ class Kernel:
             self._w0[key] = factor.w0_norm(resolution)
         return self._w0[key]
 
+    def _factor_modulus(self, axis, radius, resolution):
+        """The factor's box modulus norm; its W0 norm, from the same table, fills the cache."""
+        factor = self.factor_t if axis == "t" else self.factor_s
+        self._w0[(axis, resolution)], mu = factor.w0_and_box_modulus(radius, resolution)
+        return mu
+
     def w_norm(self, resolution=None):
         """Nested W0-over-W0 estimate; factors exactly for separable kernels."""
         res = resolution or self.stats_resolution
@@ -230,15 +300,17 @@ class Kernel:
         Upper-bound route: the modulus of a product of axis factors is bounded
         by mu_t*|k_s| + |k_t|*mu_s + mu_t*mu_s with per-axis box moduli mu, and
         the kernel norm of each tensor term is the product of the factor W0
-        norms.  Cached values keep the table monotone non-decreasing in the
+        norms.  Each distinct factor samples kappa once for both its modulus
+        and its W0 norm, which fills the `w_norm` cache; only the numbers are
+        kept.  Cached values keep the table monotone non-decreasing in the
         radius.
         """
         res = resolution or self.stats_resolution
         key = (radius, res)
         if key not in self._omega_raw:
-            mu_t = self.factor_t.box_modulus_w0(radius, res)
+            mu_t = self._factor_modulus("t", radius, res)
             mu_s = (mu_t if self.factor_s is self.factor_t
-                    else self.factor_s.box_modulus_w0(radius, res))
+                    else self._factor_modulus("s", radius, res))
             k_t = self._factor_w0("t", res)
             k_s = self._factor_w0("s", res)
             self._omega_raw[key] = abs(self.scale) * (mu_t * k_s + k_t * mu_s + mu_t * mu_s)

@@ -196,14 +196,14 @@ def estimate_r1(kernel, delta, delta_prime):
     Monotone non-decreasing in both arguments; an upper bound on the true
     per-step contraction, typically far above the measured ratio.
     """
-    radius = float(np.hypot(delta, delta_prime))
-    return kernel.w_norm() * kernel.omega_w_norm(radius)
+    om = kernel.omega_w_norm(float(np.hypot(delta, delta_prime)))
+    return kernel.w_norm() * om
 
 
 def estimate_r2(kernel, delta, delta_prime, alpha):
     """Integrate-and-fire rate bound including the leak term (1 - e^{-alpha delta})."""
-    W = kernel.w_norm()
     om = kernel.omega_w_norm(float(np.hypot(delta, delta_prime)))
+    W = kernel.w_norm()
     leak = -np.expm1(-alpha * delta)
     return W * (om * (2.0 * W + om) + leak * (W + om) ** 2)
 

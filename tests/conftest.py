@@ -143,3 +143,16 @@ def plain_integrator_oracle(fslice, cfg, horizon):
                 y += (fa + bias) * (b_edge - pos) + 0.5 * slope * (b_edge - pos) ** 2
                 pos = b_edge
     return np.array(times)
+
+
+def dense_biorth_integrals(order, axis):
+    """<dual, beta(. - j)> with every shift evaluated at every quadrature node:
+    the referee for the banded `generator._biorth_integrals_1d`."""
+    from temrecon.generator import bspline_eval, gauss_panel_rule
+
+    reach = axis.reach
+    r = int(np.ceil(reach + order / 2.0))
+    nodes, weights = gauss_panel_rule(-reach, reach, order + 1)
+    dual_vals = axis.eval(nodes) * weights
+    js = np.arange(-r, r + 1)
+    return js, np.array([float(dual_vals @ bspline_eval(order, nodes - j)) for j in js])

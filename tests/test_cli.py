@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 import temrecon
-from temrecon import Generator, Grid, InputError, VSignal, window_for_grid
+from temrecon import (
+    Generator,
+    Grid,
+    InputError,
+    VSignal,
+    cli,
+    errors,
+    kernel_space,
+    window_for_grid,
+)
 from temrecon.cli import (
     MAX_ORDER,
     ExperimentConfig,
@@ -178,6 +187,26 @@ def test_run_frames(tmp_path):
     assert on_disk == rep
 
 
+@pytest.mark.parametrize("orders", [(2, 2), (2, 3)])
+def test_runs_sample_kappa_once_per_factor(tmp_path, monkeypatch, orders):
+    # the rate bounds and the frame condition read both kernel statistics
+    # from one table per distinct factor
+    built = []
+
+    class CountingTable(kernel_space.KappaTable):
+        def __init__(self, factor, *args):
+            built.append(factor)
+            super().__init__(factor, *args)
+
+    monkeypatch.setattr(kernel_space, "KappaTable", CountingTable)
+    cfg = _small_cfg(generator_order_t=orders[0], generator_order_s=orders[1],
+                     frame_signals=2, frame_n_list=[2, 4])
+    for run in (run_frames, run_experiment):
+        built.clear()
+        run(cfg, str(tmp_path / run.__name__))
+        assert len(built) == len(set(orders)) == len(set(map(id, built)))
+
+
 def test_selftest_pass_and_fault_injection(capsys):
     ok, results = selftest(fast=True)
     assert ok
@@ -202,6 +231,43 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (out / "events.csv").exists()
     assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.InputError, 1),
+    (errors.GridMismatchError, 1),
+    (errors.ResolutionError, 1),
+    (errors.SingularGeneratorError, 1),
+    (errors.EncodingInvariantError, 1),
+    (errors.PreconditionError, 3),
+    (errors.GapError, 3),
+    (errors.ContractionError, 4),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_run_error_exit_code_table(tmp_path, capsys, monkeypatch, error, code):
+    def raise_it(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "run_experiment", raise_it)
+    assert main(["reconstruct", "--out-dir", str(tmp_path / "out")]) == code
+    assert cli.EXIT_CODES[error][0] == code
+    assert capsys.readouterr().err.strip().endswith(": injected")
+
+
+def test_exit_code_table_lists_every_error_class():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.TemreconError)}
+    assert set(cli.EXIT_CODES) == classes
+
+
+@pytest.mark.parametrize("mode", ["crossing", "integrate-and-fire"])
+def test_encode_and_reconstruct_write_the_same_events(tmp_path, mode):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": mode, "x_max": 12.0, "y_max": 12.0, "seed": 3}))
+    for command in ("encode", "reconstruct"):
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / command),
+                     "--seed", "11"]) == 0
+    assert ((tmp_path / "encode" / "events.csv").read_bytes()
+            == (tmp_path / "reconstruct" / "events.csv").read_bytes())
 
 
 def _write_order_cfg(tmp_path, order, extent, mode="crossing"):

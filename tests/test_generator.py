@@ -1,5 +1,7 @@
 """B-spline generators, dual solves, amalgam norms, moduli of continuity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from temrecon import (
 from temrecon.generator import (
     BIORTH_TOL,
     LeakMoments,
+    _biorth_integrals_1d,
     spline_antiderivative,
     spline_basis,
     spline_leaky_integrals,
@@ -28,7 +31,7 @@ from temrecon.generator import (
     taylor_shift,
 )
 
-from conftest import knot_split_rule, subpanel_rule
+from conftest import dense_biorth_integrals, knot_split_rule, subpanel_rule
 
 SQRT3 = 1.7320508075688772
 DECAY = 0.2679491924311228  # 2 - sqrt(3)
@@ -172,6 +175,26 @@ def test_biorthogonality_quadrature_oracle(hat_gen, hat_dual):
         worst = max(worst, abs(val - (1.0 if j == 0 else 0.0)))
     assert worst <= 1e-8
     assert hat_dual.biorth_residual <= 1e-8
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
+def test_banded_biorth_oracle_matches_dense_loop(order):
+    # the band scatter sums the same products as the every-shift-at-every-node
+    # loop, in another order: within 1e-14 of values of size 1, also for a
+    # corrupted dual whose integrals are far from the identity
+    axis = dual_generator(Generator(order, order)).axis_t
+    bad_b = axis.b.copy()
+    bad_b[axis.radius] += 1e-3
+    for ax in (axis, replace(axis, b=bad_b)):
+        js, vals = _biorth_integrals_1d(order, ax)
+        js_ref, ref = dense_biorth_integrals(order, ax)
+        assert np.array_equal(js, js_ref)
+        assert np.max(np.abs(vals - ref)) <= 1e-14
+
+
+def test_biorth_gate_passes_order_13_and_stops_order_14():
+    assert dual_generator(Generator(13, 13)).biorth_residual <= BIORTH_TOL
+    assert dual_generator(Generator(14, 14)).biorth_residual > BIORTH_TOL
 
 
 def test_singular_gram_symbol_raises():

@@ -1,5 +1,7 @@
 """Kernel construction, norm statistics, and the idempotent projector."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from temrecon import (
     window_for_grid,
 )
 from temrecon.generator import DualAxis
-from temrecon.kernel_space import N_MODULUS_RADII
+from temrecon import kernel_space
+from temrecon.kernel_space import N_MODULUS_RADII, KappaTable
 from temrecon.mixed_norm import Grid
 
 from conftest import random_vsignal
@@ -91,12 +94,22 @@ def test_omega_table_strictly_decreasing(hat_kernel):
     assert hat_kernel.omega_w_norm(0.0) == 0.0
 
 
+def per_k_table(factor, resolution, pad):
+    """The statistics table by `eval_outer`: one dual evaluation per shift k."""
+    R = int(np.ceil(factor.reach)) + 1
+    h = 1.0 / resolution
+    xs = np.arange(-pad, resolution + pad + 1) * h
+    ss = np.arange(-R * resolution - pad, R * resolution + pad + 1) * h
+    return factor.eval_outer(xs, ss), R
+
+
 def box_modulus_w0_reference(factor, radius, resolution):
     """The all-pairs box modulus: |shift - base| over every offset pair."""
     if radius * resolution < N_MODULUS_RADII:
-        return factor._box_modulus_w0_direct(radius, resolution)
+        base, R = per_k_table(factor, resolution, 0)
+        return factor._box_modulus_w0_direct(base, R, radius, resolution)
     pad = int(np.floor(radius * resolution))
-    _, _, field, R = factor._table(resolution, pad_steps=pad)
+    field, R = per_k_table(factor, resolution, pad)
     offs = sorted({int(np.floor(radius * resolution * j / N_MODULUS_RADII))
                    for j in range(1, N_MODULUS_RADII + 1)} - {0})
     offsets = [0] + [o for off in offs for o in (off, -off)]
@@ -113,15 +126,67 @@ def box_modulus_w0_reference(factor, radius, resolution):
     return factor._w0_from_field(mod, resolution, R)
 
 
+@functools.cache
+def spline_factor(order):
+    gen = Generator(order, order)
+    return build_shift_invariant_kernel(gen, dual_generator(gen)).factor_t
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_kappa_table_matches_per_k_referee(order):
+    # one dual evaluation sliced per shift must equal a fresh one per shift
+    factor = spline_factor(order)
+    rng = np.random.default_rng(order)
+    for resolution in (32, 64):
+        for pad in (0, 22, 33, 64):
+            ref, R = per_k_table(factor, resolution, pad)
+            table = KappaTable(factor, resolution, pad)
+            assert table.R == R and (table.n_rows, table.n_cols) == ref.shape
+            assert np.array_equal(table.columns(0, table.n_cols), ref)
+            c0 = int(rng.integers(0, table.n_cols - 300))
+            assert np.array_equal(table.columns(c0, 300), ref[:, c0: c0 + 300])
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_w0_norm_reads_the_padded_core(order):
+    # the W0 norm from the core of any padded table is the unpadded value
+    factor = spline_factor(order)
+    for resolution in (32, 64):
+        field, R = per_k_table(factor, resolution, 0)
+        w0 = factor._w0_from_field(field, resolution, R)
+        assert factor.w0_norm(resolution) == w0
+        for radius in (0.05, 0.3536, 0.53):
+            assert factor.w0_and_box_modulus(radius, resolution)[0] == w0
+
+
+@functools.cache
+def modulus_reference(order, radius, resolution):
+    return box_modulus_w0_reference(spline_factor(order), radius, resolution)
+
+
 @pytest.mark.parametrize("order", [2, 3])
 def test_box_modulus_matches_all_pairs_reference(order):
     # the separable running max/min must equal the 17 x 17 offset loop bit for bit
-    gen = Generator(order, order)
-    factor = build_shift_invariant_kernel(gen, dual_generator(gen)).factor_t
+    factor = spline_factor(order)
     for resolution in (32, 64):
-        for radius in (0.05, 0.2, 0.3536, 1.0198):
+        for radius in (0.05, 0.2, 0.3, 0.3536, 0.53, 0.7, 1.0198):
             assert (factor.box_modulus_w0(radius, resolution)
-                    == box_modulus_w0_reference(factor, radius, resolution))
+                    == modulus_reference(order, radius, resolution))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_box_modulus_tiles_change_no_bit(order, monkeypatch):
+    # a tile that divides the output width, one that leaves a partial last
+    # tile (the width 2 R resolution + 1 is odd) and one wider than it
+    factor = spline_factor(order)
+    for resolution in (32, 64):
+        ns = 2 * (int(np.ceil(factor.reach)) + 1) * resolution + 1
+        divisor = next(d for d in range(16, ns + 1) if ns % d == 0)
+        for tile in (divisor, 100, ns + 7):
+            monkeypatch.setattr(kernel_space, "MODULUS_TILE", tile)
+            for radius in (0.3536, 0.53):
+                assert (factor.box_modulus_w0(radius, resolution)
+                        == modulus_reference(order, radius, resolution))
 
 
 @pytest.mark.parametrize("orders", [(2, 2), (3, 3), (2, 3)])
