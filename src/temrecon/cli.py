@@ -10,8 +10,9 @@ section.
 Exit codes: 0 ok, 2 config error, and for an error a run raises the code
 `EXIT_CODES` gives its class (see `main`); a failed selftest exits 1.
 Config errors include every contract that needs only the config: the
-generator orders (2 to 13), the interior coefficient window on the grid,
-and the frame lattice and the grid on the padded range.
+generator orders (2 to 13), positive grid step, device spacing, gap and
+threshold, the interior coefficient window on the grid, and the frame
+lattice and the grid on the padded range.
 """
 
 import argparse
@@ -108,6 +109,9 @@ class ExperimentConfig:
             # crossing samples interpolate best on the unit lattice; the
             # integrate-and-fire synthesis needs tighter devices
             self.device_spacing = 1.0 if self.mode == "crossing" else 0.125
+        for name in ("device_spacing", "delta_prime"):
+            if not getattr(self, name) > 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.b_level > self.c_bound:
             raise InputError(
                 f"b_level={self.b_level} must exceed c_bound={self.c_bound}"
@@ -342,7 +346,9 @@ def _suite_mixed_norm(res, rng):
 
 
 def _suite_generator(res, rng, corrupt_dual=False):
-    from .generator import DualGenerator
+    from dataclasses import replace
+
+    from .generator import DualGenerator, tensor_biorth_residual
 
     checks = []
     gen = Generator(2, 2)
@@ -350,17 +356,9 @@ def _suite_generator(res, rng, corrupt_dual=False):
     if corrupt_dual:
         bad_b = dual.axis_t.b.copy()
         bad_b[dual.axis_t.radius] += 1e-3
-        from dataclasses import replace
-
         bad_axis = replace(dual.axis_t, b=bad_b)
-        from .generator import _biorth_integrals_1d
-
-        _, it = _biorth_integrals_1d(2, bad_axis)
-        _, is_ = _biorth_integrals_1d(2, dual.axis_s)
-        prod = np.outer(it, is_)
-        target = np.zeros_like(prod)
-        target[it.size // 2, is_.size // 2] = 1.0
-        dual = DualGenerator(gen, bad_axis, dual.axis_s, float(np.max(np.abs(prod - target))))
+        dual = DualGenerator(gen, bad_axis, dual.axis_s,
+                             tensor_biorth_residual(bad_axis, dual.axis_s))
     pts = rng.uniform(-3, 3, (50, 2))
     checks.append(gen.partition_residual(pts[:, 0], pts[:, 1]) <= 1e-12)
     checks.append(dual.biorth_residual <= 1e-8)
@@ -397,12 +395,12 @@ def _suite_tem(res, rng):
     cfg_c = TemConfig("crossing", 1.0, 2.0, 0.25)
     slope = float(rng.uniform(0.2, 0.8))
     f = lambda x: slope * np.sin(0.7 * np.asarray(x))
-    times, vals, _ = ctem_encode(f, cfg_c, (0.0, 8.0))
+    times, vals = ctem_encode(f, cfg_c, (0.0, 8.0))
     gaps = np.diff(np.concatenate([[0.0], times]))
     checks.append(gaps.max() <= cfg_c.delta_target + 1e-12)
     checks.append(float(np.max(np.abs(f(times) - vals))) <= 1e-10)
     cfg_i = TemConfig("integrate-and-fire", 1.0, 2.0, 0.25, alpha=0.5)
-    times, ints, _ = iftem_encode(f, cfg_i, (0.0, 8.0))
+    times, ints = iftem_encode(f, cfg_i, (0.0, 8.0))
     prev = np.concatenate([[0.0], times[:-1]])
     oracle = []
     for a, b in zip(prev, times):

@@ -116,14 +116,9 @@ class _AxisFrame:
 
 @dataclass(frozen=True)
 class AveragedKernel:
-    """Cell-averaged kernel K_delta over the range of `grid`, kept per axis.
-
-    `scale` is the square of the kernel's scale: K_delta = (1/delta^2) P Q,
-    and P and Q each carry the kernel scale once.
-    """
+    """Cell-averaged kernel K_delta over the range of `grid`, kept per axis."""
 
     axis_frames: tuple
-    scale: float
     grid: object
 
 
@@ -140,7 +135,7 @@ def build_Kdelta(kernel, delta, grid):
         ax_s = ax_t
     else:
         ax_s = _AxisFrame(kernel.factor_s, grid.y_min, grid.y_max, delta)
-    return AveragedKernel((ax_t, ax_s), kernel.scale**2, grid)
+    return AveragedKernel((ax_t, ax_s), grid)
 
 
 def neumann_coefficients(N):
@@ -281,13 +276,13 @@ class FrameFamily:
 
     def _synthesis_scale(self):
         p, q = self.params.p, self.params.q
-        return self.delta ** (-1.0 / p - 1.0 / q) * self.kernel.scale**2
+        return self.delta ** (-1.0 / p - 1.0 / q)
 
     def analysis_coefficients(self, f):
         """<f, dual atom at lambda> for a window signal, as a lattice matrix."""
         ax_t, ax_s = self._axes
         p, q = self.params.p, self.params.q
-        scale = self.delta ** (1.0 / p + 1.0 / q - 2.0) * self.kernel.scale
+        scale = self.delta ** (1.0 / p + 1.0 / q - 2.0)
         return scale * (ax_t.G[:, self._win_t] @ f.coeffs.entries @ ax_s.G[:, self._win_s].T)
 
     def synthesis_coefficients(self, coefficients, N=None):
@@ -311,7 +306,7 @@ class FrameFamily:
         """Dual atom at a lattice index pair, rendered on the grid."""
         ax_t, ax_s = self._axes
         p, q = self.params.p, self.params.q
-        scale = self.delta ** (1.0 / p - 1.0) * self.delta ** (1.0 / q - 1.0) * self.kernel.scale
+        scale = self.delta ** (1.0 / p - 1.0) * self.delta ** (1.0 / q - 1.0)
         _, Bd_t, _, Bd_s = self._bases
         return scale * np.outer(Bd_t @ ax_t.G[l1_index], Bd_s @ ax_s.G[l2_index])
 
@@ -319,12 +314,6 @@ class FrameFamily:
         """Grid render of sum_lambda c_lambda * atom_lambda."""
         B_t, _, B_s, _ = self._bases
         return GridFunction(self.grid, B_t @ self.synthesis_coefficients(coefficients, N) @ B_s.T)
-
-
-def frame_atoms(family, l1_index, l2_index, N=None):
-    """(atom, dual atom) grid renders at one lattice index pair."""
-    return (family.atom_values(l1_index, l2_index, N=N),
-            family.dual_atom_values(l1_index, l2_index))
 
 
 @dataclass
@@ -361,15 +350,14 @@ def dual_pair_reconstruct(f, family, N=None):
     """Window signal rebuilt from its frame coefficients: sum <f, dual> atom.
 
     The synthesis lies in the signal space, so projecting it back onto the
-    window (the projector T, with the kernel scale) keeps the window block
-    of its spline coefficients.  Error decreases with the truncation order
-    at the measured-contraction rate.
+    window (the projector T) keeps the window block of its spline
+    coefficients.  Error decreases with the truncation order at the
+    measured-contraction rate.
     """
     coords = family.analysis_coefficients(f)
     coefs = family.synthesis_coefficients(coords, N)[np.ix_(family._win_t, family._win_s)]
     w = family.window
-    return VSignal(CoefSeq(family.kernel.scale * coefs, w.k1_first, w.k2_first),
-                   family.kernel.generator)
+    return VSignal(CoefSeq(coefs, w.k1_first, w.k2_first), family.kernel.generator)
 
 
 def frame_report(family, signals, N=None):

@@ -524,13 +524,6 @@ class DualGenerator:
     def amalgam_norm(self, samples_per_unit=64):
         return self.amalgam_norm_t(samples_per_unit) * self.amalgam_norm_s(samples_per_unit)
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("k1,k2,b\n")
-            for i, k1 in enumerate(self.axis_t.offsets):
-                for j, k2 in enumerate(self.axis_s.offsets):
-                    fh.write(f"{k1},{k2},{self.axis_t.b[i] * self.axis_s.b[j]:.17g}\n")
-
 
 def _solve_axis(order):
     return DualAxis(order, *dual_coeffs_from_autocorr(*bspline_autocorr(order)))
@@ -545,13 +538,18 @@ def dual_generator(gen):
     """
     axis_t = _solve_axis(gen.order_t)
     axis_s = axis_t if gen.order_s == gen.order_t else _solve_axis(gen.order_s)
-    _, it = _biorth_integrals_1d(gen.order_t, axis_t)
-    _, is_ = _biorth_integrals_1d(gen.order_s, axis_s)
+    return DualGenerator(gen, axis_t, axis_s, tensor_biorth_residual(axis_t, axis_s))
+
+
+def tensor_biorth_residual(axis_t, axis_s):
+    """Largest |<dual, phi(. - k)> - delta_k| over the integer shifts k of the
+    tensor pair, from the per-axis quadratures `_biorth_integrals_1d`."""
+    _, it = _biorth_integrals_1d(axis_t.order, axis_t)
+    _, is_ = _biorth_integrals_1d(axis_s.order, axis_s)
     prod = np.outer(it, is_)
     target = np.zeros_like(prod)
     target[it.size // 2, is_.size // 2] = 1.0
-    residual = float(np.max(np.abs(prod - target)))
-    return DualGenerator(gen, axis_t, axis_s, residual)
+    return float(np.max(np.abs(prod - target)))
 
 
 @dataclass(frozen=True)

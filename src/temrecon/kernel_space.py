@@ -244,21 +244,18 @@ class SplineFactor1D:
 # ---------------------------------------------------------------------------
 
 class Kernel:
-    """Separable kernel K(x, y; s, t) = scale * kappa_t(x, s) * kappa_s(y, t).
+    """Separable kernel K(x, y; s, t) = kappa_t(x, s) * kappa_s(y, t).
 
     Caches the per-axis W0 norms and a table of modulus-of-continuity norms
     keyed by radius.  The modulus table is kept monotone in the radius (the
     true modulus is), so sweeps over radii are consistent by construction.
     """
 
-    def __init__(self, factor_t, factor_s, generator=None, dual=None, scale=1.0,
-                 stats_resolution=DEFAULT_STATS_RESOLUTION):
+    def __init__(self, factor_t, factor_s, generator=None, dual=None):
         self.factor_t = factor_t
         self.factor_s = factor_s
         self.generator = generator
         self.dual = dual
-        self.scale = scale
-        self.stats_resolution = stats_resolution
         self._w0 = {}
         self._omega_raw = {}
         self._analysis = {}  # (grid, window key) -> apply_T's (W_t, W_s)
@@ -267,12 +264,8 @@ class Kernel:
     def eval(self, x, y, s, t):
         x, y, s, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
                                            for a in (x, y, s, t)))
-        out = self.scale * self.factor_t.eval_pairs(x, s) * self.factor_s.eval_pairs(y, t)
+        out = self.factor_t.eval_pairs(x, s) * self.factor_s.eval_pairs(y, t)
         return float(out.ravel()[0]) if out.size == 1 else out
-
-    def scaled(self, a):
-        return Kernel(self.factor_t, self.factor_s, self.generator, self.dual,
-                      scale=a * self.scale, stats_resolution=self.stats_resolution)
 
     def _factor_w0(self, axis, resolution):
         if axis == "s" and self.factor_s is self.factor_t:
@@ -289,12 +282,11 @@ class Kernel:
         self._w0[(axis, resolution)], mu = factor.w0_and_box_modulus(radius, resolution)
         return mu
 
-    def w_norm(self, resolution=None):
+    def w_norm(self, resolution=DEFAULT_STATS_RESOLUTION):
         """Nested W0-over-W0 estimate; factors exactly for separable kernels."""
-        res = resolution or self.stats_resolution
-        return abs(self.scale) * self._factor_w0("t", res) * self._factor_w0("s", res)
+        return self._factor_w0("t", resolution) * self._factor_w0("s", resolution)
 
-    def omega_w_norm(self, radius, resolution=None):
+    def omega_w_norm(self, radius, resolution=DEFAULT_STATS_RESOLUTION):
         """Estimate of the kernel-norm of the modulus of continuity at `radius`.
 
         Upper-bound route: the modulus of a product of axis factors is bounded
@@ -305,21 +297,20 @@ class Kernel:
         kept.  Cached values keep the table monotone non-decreasing in the
         radius.
         """
-        res = resolution or self.stats_resolution
-        key = (radius, res)
+        key = (radius, resolution)
         if key not in self._omega_raw:
-            mu_t = self._factor_modulus("t", radius, res)
+            mu_t = self._factor_modulus("t", radius, resolution)
             mu_s = (mu_t if self.factor_s is self.factor_t
-                    else self._factor_modulus("s", radius, res))
-            k_t = self._factor_w0("t", res)
-            k_s = self._factor_w0("s", res)
-            self._omega_raw[key] = abs(self.scale) * (mu_t * k_s + k_t * mu_s + mu_t * mu_s)
+                    else self._factor_modulus("s", radius, resolution))
+            k_t = self._factor_w0("t", resolution)
+            k_s = self._factor_w0("s", resolution)
+            self._omega_raw[key] = mu_t * k_s + k_t * mu_s + mu_t * mu_s
         raw = self._omega_raw[key]
-        below = [v for (r, rr), v in self._omega_raw.items() if rr == res and r <= radius]
+        below = [v for (r, rr), v in self._omega_raw.items() if rr == resolution and r <= radius]
         return max([raw] + below)
 
 
-def build_shift_invariant_kernel(gen, dual, stats_resolution=DEFAULT_STATS_RESOLUTION):
+def build_shift_invariant_kernel(gen, dual):
     """Kernel of the idempotent projector onto the shift-invariant space.
 
     Refuses construction when the dual is not trustworthy: biorthogonality
@@ -340,7 +331,6 @@ def build_shift_invariant_kernel(gen, dual, stats_resolution=DEFAULT_STATS_RESOL
         factor_t if shared else SplineFactor1D(gen.order_s, dual.axis_s),
         generator=gen,
         dual=dual,
-        stats_resolution=stats_resolution,
     )
 
 
@@ -535,7 +525,7 @@ def apply_T(kernel, f, window=None, self_check=True):
             grid.weights_x[:, None] * dual.axis_t.eval(grid.xs[:, None] - window.k1s[None, :]),
             grid.weights_y[:, None] * dual.axis_s.eval(grid.ys[:, None] - window.k2s[None, :]))
     W_t, W_s = kernel._analysis[key]
-    coefs = kernel.scale * (W_t.T @ f.values @ W_s)
+    coefs = W_t.T @ f.values @ W_s
     return VSignal(CoefSeq(coefs, window.k1_first, window.k2_first), kernel.generator)
 
 
@@ -587,7 +577,7 @@ def kernel_slice(kernel, s, t, grid):
     """K(., .; s, t) rendered on the grid (a member of the signal space)."""
     vt = kernel.factor_t.eval_outer(grid.xs, np.array([float(s)]))[:, 0]
     vs = kernel.factor_s.eval_outer(grid.ys, np.array([float(t)]))[:, 0]
-    return GridFunction(grid, kernel.scale * np.outer(vt, vs))
+    return GridFunction(grid, np.outer(vt, vs))
 
 
 def reproducing_bound(kernel, x, y, params, grid):
@@ -607,7 +597,7 @@ def reproducing_bound(kernel, x, y, params, grid):
         ns = vs.max()
     else:
         ns = (vs**qc @ grid.weights_y) ** (1.0 / qc)
-    return float(abs(kernel.scale) * nt * ns)
+    return float(nt * ns)
 
 
 def reproducing_residual(kernel, probes, spacing=1.0 / 32.0):
@@ -630,7 +620,7 @@ def reproducing_residual(kernel, probes, spacing=1.0 / 32.0):
         wv = composite_weights(vs.size, spacing)
         at = kernel.factor_t.eval_outer(np.array([x]), us)[0] * kernel.factor_t.eval_outer(us, np.array([s]))[:, 0]
         as_ = kernel.factor_s.eval_outer(np.array([y]), vs)[0] * kernel.factor_s.eval_outer(vs, np.array([t]))[:, 0]
-        integral = kernel.scale**2 * float(wu @ np.outer(at, as_) @ wv)
+        integral = float(wu @ np.outer(at, as_) @ wv)
         out.append(abs(integral - kernel.eval(x, y, s, t)))
     return np.array(out)
 

@@ -101,6 +101,8 @@ class Grid:
     @classmethod
     def from_spacing(cls, x_min, x_max, y_min, y_max, h):
         """Grid with a common spacing h; extents must be multiples of h."""
+        if not h > 0:
+            raise InputError(f"grid spacing must be positive, got {h}")
         n_x = round((x_max - x_min) / h)
         n_y = round((y_max - y_min) / h)
         if abs(n_x * h - (x_max - x_min)) > 1e-12 or abs(n_y * h - (y_max - y_min)) > 1e-12:

@@ -86,7 +86,7 @@ def ctem_operator(out, kernel, devices, window):
     My, MA = np.zeros((window.n1, len(devices))), np.zeros((len(devices), window.n1, window.n1))
     for j, (t, f, v) in enumerate(zip(out.times, np.split(first, split), np.split(vals, split))):
         A_j = bspline_eval(gen.order_t, t[:, None] - window.k1s[None, :])
-        M_j = kernel.scale * np.diff(spline_sum((f, v), k1s, C, C[-1]), axis=0).T
+        M_j = np.diff(spline_sum((f, v), k1s, C, C[-1]), axis=0).T
         My[:, j], MA[j] = M_j @ out.values[j], M_j @ A_j
 
     # a repeated cut makes an empty piece, whose integrals are exactly 0
@@ -120,7 +120,7 @@ def iftem_operator(out, kernel, devices, window):
     if out.config.mode != "integrate-and-fire":
         raise InputError("the integrate-and-fire operator requires integrate-and-fire output")
     order, axis, n1, J = kernel.generator.order_t, kernel.dual.axis_t, window.n1, len(devices)
-    weight = kernel.scale * devices.u_l1_norms()
+    weight = devices.u_l1_norms()
     # every midpoint basis index n lies in [n_lo, n_lo + N)
     n_lo = int(np.floor(out.t_start + order / 2.0)) - (order - 1)
     N = int(np.floor(out.t_end + order / 2.0)) + 1 - n_lo

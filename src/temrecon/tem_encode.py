@@ -30,7 +30,7 @@ The fast paths are validated against the scalar `ctem_encode` /
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .errors import EncodingInvariantError, GapError, InputError, PreconditionEr
 from .generator import LeakMoments, bspline_eval, piece_polynomials, taylor_shift
 
 BISECTION_TOL = 1e-14
+# probe points per unit length of the spatial window for the cover counts
+COVER_PROBES = 64
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
@@ -53,7 +55,7 @@ class DeviceSet:
     `GapError` when some probe point is uncovered (gap condition violated).
     """
 
-    def __init__(self, positions, delta_prime, window, probes_per_unit=64):
+    def __init__(self, positions, delta_prime, window):
         self.positions = np.sort(np.asarray(positions, dtype=float))
         if self.positions.size == 0:
             raise InputError("device set must be nonempty")
@@ -61,7 +63,7 @@ class DeviceSet:
             raise InputError("gap delta_prime must be positive")
         self.delta_prime = float(delta_prime)
         self.window = (float(window[0]), float(window[1]))
-        n = max(2, int(round((self.window[1] - self.window[0]) * probes_per_unit)))
+        n = max(2, int(round((self.window[1] - self.window[0]) * COVER_PROBES)))
         probes = np.linspace(self.window[0], self.window[1], n + 1)
         counts = self.cover_counts(probes)
         self.A_gamma = int(counts.min())
@@ -71,10 +73,10 @@ class DeviceSet:
             raise GapError(f"probe y={bad:.6g} is not within {delta_prime} of any device")
 
     @classmethod
-    def uniform(cls, y_min, y_max, spacing, delta_prime, probes_per_unit=64):
+    def uniform(cls, y_min, y_max, spacing, delta_prime):
         n = int(round((y_max - y_min) / spacing))
         positions = y_min + spacing * np.arange(n + 1)
-        return cls(positions, delta_prime, (y_min, y_max), probes_per_unit)
+        return cls(positions, delta_prime, (y_min, y_max))
 
     def __len__(self):
         return self.positions.size
@@ -119,15 +121,6 @@ class DeviceSet:
         return out
 
 
-def partition_of_unity(devices, y):
-    """Weights {u_j(y)} of the normalized-indicator partition of unity.
-
-    Nonnegative, supported on the closed balls, and summing to exactly one;
-    raises `GapError` at an uncovered point.
-    """
-    return devices.u_matrix(np.array([float(y)]))[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # configuration and output
 # ---------------------------------------------------------------------------
@@ -158,6 +151,8 @@ class TemConfig:
             raise InputError("delta_target must be positive")
         if self.alpha < 0:
             raise InputError("firing parameter alpha must be nonnegative")
+        if self.theta is not None and not self.theta > 0:
+            raise InputError(f"threshold theta must be positive, got {self.theta}")
         if self.lambda_slope is None:
             object.__setattr__(self, "lambda_slope", 2.0 * self.b_level / self.delta_target)
         if self.theta is None:
@@ -189,7 +184,6 @@ class TemOutput:
     t_end: float
     times: list
     values: list
-    tangency: list = field(default_factory=list)
 
     def gaps(self, j):
         """Inter-fire gaps of device j, including the lead-in from the start
@@ -208,8 +202,7 @@ class TemOutput:
         itself is nonlinear, but the decoder-side quantities scale linearly."""
         return TemOutput(self.config, self.devices, self.t_start, self.t_end,
                          [t.copy() for t in self.times],
-                         [a * v for v in self.values],
-                         list(self.tangency))
+                         [a * v for v in self.values])
 
     def write_events_csv(self, path):
         """One row per fire; each device's rows come from one format template."""
@@ -250,7 +243,7 @@ def ctem_encode(f, cfg, horizon, scan_step=None):
     Phi(t) = -b_level + lambda_slope * (t - t_prev); the next fire is the
     first root of f - Phi, bracketed by a scan at `scan_step` (default
     delta_target / 8) and refined by bisection to 1e-12.  The first ramp is
-    anchored at the horizon start.  Returns (times, values, tangency flag).
+    anchored at the horizon start.  Returns (times, values).
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
@@ -258,7 +251,6 @@ def ctem_encode(f, cfg, horizon, scan_step=None):
     step = scan_step if scan_step is not None else cfg.delta_target / 8.0
     b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
     times, values = [], []
-    tangency = False
     t_prev = t0
     while True:
         window_end = min(t_prev + delta, t_end)
@@ -274,11 +266,6 @@ def ctem_encode(f, cfg, horizon, scan_step=None):
             _check_amplitude(fc, cfg)
             gc = fc + b - lam * (tc - t_prev)
             if gc <= 0.0:
-                if gc == 0.0 and i < n_sub:
-                    tn = min(t_prev + (i + 1) * step, window_end)
-                    gn = float(f(np.array([tn]))[0]) + b - lam * (tn - t_prev)
-                    if gn > 0.0:
-                        tangency = True  # sign-degenerate touch
                 hit = (lo, tc)
                 break
             lo, g_lo = tc, gc
@@ -299,7 +286,7 @@ def ctem_encode(f, cfg, horizon, scan_step=None):
         times.append(t_fire)
         values.append(-b + lam * (t_fire - t_prev))
         t_prev = t_fire
-    return np.array(times), np.array(values), tangency
+    return np.array(times), np.array(values)
 
 
 def _gauss_segment(f, a, b_hi, alpha, t_ref, bias):
@@ -332,7 +319,7 @@ def iftem_encode(f, cfg, horizon, grid_step=None):
     is refined by bisection to 1e-12 (the integral is strictly increasing
     near threshold because the derived theta keeps (f + b) dominant over the
     leak).  Per-interval integrals are recovered from times alone as
-    theta - b * kappa_alpha(gap).  Returns (times, integrals, tangency).
+    theta - b * kappa_alpha(gap).  Returns (times, integrals).
     """
     if cfg.mode != "integrate-and-fire":
         raise InputError("config mode must be 'integrate-and-fire'")
@@ -377,7 +364,7 @@ def iftem_encode(f, cfg, horizon, grid_step=None):
         t_k = t_next
         if t_k >= t_end:
             break
-    return np.array(times), np.array(integrals), False
+    return np.array(times), np.array(integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +522,12 @@ def _hat_fires(table, rows, lo, hi, t_prev, b, lam):
 def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
     """Crossing-encode every device of a set in lockstep; returns TemOutput.
 
-    Mathematically identical to running `ctem_encode` on each slice.  The
-    scan brackets each device's next fire, vectorized across devices, on
-    the slice table.  Order-2 slices make g = f + b - lambda (t - t_prev)
+    Mathematically identical to running `ctem_encode` on each slice, but
+    the amplitude bound is checked once per encode on the slice table: at
+    every piece end (exact at order 2, where the scan samples can miss a
+    knot peak) and, above order 2, as densely as the scan.  The scan
+    brackets each device's next fire, vectorized across devices, on the
+    slice table.  Order-2 slices make g = f + b - lambda (t - t_prev)
     linear on each piece, so `_hat_fires` solves for the fire; higher
     orders run `_bracketed_newton` on g with g' = f' - lambda, starting
     from the secant of the two scan samples.
@@ -548,13 +538,13 @@ def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
     step = scan_step if scan_step is not None else cfg.delta_target / 8.0
     b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
     table = _SliceTable(vsig, devices)
+    _check_table_amplitude(table, cfg, t0, t_end, 1 if table.order == 2 else math.ceil(1.0 / step))
     J = len(devices)
     max_fires = int(math.ceil((t_end - t0) * lam / (b - cfg.c_bound))) + 2
     all_times = np.zeros((J, max_fires))
     all_values = np.zeros((J, max_fires))
     counts = np.zeros(J, dtype=int)
     t_prev = np.full(J, t0)
-    tangency = np.zeros(J, dtype=bool)
     n_sub = int(math.ceil(delta / step))
     offsets = np.minimum(step * np.arange(1, n_sub + 1), delta)
     serial = np.arange(J)
@@ -562,18 +552,11 @@ def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
     while idx.size:
         tp = t_prev[idx]
         cand = np.minimum(tp[:, None] + offsets, t_end)
-        fvals = table(idx, cand)
-        _check_slice_amplitude(fvals, cfg, idx, cand)
-        g = fvals + b - lam * (cand - tp[:, None])
+        g = table(idx, cand) + b - lam * (cand - tp[:, None])
         neg = (g <= 0.0) & (cand > tp[:, None] + BISECTION_TOL)
         first = np.argmax(neg, axis=1)
         r = serial[: idx.size]
         has = neg[r, first]
-        # sign-degenerate touch: the scan meets the ramp exactly and the
-        # following sample is positive again (first-crossing not certifiable)
-        nxt = np.minimum(first + 1, n_sub - 1)
-        degenerate = has & (g[r, first] == 0.0) & (g[r, nxt] > 0.0)
-        tangency[idx[degenerate]] = True
         if not has.all():
             # rows without a crossing: legal only when the horizon truncated the window
             if np.any(tp[~has] + delta <= t_end + BISECTION_TOL):
@@ -611,7 +594,7 @@ def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
         idx = idx[t_fire < t_end - BISECTION_TOL]
     times = [all_times[j, : counts[j]].copy() for j in range(J)]
     values = [all_values[j, : counts[j]].copy() for j in range(J)]
-    return TemOutput(cfg, devices, t0, t_end, times, values, list(tangency))
+    return TemOutput(cfg, devices, t0, t_end, times, values)
 
 
 def _check_table_amplitude(table, cfg, lo, hi, n_sub):
@@ -793,4 +776,4 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
         t_prev_fire[idx], s[idx], y_s[idx] = t_fire, t_fire, 0.0
     times = [all_times[j, : counts[j]].copy() for j in range(J)]
     ints = [all_ints[j, : counts[j]].copy() for j in range(J)]
-    return TemOutput(cfg, devices, t0, t_end, times, ints, [False] * J)
+    return TemOutput(cfg, devices, t0, t_end, times, ints)

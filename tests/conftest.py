@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from temrecon import (
-    CoefSeq,
     Generator,
     Grid,
     VSignal,
@@ -12,6 +11,7 @@ from temrecon import (
     dual_generator,
     window_for_grid,
 )
+from temrecon.mixed_norm import CoefSeq
 
 
 @pytest.fixture(scope="session")

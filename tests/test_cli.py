@@ -335,6 +335,11 @@ def test_high_order_sweep_exits_0(tmp_path, command, order, extent):
     {"grid_step": 0.3, "x_max": 12, "y_max": 12},
     {"generator_order_t": 14},
     {"generator_order_s": 14, "x_max": 40, "y_max": 40},
+    {"device_spacing": 0.0},
+    {"device_spacing": -1.0},
+    {"delta_prime": 0.0},
+    {"grid_step": 0.0},
+    {"mode": "integrate-and-fire", "theta": -1},
 ], ids=json.dumps)
 def test_malformed_config_exit_code_table(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"
@@ -364,3 +369,15 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
         main(["encode", "--seed", "-1", "--out-dir", str(tmp_path / "out")])
     assert err.value.code == 2
     assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_readme_quick_start_runs(capsys):
+    # the quick start imports with `from temrecon import *`, so it breaks
+    # when the package stops exporting a name it uses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].converged
+    assert "'converged': True" in capsys.readouterr().out

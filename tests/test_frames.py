@@ -9,26 +9,25 @@ from temrecon import (
     ContractionError,
     FrameFamily,
     Generator,
-    Kernel,
     MixedNormParams,
-    SplineFactor1D,
     build_shift_invariant_kernel,
-    build_Kdelta,
     dual_generator,
-    dual_pair_reconstruct,
-    formula_r0_branches,
-    frame_atoms,
-    frame_bounds_check,
     frame_report,
-    measured_r0,
-    mixed_function_norm,
-    neumann_coefficients,
-    neumann_plus,
     window_for_grid,
 )
-from temrecon.frames import _AxisFrame
+from temrecon.frames import (
+    _AxisFrame,
+    build_Kdelta,
+    dual_pair_reconstruct,
+    formula_r0_branches,
+    frame_bounds_check,
+    measured_r0,
+    neumann_coefficients,
+    neumann_plus,
+)
 from temrecon.generator import DualAxis
-from temrecon.mixed_norm import Grid, composite_weights
+from temrecon.kernel_space import Kernel, SplineFactor1D
+from temrecon.mixed_norm import Grid, composite_weights, mixed_function_norm
 
 from conftest import random_vsignal
 
@@ -124,21 +123,12 @@ def test_kdelta_approaches_kernel(hat_kernel, small_grid):
         ms = grid_matrices(ax_s, small_grid.ys, small_grid.weights_y)
         worst = 0.0
         for (i, j), (p, q) in zip(idx, reversed(idx)):
-            val = kd.scale / hat_kernel.scale**2 * mt.M_delta[i, j] * ms.M_delta[p, q]
+            val = mt.M_delta[i, j] * ms.M_delta[p, q]
             ref = hat_kernel.eval(small_grid.xs[i], small_grid.ys[p],
                                   small_grid.xs[j], small_grid.ys[q])
             worst = max(worst, abs(val - ref))
         sups.append(worst)
     assert sups[2] < sups[1] < sups[0]
-
-
-def test_kdelta_zero_kernel(hat_kernel, small_grid):
-    kd = build_Kdelta(hat_kernel.scaled(0.0), 0.25, small_grid)
-    assert kd.scale == 0.0
-    ax_t, _ = kd.axis_frames
-    mt = grid_matrices(ax_t, small_grid.xs, small_grid.weights_x)
-    # underlying factors are unscaled; the kernel scale carries the zero
-    assert abs(kd.scale) * mt.M_delta.max() == 0.0
 
 
 def test_kdelta_commutation(hat_kernel, small_grid):
@@ -367,7 +357,7 @@ def test_atom_translation_symmetry(family):
 
 
 def test_dual_atom_norm_bound(family, hat_kernel, small_grid):
-    from temrecon import GridFunction
+    from temrecon.mixed_norm import GridFunction
 
     pc = PR.conjugate()
     i1 = family.lattice_t.size // 2
@@ -492,17 +482,9 @@ def test_grid_bases_built_on_first_use(hat_kernel, hat_gen, small_grid, small_wi
     eager = scale * np.outer(B_t @ (ax_t.t_plus(4) @ ax_t.Gd[10]),
                              B_s @ (ax_s.t_plus(4) @ ax_s.Gd[12]))
     assert np.array_equal(fam.atom_values(10, 12), eager)
-    dual_scale = (fam.delta ** (1.0 / PR.p - 1.0) * fam.delta ** (1.0 / PR.q - 1.0)
-                  * hat_kernel.scale)
+    dual_scale = fam.delta ** (1.0 / PR.p - 1.0) * fam.delta ** (1.0 / PR.q - 1.0)
     eager_dual = dual_scale * np.outer(Bd_t @ ax_t.G[10], Bd_s @ ax_s.G[12])
     assert np.array_equal(fam.dual_atom_values(10, 12), eager_dual)
-
-
-def test_frame_atoms_api(family):
-    atom, dual = frame_atoms(family, 10, 12)
-    assert atom.shape == family.grid.shape
-    assert dual.shape == family.grid.shape
-    assert np.all(np.isfinite(atom)) and np.all(np.isfinite(dual))
 
 
 def test_order_zero_is_honoured(hat_kernel, hat_gen, small_grid, small_window):

@@ -5,25 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from temrecon import (
-    Generator,
-    InputError,
-    SingularGeneratorError,
+from temrecon import Generator, InputError, SingularGeneratorError, dual_generator
+from temrecon.generator import (
+    BIORTH_TOL,
+    LeakMoments,
+    _biorth_integrals_1d,
     amalgam_norm_1d,
     amalgam_norm_2d,
     bspline_autocorr,
     bspline_eval,
     dual_coeffs_from_autocorr,
-    dual_generator,
     generator_info,
     modulus_1d,
     modulus_amalgam_1d,
     modulus_of_continuity,
-)
-from temrecon.generator import (
-    BIORTH_TOL,
-    LeakMoments,
-    _biorth_integrals_1d,
     spline_antiderivative,
     spline_basis,
     spline_leaky_integrals,
@@ -163,7 +158,7 @@ def test_dual_against_dense_solve(order):
 
 def test_biorthogonality_quadrature_oracle(hat_gen, hat_dual):
     # fine knot-aligned Simpson quadrature, independent of the solver internals
-    from temrecon import composite_weights
+    from temrecon.mixed_norm import composite_weights
 
     n = 54 * 512
     xs = np.linspace(-27.0, 27.0, n + 1)
@@ -224,17 +219,6 @@ def test_modulus_amalgam_1d_hat():
     small = modulus_amalgam_1d(hat, 0.05, -1, 1)
     big = modulus_amalgam_1d(hat, 0.1, -1, 1)
     assert 0.0 < small < big
-
-
-def test_dual_csv_export(tmp_path, hat_dual):
-    path = tmp_path / "dual.csv"
-    hat_dual.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k1,k2,b"
-    k1, k2, b = lines[1].split(",")
-    assert float(b) == pytest.approx(hat_dual.axis_t.b[0] * hat_dual.axis_s.b[0])
-    n = hat_dual.axis_t.b.size
-    assert len(lines) == 1 + n * n
 
 
 def _knot_split_rule_loop(a, b):

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from temrecon import (
+from temrecon import Grid, GridMismatchError, InputError, MixedNormParams
+from temrecon.mixed_norm import (
     CoefSeq,
-    Grid,
     GridFunction,
-    GridMismatchError,
-    InputError,
-    MixedNormParams,
     composite_weights,
     conjugate_exponent,
     duality_pairing,

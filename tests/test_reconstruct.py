@@ -7,29 +7,29 @@ from temrecon import (
     DeviceSet,
     Generator,
     Grid,
-    GridFunction,
-    Kernel,
     MixedNormParams,
     ResolutionError,
-    SplineFactor1D,
     TemConfig,
     VSignal,
-    apply_R,
-    apply_S,
-    apply_T,
     build_shift_invariant_kernel,
     ctem_iterate,
     dual_generator,
     encode_ctem_devices,
     encode_iftem_devices,
-    estimate_r1,
-    estimate_r2,
     iftem_iterate,
-    mixed_function_norm,
     window_for_grid,
 )
 from temrecon.cli import ExperimentConfig, run_experiment
-from temrecon.reconstruct import ctem_operator, iftem_operator
+from temrecon.kernel_space import Kernel, SplineFactor1D, apply_T
+from temrecon.mixed_norm import GridFunction, mixed_function_norm
+from temrecon.reconstruct import (
+    apply_R,
+    apply_S,
+    ctem_operator,
+    estimate_r1,
+    estimate_r2,
+    iftem_operator,
+)
 from temrecon.tem_encode import TemOutput
 
 from conftest import knot_split_rule, random_vsignal
@@ -169,7 +169,7 @@ def test_ctem_operator_step_matches_gauss_cells(hat_kernel, hat_gen, small_grid,
         if t.size:
             edges = np.concatenate([[0.0], 0.5 * (t[:-1] + t[1:]), [12.0]])
             cells = _gauss_dual_integrals(dual.axis_t, edges[:-1], edges[1:], w.k1s)
-            cols[:, j] = hat_kernel.scale * cells.T @ resid[j]
+            cols[:, j] = cells.T @ resid[j]
     ends = np.unique(np.clip(np.concatenate([dev.positions - 0.5, dev.positions + 0.5]),
                              0.0, 12.0))
     pieces = _gauss_dual_integrals(dual.axis_s, ends[:-1], ends[1:], w.k2s)

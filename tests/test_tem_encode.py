@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from temrecon import (
-    CoefSeq,
     DeviceSet,
     GapError,
     Generator,
@@ -15,16 +14,13 @@ from temrecon import (
     PreconditionError,
     TemConfig,
     VSignal,
-    bspline_eval,
-    ctem_encode,
-    density_report,
     encode_ctem_devices,
     encode_iftem_devices,
-    iftem_encode,
-    partition_of_unity,
     window_for_grid,
 )
-from temrecon.tem_encode import TemOutput, _SliceTable
+from temrecon.generator import bspline_eval
+from temrecon.mixed_norm import CoefSeq
+from temrecon.tem_encode import TemOutput, _SliceTable, ctem_encode, density_report, iftem_encode
 
 from conftest import plain_integrator_oracle, random_vsignal
 
@@ -56,14 +52,14 @@ def test_device_counts_and_gap():
 def test_partition_single_device_covers():
     dev = DeviceSet(np.array([4.0]), 8.0, (0.0, 8.0))
     for y in (0.0, 3.3, 8.0):
-        w = partition_of_unity(dev, y)
+        w = dev.u_matrix([y])[:, 0]
         assert w.shape == (1,)
         assert w[0] == 1.0
 
 
 def test_partition_symmetric_overlap():
     dev = DeviceSet(np.array([0.0, 1.0]), 0.8, (0.0, 1.0))
-    w = partition_of_unity(dev, 0.5)
+    w = dev.u_matrix([0.5])[:, 0]
     assert np.allclose(w, [0.5, 0.5])
 
 
@@ -99,6 +95,9 @@ def test_config_validation():
         TemConfig("integrate-and-fire", 1.0, 2.0, -0.1)
     with pytest.raises(InputError):
         TemConfig("sigma-delta", 1.0, 2.0, 0.25)
+    for theta in (0.0, -1.0):
+        with pytest.raises(InputError, match="theta must be positive"):
+            if_cfg(theta=theta)
     cfg = if_cfg(alpha=0.5)
     assert cfg.theta == pytest.approx((2.0 - 1.0) * (1 - np.exp(-0.5 * 0.25)) / 0.5)
     assert crossing_cfg().lambda_slope == pytest.approx(16.0)
@@ -111,7 +110,7 @@ def test_config_validation():
 def test_ctem_zero_signal_uniform_half_delta():
     cfg = crossing_cfg()
     f = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    times, vals, _ = ctem_encode(f, cfg, (0.0, 4.0))
+    times, vals = ctem_encode(f, cfg, (0.0, 4.0))
     gaps = np.diff(np.concatenate([[0.0], times]))
     assert np.allclose(gaps, cfg.delta_target / 2.0, atol=1e-11)
     assert np.allclose(vals, 0.0, atol=1e-10)
@@ -121,7 +120,7 @@ def test_ctem_constant_signal_gap():
     cfg = crossing_cfg()
     c = 0.6
     f = lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    times, vals, _ = ctem_encode(f, cfg, (0.0, 4.0))
+    times, vals = ctem_encode(f, cfg, (0.0, 4.0))
     want = (cfg.b_level + c) / cfg.lambda_slope
     gaps = np.diff(np.concatenate([[0.0], times]))
     assert np.allclose(gaps, want, atol=1e-11)
@@ -133,7 +132,7 @@ def test_ctem_crossing_residual_and_first_crossing(hat_gen, small_grid, small_wi
     sig = random_vsignal(small_window, hat_gen, small_grid, rng)
     cfg = crossing_cfg()
     f = lambda x: sig.eval_slice(5.0, x)
-    times, vals, _ = ctem_encode(f, cfg, (0.0, 12.0))
+    times, vals = ctem_encode(f, cfg, (0.0, 12.0))
     # residual of the crossing equation at each fire
     prev = np.concatenate([[0.0], times[:-1]])
     ramp = -cfg.b_level + cfg.lambda_slope * (times - prev)
@@ -160,7 +159,7 @@ def test_ctem_amplitude_precondition():
 def test_iftem_zero_signal_alpha0():
     cfg = if_cfg(alpha=0.0)
     f = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    times, ints, _ = iftem_encode(f, cfg, (0.0, 4.0))
+    times, ints = iftem_encode(f, cfg, (0.0, 4.0))
     gaps = np.diff(np.concatenate([[0.0], times]))
     assert np.allclose(gaps, cfg.theta / cfg.b_level, atol=1e-11)
     assert np.allclose(ints, 0.0, atol=1e-11)
@@ -170,7 +169,7 @@ def test_iftem_constant_signal_alpha0():
     cfg = if_cfg(alpha=0.0)
     c = 0.5
     f = lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    times, ints, _ = iftem_encode(f, cfg, (0.0, 4.0))
+    times, ints = iftem_encode(f, cfg, (0.0, 4.0))
     want_gap = cfg.theta / (cfg.b_level + c)
     gaps = np.diff(np.concatenate([[0.0], times]))
     assert np.allclose(gaps, want_gap, atol=1e-11)
@@ -180,7 +179,7 @@ def test_iftem_constant_signal_alpha0():
 def test_iftem_integral_recovery_oracle():
     cfg = if_cfg(alpha=0.5)
     f = lambda x: 0.7 * np.sin(1.3 * np.asarray(x))
-    times, ints, _ = iftem_encode(f, cfg, (0.0, 8.0))
+    times, ints = iftem_encode(f, cfg, (0.0, 8.0))
     prev = np.concatenate([[0.0], times[:-1]])
     gx, gw = np.polynomial.legendre.leggauss(24)
     oracle = []
@@ -196,7 +195,7 @@ def test_iftem_alpha0_matches_plain_integrator(hat_gen, small_grid, small_window
     sig = random_vsignal(small_window, hat_gen, small_grid, rng)
     cfg = if_cfg(alpha=0.0)
     f = lambda x: sig.eval_slice(6.0, x)
-    times, _, _ = iftem_encode(f, cfg, (0.0, 12.0))
+    times, _ = iftem_encode(f, cfg, (0.0, 12.0))
     oracle = plain_integrator_oracle(f, cfg, (0.0, 12.0))
     assert times.size == oracle.size
     assert np.max(np.abs(times - oracle)) <= 1e-12
@@ -238,15 +237,15 @@ def test_vectorized_matches_scalar(hat_gen, small_grid, small_window):
     cfg_c = crossing_cfg()
     out = encode_ctem_devices(sig, dev, cfg_c, (0.0, 12.0))
     for j in (3, 7):
-        t_s, v_s, _ = ctem_encode(lambda x: sig.eval_slice(dev.positions[j], x),
-                                  cfg_c, (0.0, 12.0))
+        t_s, v_s = ctem_encode(lambda x: sig.eval_slice(dev.positions[j], x),
+                               cfg_c, (0.0, 12.0))
         assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
         assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
     cfg_i = if_cfg(alpha=0.5)
     out_i = encode_iftem_devices(sig, dev, cfg_i, (0.0, 12.0))
     for j in (3, 7):
-        t_s, i_s, _ = iftem_encode(lambda x: sig.eval_slice(dev.positions[j], x),
-                                   cfg_i, (0.0, 12.0))
+        t_s, i_s = iftem_encode(lambda x: sig.eval_slice(dev.positions[j], x),
+                                cfg_i, (0.0, 12.0))
         assert t_s.size == out_i.times[j].size
         assert np.max(np.abs(t_s - out_i.times[j])) <= 1e-10
         assert np.max(np.abs(i_s - out_i.values[j])) <= 1e-10
@@ -268,8 +267,8 @@ def test_vectorized_matches_scalar_order3():
     for fast, scalar, cfg, kw in cases:
         out = fast(sig, dev, cfg, (0.0, 8.0), **kw)
         for j in (3, 5):
-            t_s, v_s, _ = scalar(lambda x: sig.eval_slice(dev.positions[j], x), cfg,
-                                 (0.0, 8.0), **kw)
+            t_s, v_s = scalar(lambda x: sig.eval_slice(dev.positions[j], x), cfg,
+                              (0.0, 8.0), **kw)
             assert t_s.size == out.times[j].size
             assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
             assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
@@ -283,8 +282,8 @@ def test_hat_fires_resolve_several_knots(hat_gen, small_grid, small_window):
     cfg = crossing_cfg(delta_target=3.0)
     out = encode_ctem_devices(sig, dev, cfg, (0.0, 12.0), scan_step=1.5)
     for j in range(len(dev)):
-        t_s, v_s, _ = ctem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg,
-                                  (0.0, 12.0), scan_step=1.5)
+        t_s, v_s = ctem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg,
+                               (0.0, 12.0), scan_step=1.5)
         assert t_s.size == out.times[j].size > 0
         assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
         assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
@@ -301,7 +300,7 @@ def test_vectorized_matches_scalar_order4():
     cases += [(encode_iftem_devices, iftem_encode, if_cfg(alpha=a)) for a in (0.0, 0.5)]
     for fast, scalar, cfg in cases:
         out = fast(sig, dev, cfg, (0.0, 8.0))
-        t_s, v_s, _ = scalar(lambda x: sig.eval_slice(4.0, x), cfg, (0.0, 8.0))
+        t_s, v_s = scalar(lambda x: sig.eval_slice(4.0, x), cfg, (0.0, 8.0))
         assert t_s.size == out.times[0].size > 0
         assert np.max(np.abs(t_s - out.times[0])) <= 1e-12
         assert np.max(np.abs(v_s - out.values[0])) <= 1e-10
@@ -342,20 +341,30 @@ def test_slice_table_matches_bspline_design(order):
     assert np.all(got_slope[:, out & (t != lo)] == 0.0)
 
 
-@pytest.mark.parametrize("encode, cfg", [(encode_ctem_devices, crossing_cfg()),
-                                         (encode_iftem_devices, if_cfg(alpha=0.5))])
-def test_vectorized_amplitude_error_names_device(encode, cfg, hat_gen, small_window):
-    # one space coefficient column of 1.5 > c_bound: only device 7 sees it
+# one space coefficient column of 1.5 > c_bound, which only device 7 sees,
+# and one coefficient (5, 6) of 1.0001 seen by a single device at y = 6: a
+# knot peak between the crossing scan samples
+COLUMN = (None, 7, 1.5, DeviceSet.uniform(0.0, 12.0, 1.0, 0.5), 7)
+KNOT_PEAK = (5, 6, 1.0001, DeviceSet(np.array([6.0]), 6.0, (0.0, 12.0)), 0)
+
+
+@pytest.mark.parametrize("encode, cfg, case", [
+    (encode_ctem_devices, crossing_cfg(), COLUMN),
+    (encode_iftem_devices, if_cfg(alpha=0.5), COLUMN),
+    (encode_ctem_devices, crossing_cfg(), KNOT_PEAK),
+], ids=["encode_ctem_devices-cfg0", "encode_iftem_devices-cfg1", "encode_ctem_devices-knot-peak"])
+def test_vectorized_amplitude_error_names_device(encode, cfg, case, hat_gen, small_window):
+    k1, k2, peak, dev, j = case
     entries = np.zeros((small_window.n1, small_window.n2))
-    entries[:, 7 - small_window.k2_first] = 1.5
+    k1 = slice(None) if k1 is None else k1 - small_window.k1_first
+    entries[k1, k2 - small_window.k2_first] = peak
     sig = VSignal(CoefSeq(entries, small_window.k1_first, small_window.k2_first), hat_gen)
-    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
     with pytest.raises(PreconditionError) as err:
         encode(sig, dev, cfg, (0.0, 12.0))
     msg = str(err.value)
-    assert cfg.mode in msg and "on device 7 " in msg
+    assert cfg.mode in msg and f"on device {j} " in msg
     t = float(re.search(r"at t=(\S+)", msg).group(1))
-    assert abs(sig.eval_slice(7.0, np.array([t]))[0]) > cfg.c_bound
+    assert abs(sig.eval_slice(dev.positions[j], np.array([t]))[0]) > cfg.c_bound
 
 
 def test_monotone_load_if(hat_gen, small_grid, small_window):
@@ -366,8 +375,8 @@ def test_monotone_load_if(hat_gen, small_grid, small_window):
         theta = 0.2
         lo = TemConfig("integrate-and-fire", 1.0, 2.0, 0.25, alpha=alpha, theta=theta)
         hi = TemConfig("integrate-and-fire", 1.0, 4.0, 0.25, alpha=alpha, theta=theta)
-        t_lo, _, _ = iftem_encode(f, lo, (0.0, 12.0))
-        t_hi, _, _ = iftem_encode(f, hi, (0.0, 12.0))
+        t_lo, _ = iftem_encode(f, lo, (0.0, 12.0))
+        t_hi, _ = iftem_encode(f, hi, (0.0, 12.0))
         g_lo = np.diff(np.concatenate([[0.0], t_lo]))
         g_hi = np.diff(np.concatenate([[0.0], t_hi]))
         assert g_hi.max() <= g_lo.max() + 1e-12
@@ -380,13 +389,13 @@ def test_decoder_needs_no_side_channel(hat_gen, small_grid, small_window):
     sig = random_vsignal(small_window, hat_gen, small_grid, rng)
     cfg = crossing_cfg()
     f = lambda x: sig.eval_slice(5.5, x)
-    times, vals, _ = ctem_encode(f, cfg, (0.0, 12.0))
+    times, vals = ctem_encode(f, cfg, (0.0, 12.0))
     prev = np.concatenate([[0.0], times[:-1]])
     decoded = -cfg.b_level + cfg.lambda_slope * (times - prev)
     assert np.max(np.abs(decoded - f(times))) <= 1e-10
     # integrate-and-fire integrals likewise
     cfg_i = if_cfg(alpha=0.4)
-    t_i, ints, _ = iftem_encode(f, cfg_i, (0.0, 12.0))
+    t_i, ints = iftem_encode(f, cfg_i, (0.0, 12.0))
     gaps = np.diff(np.concatenate([[0.0], t_i]))
     decoded_i = cfg_i.theta - cfg_i.b_level * cfg_i.kappa_alpha(gaps)
     assert np.max(np.abs(decoded_i - ints)) <= 1e-14
