@@ -11,8 +11,9 @@ Exit codes: 0 ok, 2 config error, and for an error a run raises the code
 `EXIT_CODES` gives its class (see `main`); a failed selftest exits 1.
 Config errors include every contract that needs only the config: the
 generator orders (2 to 13), positive grid step, device spacing, gap and
-threshold, the interior coefficient window on the grid, and the frame
-lattice and the grid on the padded range.
+threshold, devices whose balls cover the spatial window, the interior
+coefficient window on the grid, and the frame lattice and the grid on the
+padded range.
 """
 
 import argparse
@@ -128,6 +129,11 @@ class ExperimentConfig:
                              f"{self.generator_order_s}")
         grid = self.grid()
         window_for_grid(grid, gen)
+        try:
+            self.devices()
+        except GapError as e:
+            raise InputError(f"device_spacing={self.device_spacing} with delta_prime="
+                             f"{self.delta_prime} leaves the window uncovered: {e}") from None
         for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max)):
             _lattice(lo - PAD, hi + PAD, self.frame_delta)  # as `FrameFamily.build` lays it
         try:  # the padded grid of `FrameFamily.build`

@@ -462,7 +462,7 @@ def dual_coeffs_from_autocorr(a_offsets, a_values):
     return np.arange(-radius, radius + 1), b, float(tails[radius])
 
 
-def _biorth_integrals_1d(order, axis):
+def _biorth_integrals_1d(axis):
     """Quadrature inner products <dual, beta(.-j)> for all relevant j.
 
     Gauss panels aligned to half-integer knots make the rule exact for the
@@ -471,7 +471,7 @@ def _biorth_integrals_1d(order, axis):
     meets the `order` shifts that `spline_basis` finds there, so the
     products are scattered into their shifts band by band.
     """
-    reach = axis.reach
+    order, reach = axis.order, axis.reach
     r = int(np.ceil(reach + order / 2.0))
     nodes, weights = gauss_panel_rule(-reach, reach, order + 1)
     dual_vals = axis.eval(nodes) * weights
@@ -544,8 +544,8 @@ def dual_generator(gen):
 def tensor_biorth_residual(axis_t, axis_s):
     """Largest |<dual, phi(. - k)> - delta_k| over the integer shifts k of the
     tensor pair, from the per-axis quadratures `_biorth_integrals_1d`."""
-    _, it = _biorth_integrals_1d(axis_t.order, axis_t)
-    _, is_ = _biorth_integrals_1d(axis_s.order, axis_s)
+    _, it = _biorth_integrals_1d(axis_t)
+    _, is_ = _biorth_integrals_1d(axis_s)
     prod = np.outer(it, is_)
     target = np.zeros_like(prod)
     target[it.size // 2, is_.size // 2] = 1.0

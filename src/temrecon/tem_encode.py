@@ -16,17 +16,20 @@ the shift-invariant B-spline space, so it is a fixed polynomial on each
 unit knot piece (integer knots for even orders, half-integer for odd).
 The fast paths convert the slices once per encode into a table of
 per-piece power-basis coefficients, and read values and slopes from it by
-a gather plus Horner.  Each crossing fire is bracketed by a scan.  At
-order 2 the crossing test function is linear on each piece, so the fire is
-solved in closed form inside its bracket; at higher orders a bracketed
-Newton iteration locates it.  The integrate-and-fire running integral is
-exact: a piece polynomial, Taylor-shifted to the interval start, against
-the leak-weighted moments of `generator.LeakMoments`.  Each device walks a
-shared ladder of evaluation steps to the step where the integral reaches
-the threshold, and the bracketed Newton iteration locates the fire on it.
-The fast paths are validated against the scalar `ctem_encode` /
-`iftem_encode` reference implementations, which refine by plain bisection
-(the integrate-and-fire one on Gauss quadrature).
+a gather plus Horner.  The crossing encoder walks each device along its
+pieces to the first piece end where the crossing test function is no
+longer positive; the fire lies on that one piece.  At order 2 the test
+function is linear on each piece, so the fire is solved in closed form;
+at higher orders a bracketed Newton iteration locates it.  The
+integrate-and-fire running integral is exact: a piece polynomial,
+Taylor-shifted to the interval start, against the leak-weighted moments
+of `generator.LeakMoments`.  Each device walks a shared ladder of
+evaluation steps to the step where the integral reaches the threshold,
+and the bracketed Newton iteration locates the fire on it.  The fast
+paths are validated against the scalar `ctem_encode` / `iftem_encode`
+reference implementations, which bracket each fire by a scan at a step
+and refine by plain bisection (the integrate-and-fire one on Gauss
+quadrature).
 """
 
 import math
@@ -197,13 +200,6 @@ class TemOutput:
     def fire_count(self):
         return int(sum(t.size for t in self.times))
 
-    def scaled_values(self, a):
-        """Copy with all recovered values scaled (times kept); the encoding map
-        itself is nonlinear, but the decoder-side quantities scale linearly."""
-        return TemOutput(self.config, self.devices, self.t_start, self.t_end,
-                         [t.copy() for t in self.times],
-                         [a * v for v in self.values])
-
     def write_events_csv(self, path):
         """One row per fire; each device's rows come from one format template."""
         with open(path, "w") as fh:
@@ -242,8 +238,9 @@ def ctem_encode(f, cfg, horizon, scan_step=None):
     After each fire the test function resets to the ramp
     Phi(t) = -b_level + lambda_slope * (t - t_prev); the next fire is the
     first root of f - Phi, bracketed by a scan at `scan_step` (default
-    delta_target / 8) and refined by bisection to 1e-12.  The first ramp is
-    anchored at the horizon start.  Returns (times, values).
+    delta_target / 8) and refined by bisection to 1e-12.  A dip of f - Phi
+    below zero narrower than the scan step can be stepped over.  The first
+    ramp is anchored at the horizon start.  Returns (times, values).
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
@@ -424,15 +421,20 @@ class _SliceTable:
         With `slope`, returns (values, time derivatives).
         """
         s, u = self.locate(t)
-        c = self.pieces(rows[:, None], s)
-        v = c[..., -1]
-        dv = 0.0
-        for d in range(self.order - 2, -1, -1):
-            if slope:
-                dv = dv * u + v
-            v = v * u
-            v += c[..., d]      # in place: one temporary fewer on large calls
-        return (v, dv) if slope else v
+        return _horner(self.pieces(rows[:, None], s), u, slope)
+
+
+def _horner(c, u, slope=False):
+    """Polynomials with power coefficients c[..., d] at u (broadcast against
+    c[..., 0]); with `slope`, returns (values, derivatives)."""
+    v = c[..., -1]
+    dv = 0.0
+    for d in range(c.shape[-1] - 2, -1, -1):
+        if slope:
+            dv = dv * u + v
+        v = v * u
+        v += c[..., d]      # in place: one temporary fewer on large calls
+    return (v, dv) if slope else v
 
 
 def _check_slice_amplitude(vals, cfg, rows, ts):
@@ -487,111 +489,95 @@ def _bracketed_newton(g_and_slope, lo, hi, start):
     return root
 
 
-def _hat_fires(table, rows, lo, hi, t_prev, b, lam):
-    """Crossing fire of each bracket [lo, hi] of an order-2 slice, in closed form.
-
-    g = f + b - lambda (t - t_prev) is linear on each unit piece of a hat
-    slice, with g(lo) > 0 >= g(hi).  Each knot strictly inside a bracket is
-    resolved first: the slice at the knot (the next piece's constant term)
-    keeps the half that holds the sign change.  The fire is then the root
-    of g on the bracket's piece.
-    """
-    s, _ = table.locate(lo)
-    split = np.ones(rows.size, dtype=bool)
-    while True:
-        # the next knot above lo; none past the table's last (zero) piece
-        knot = table.origin + s + 1.0
-        split &= (s < table.last) & (knot < hi)
-        if not split.any():
-            break
-        f_knot = table.pieces(rows, np.minimum(s + 1, table.last))[:, 0]
-        pos = split & (f_knot + b - lam * (knot - t_prev) > 0.0)
-        lo = np.where(pos, knot, lo)
-        hi = np.where(split & ~pos, knot, hi)
-        s = s + pos
-        split = pos      # only a bracket longer than a piece holds another knot
-    c = table.pieces(rows, s)
-    edge = table.origin + s
-    # a decreasing piece is certain unless rounding flipped a sign at an
-    # end; a flat or rising piece then holds the sign change at lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = edge + (c[:, 0] + b - lam * (edge - t_prev)) / (lam - c[:, 1])
-    return np.where(c[:, 1] < lam, np.minimum(np.maximum(root, lo), hi), lo)
-
-
-def encode_ctem_devices(vsig, devices, cfg, horizon, scan_step=None):
+def encode_ctem_devices(vsig, devices, cfg, horizon):
     """Crossing-encode every device of a set in lockstep; returns TemOutput.
 
-    Mathematically identical to running `ctem_encode` on each slice, but
-    the amplitude bound is checked once per encode on the slice table: at
-    every piece end (exact at order 2, where the scan samples can miss a
-    knot peak) and, above order 2, as densely as the scan.  The scan
-    brackets each device's next fire, vectorized across devices, on the
-    slice table.  Order-2 slices make g = f + b - lambda (t - t_prev)
-    linear on each piece, so `_hat_fires` solves for the fire; higher
-    orders run `_bracketed_newton` on g with g' = f' - lambda, starting
-    from the secant of the two scan samples.
+    Each device walks its slice's knot pieces.  A round gathers every
+    active device's current piece once and reads
+    g = f + b - lambda (t - t_prev) at the piece end, or at
+    t_prev + delta_target or the horizon end where they come first.  Where
+    g > 0 the device moves on; otherwise the fire lies between that point
+    and the last one read.  At order 2, g is linear on a piece, so the fire
+    is its closed-form root and the first crossing exactly.  Higher orders
+    run `_bracketed_newton` on g with g' = f' - lambda from the secant
+    across the segment; there, pieces where f' may reach lambda (slope
+    bound sum_d d |c_d|), on which g can dip and return, are read at
+    ceil(8 / delta_target) steps per piece.
+
+    The amplitude bound is checked once per encode on the slice table: at
+    every piece end (exact at order 2) and, above order 2, at
+    ceil(8 / delta_target) points per piece.
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
     t0, t_end = float(horizon[0]), float(horizon[1])
-    step = scan_step if scan_step is not None else cfg.delta_target / 8.0
     b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
     table = _SliceTable(vsig, devices)
-    _check_table_amplitude(table, cfg, t0, t_end, 1 if table.order == 2 else math.ceil(1.0 / step))
+    n_sub = 1 if table.order == 2 else math.ceil(8.0 / delta)
+    _check_table_amplitude(table, cfg, t0, t_end, n_sub)
+    # pieces where f' may reach lambda, so that g may dip and return
+    steep = np.abs(table.poly[..., 1:]) @ np.arange(1.0, table.order) >= lam
     J = len(devices)
     max_fires = int(math.ceil((t_end - t0) * lam / (b - cfg.c_bound))) + 2
     all_times = np.zeros((J, max_fires))
     all_values = np.zeros((J, max_fires))
     counts = np.zeros(J, dtype=int)
     t_prev = np.full(J, t0)
-    n_sub = int(math.ceil(delta / step))
-    offsets = np.minimum(step * np.arange(1, n_sub + 1), delta)
-    serial = np.arange(J)
-    idx = serial            # the active devices
+    pos = t_prev.copy()             # the last fire, or the last point read with g > 0
+    piece = table.locate(pos)[0]
+    idx = np.arange(J)              # the active devices
     while idx.size:
-        tp = t_prev[idx]
-        cand = np.minimum(tp[:, None] + offsets, t_end)
-        g = table(idx, cand) + b - lam * (cand - tp[:, None])
-        neg = (g <= 0.0) & (cand > tp[:, None] + BISECTION_TOL)
-        first = np.argmax(neg, axis=1)
-        r = serial[: idx.size]
-        has = neg[r, first]
-        if not has.all():
-            # rows without a crossing: legal only when the horizon truncated the window
-            if np.any(tp[~has] + delta <= t_end + BISECTION_TOL):
-                raise EncodingInvariantError(
-                    "no crossing found within delta_target despite amplitude bound"
-                )
-            idx, tp, cand, g, first = idx[has], tp[has], cand[has], g[has], first[has]
-            if idx.size == 0:
-                break
-            r = serial[: idx.size]
-        hi = cand[r, first]
-        lo = np.where(first > 0, cand[r, first - 1], tp)
-        if table.order == 2:
-            t_fire = _hat_fires(table, idx, lo, hi, tp, b, lam)
-        else:
-            # secant of the two scan samples; the midpoint when the bracket
-            # starts at the previous fire, where there is no sample
-            start = 0.5 * (lo + hi)
-            sec = first > 0
-            g_lo, g_hi = g[r, first - 1][sec], g[r, first][sec]
-            start[sec] = lo[sec] + g_lo / (g_lo - g_hi) * (hi[sec] - lo[sec])
+        tp, lo, s = t_prev[idx], pos[idx], piece[idx]
+        c = table.pieces(idx, s)
+        edge = table.origin + s
+        cap = np.minimum(tp + delta, t_end)
+        end = np.where(s < table.last, edge + 1.0, np.inf)     # the last piece has no end
+        hi = np.minimum(end, cap)
+        if table.order > 2:
+            hi = np.minimum(hi, np.where(steep[idx, s], lo + 1.0 / n_sub, np.inf))
+        g_hi = _horner(c, hi - edge) + b - lam * (hi - tp)
+        walk = g_hi > 0.0
+        stop = walk & (hi == cap)
+        # no crossing by the window end: legal only when the horizon truncated the window
+        if np.any(tp[stop] + delta <= t_end + BISECTION_TOL):
+            raise EncodingInvariantError(
+                "no crossing found within delta_target despite amplitude bound"
+            )
+        moved = walk & ~stop
+        pos[idx[moved]] = hi[moved]
+        on = idx[moved & (hi == end)]       # onto the next piece, from its left edge
+        piece[on] += 1
+        pos[on] = table.origin + piece[on]
+        keep = ~stop
+        fire = ~walk
+        if fire.any():
+            rows, tp, lo, c, edge, hi, g_hi = (idx[fire], tp[fire], lo[fire], c[fire],
+                                               edge[fire], hi[fire], g_hi[fire])
+            if table.order == 2:
+                # a decreasing piece is certain unless rounding flipped a sign
+                # at an end; a flat or rising piece then holds the fire at lo
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    root = edge + (c[:, 0] + b - lam * (edge - tp)) / (lam - c[:, 1])
+                t_fire = np.where(c[:, 1] < lam, np.minimum(np.maximum(root, lo), hi), lo)
+            else:
+                g_lo = _horner(c, lo - edge) + b - lam * (lo - tp)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    start = np.where(g_lo > 0.0, lo + g_lo / (g_lo - g_hi) * (hi - lo), lo)
 
-            def crossing(sub, t):
-                f, df = table(idx[sub], t[:, None], slope=True)
-                return f[:, 0] + b - lam * (t - tp[sub]), df[:, 0] - lam
+                def crossing(sub, t):
+                    f, df = _horner(c[sub], t - edge[sub], slope=True)
+                    return f + b - lam * (t - tp[sub]), df - lam
 
-            t_fire = _bracketed_newton(crossing, lo, hi, start)
-        c = counts[idx]
-        all_times[idx, c] = t_fire
-        all_values[idx, c] = -b + lam * (t_fire - tp)
-        counts[idx] = c + 1
-        t_prev[idx] = t_fire
-        if c.max() + 1 >= max_fires:
-            raise EncodingInvariantError("fire-count bound exceeded")
-        idx = idx[t_fire < t_end - BISECTION_TOL]
+                t_fire = _bracketed_newton(crossing, lo, hi, start)
+            k = counts[rows]
+            all_times[rows, k] = t_fire
+            all_values[rows, k] = -b + lam * (t_fire - tp)
+            counts[rows] = k + 1
+            t_prev[rows] = pos[rows] = t_fire
+            if k.max() + 1 >= max_fires:
+                raise EncodingInvariantError("fire-count bound exceeded")
+            keep[fire] = t_fire < t_end - BISECTION_TOL
+        idx = idx[keep]
     times = [all_times[j, : counts[j]].copy() for j in range(J)]
     values = [all_values[j, : counts[j]].copy() for j in range(J)]
     return TemOutput(cfg, devices, t0, t_end, times, values)
@@ -665,10 +651,7 @@ class _LeakySegments:
         side = sub + self.n * (t > self.q[sub])
         h = t - self.starts[side]
         c = self.coefs[side]
-        f = c[:, -1]
-        for d in range(c.shape[1] - 2, -1, -1):
-            f = f * h + c[:, d]
-        return self._y(self.bases[side], c, h), f
+        return self._y(self.bases[side], c, h), _horner(c, h)
 
     def newton_start(self, y_hi, theta):
         """A start for y(t) = theta per row, given y(hi) = y_hi >= theta > y0.
@@ -694,7 +677,7 @@ class _LeakySegments:
         return np.clip(t_lo + tau, self.starts[:n], self.hi)
 
 
-def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
+def encode_iftem_devices(vsig, devices, cfg, horizon):
     """Integrate-and-fire-encode every device of a set; returns TemOutput.
 
     Each round locates the next fire of every device at once.  The leaky
@@ -713,8 +696,7 @@ def encode_iftem_devices(vsig, devices, cfg, horizon, grid_step=None):
     min_gap = theta / (cfg.b_level + cfg.c_bound)
     # the step integrals are exact for spline slices at any step, so the
     # ladder only needs to isolate fires (gap >= min_gap)
-    h = grid_step if grid_step is not None else min_gap
-    h = min(h, max(min_gap, BISECTION_TOL), 0.5)
+    h = min(min_gap, 0.5)
     table = _SliceTable(vsig, devices)
     J = len(devices)
     n_steps = int(math.ceil((t_end - t0) / h))

@@ -338,6 +338,8 @@ def test_high_order_sweep_exits_0(tmp_path, command, order, extent):
     {"device_spacing": 0.0},
     {"device_spacing": -1.0},
     {"delta_prime": 0.0},
+    {"delta_prime": 0.001},
+    {"device_spacing": 100},
     {"grid_step": 0.0},
     {"mode": "integrate-and-fire", "theta": -1},
 ], ids=json.dumps)

@@ -181,7 +181,7 @@ def test_banded_biorth_oracle_matches_dense_loop(order):
     bad_b = axis.b.copy()
     bad_b[axis.radius] += 1e-3
     for ax in (axis, replace(axis, b=bad_b)):
-        js, vals = _biorth_integrals_1d(order, ax)
+        js, vals = _biorth_integrals_1d(ax)
         js_ref, ref = dense_biorth_integrals(order, ax)
         assert np.array_equal(js, js_ref)
         assert np.max(np.abs(vals - ref)) <= 1e-14

@@ -259,34 +259,60 @@ def test_vectorized_matches_scalar_order3():
     window = window_for_grid(grid, gen, margin_extra=0)  # 5 x 5 coefficients
     sig = random_vsignal(window, gen, grid, np.random.default_rng(8))
     dev = DeviceSet.uniform(0.0, 8.0, 1.0, 0.5)
-    # a scan step of delta_target leaves no scan sample before the fire, so
-    # Newton starts from the bracket midpoint instead of the secant
-    cases = [(encode_ctem_devices, ctem_encode, crossing_cfg(), {}),
-             (encode_ctem_devices, ctem_encode, crossing_cfg(), {"scan_step": 0.25})]
-    cases += [(encode_iftem_devices, iftem_encode, if_cfg(alpha=a), {}) for a in (0.0, 0.5)]
-    for fast, scalar, cfg, kw in cases:
-        out = fast(sig, dev, cfg, (0.0, 8.0), **kw)
+    cases = [(encode_ctem_devices, ctem_encode, crossing_cfg())]
+    cases += [(encode_iftem_devices, iftem_encode, if_cfg(alpha=a)) for a in (0.0, 0.5)]
+    for fast, scalar, cfg in cases:
+        out = fast(sig, dev, cfg, (0.0, 8.0))
         for j in (3, 5):
-            t_s, v_s = scalar(lambda x: sig.eval_slice(dev.positions[j], x), cfg,
-                              (0.0, 8.0), **kw)
+            t_s, v_s = scalar(lambda x: sig.eval_slice(dev.positions[j], x), cfg, (0.0, 8.0))
             assert t_s.size == out.times[j].size
             assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
             assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
 
 
-def test_hat_fires_resolve_several_knots(hat_gen, small_grid, small_window):
-    # scan brackets of 1.5 units hold one or two knots, so the closed form
-    # must pick its piece over more than one knot
+def test_crossing_walk_over_several_pieces(hat_gen, small_grid, small_window):
+    # fire windows of 3 units span three or four pieces, so a device walks
+    # over more than one piece between fires
     sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(10))
     dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
     cfg = crossing_cfg(delta_target=3.0)
-    out = encode_ctem_devices(sig, dev, cfg, (0.0, 12.0), scan_step=1.5)
+    out = encode_ctem_devices(sig, dev, cfg, (0.0, 12.0))
     for j in range(len(dev)):
         t_s, v_s = ctem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg,
                                (0.0, 12.0), scan_step=1.5)
         assert t_s.size == out.times[j].size > 0
         assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
         assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
+
+
+@pytest.mark.parametrize("order, dip, t0, first", [
+    # a hat slice at 0.8 on every knot but -0.25 at knot 2: with lambda 0.6
+    # from the start 0.25, g = f + b - lambda (t - t_prev) is 1.55 at knot 1
+    # and -0.1 at knot 2, so the first crossing is 1 + 1.55 / 1.65, while
+    # g is positive at every delta_target / 8 = 0.5 scan sample to 3.5
+    (2, -0.25, 0.25, 1.0 + 1.55 / 1.65),
+    # a quadratic slice at -1 on knot 2: on its piece x = t - 2 in
+    # [-0.5, 0.5], g = 1.8 x^2 - 0.6 x - 0.07 dips below zero and returns
+    # (f' = 3.6 x reaches 1.8 > lambda), positive at both piece ends
+    (3, -1.0, 0.8, 2.0 + (0.6 - np.sqrt(0.864)) / 3.6),
+], ids=["hat", "quadratic-in-piece"])
+def test_crossing_fires_at_the_first_crossing_of_a_dip(order, dip, t0, first):
+    entries = np.full((12, 12), 0.8)    # knots -1 .. 10 on both axes
+    entries[3] = dip
+    sig = VSignal(CoefSeq(entries, -1, -1), Generator(order, 2))
+    dev = DeviceSet(np.array([6.0]), 6.0, (0.0, 12.0))
+    cfg = TemConfig("crossing", 1.0, 1.2, 4.0)
+    horizon = (t0, 8.0)
+    out = encode_ctem_devices(sig, dev, cfg, horizon)
+    times = out.times[0]
+    assert abs(times[0] - first) <= 1e-12
+    # g stays positive between a fire and the next one: each is the first crossing
+    starts = np.concatenate([[horizon[0]], times[:-1]])
+    for t_prev, t_fire in zip(starts, times):
+        t = np.linspace(t_prev, t_fire, 2001)[:-1]
+        g = sig.eval_slice(6.0, t) + cfg.b_level - cfg.lambda_slope * (t - t_prev)
+        assert np.all(g > 0.0)
+    assert out.gaps(0).max() <= cfg.delta_target
 
 
 def test_vectorized_matches_scalar_order4():
