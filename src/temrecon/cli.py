@@ -45,7 +45,7 @@ from .kernel_space import (
     reproducing_residual,
     window_for_grid,
 )
-from .mixed_norm import CoefSeq, Grid, GridFunction, MixedNormParams, mixed_function_norm
+from .mixed_norm import INF, CoefSeq, Grid, GridFunction, MixedNormParams, mixed_function_norm
 from .reconstruct import ctem_iterate, iftem_iterate
 from .tem_encode import (
     DeviceSet,
@@ -229,7 +229,8 @@ def synth_random_vsignal(window, gen, grid, rng, target_sup):
     For a hat x hat signal whose window knots are all grid abscissae the
     grid supremum is max |c| without a render: the value at a knot is its
     coefficient exactly and every other grid value is a convex combination
-    of coefficients.  Any other signal is rendered.
+    of coefficients.  Any other signal takes the (inf, inf) norm, the same
+    maximum streamed through row tiles of the render.
     """
     coefs = rng.uniform(-1.0, 1.0, (window.n1, window.n2))
     sig = VSignal(CoefSeq(coefs, window.k1_first, window.k2_first), gen)
@@ -237,7 +238,7 @@ def synth_random_vsignal(window, gen, grid, rng, target_sup):
             and _on_axis(window.k2s, grid.ys)):
         peak = float(np.max(np.abs(coefs)))
     else:
-        peak = float(np.max(np.abs(sig.render(grid).values)))
+        peak = sig.norm(grid, MixedNormParams(INF, INF))
     return sig.scaled(target_sup / peak)
 
 

@@ -29,13 +29,23 @@ from .generator import (
     TAIL_TOL,
     bspline_eval,
 )
-from .mixed_norm import CoefSeq, GridFunction, composite_weights, mixed_function_norm, mixed_sequence_norm
+from .mixed_norm import (
+    CoefSeq,
+    GridFunction,
+    _axis_norm,
+    composite_weights,
+    mixed_function_norm,
+    mixed_sequence_norm,
+)
 
 DEFAULT_STATS_RESOLUTION = 64
 N_MODULUS_RADII = 8
 # output columns per tile of the box-modulus passes: at resolution 64 a tile
 # and its four running extremes take under 1 MB and stay in a 2 MB L2
 MODULUS_TILE = 256
+# grid rows per tile of the streamed render in `VSignal.norm`: a tile of the
+# 1025-point desk grid is 1 MB, however many rows the grid has
+NORM_TILE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +151,18 @@ class SplineFactor1D:
 
         w_x = composite_weights(n_rows, 1.0 / resolution)
         col_int = w_x @ core  # integral over x in [0, 1] per column
-        # fold columns one unit apart: int_R |k(u, s*)| du = sum_m J(s* - m)
-        sup_col = 0.0
-        for l in range(resolution):
-            acc = float(np.sum(col_int[l::resolution]))
-            sup_col = max(sup_col, acc)
-        return max(sup_row, sup_col)
+        # fold columns one unit apart: int_R |k(u, s*)| du = sum_m J(s* - m),
+        # the sum of col_int[l::resolution] for each l < resolution.  Slices
+        # l < extra hold m + 1 terms, the rest m; each slice becomes a
+        # contiguous row, whose sum runs the same pairwise order as the
+        # strided 1-D sum, so the fold is bit-identical to per-slice sums
+        m, extra = divmod(n_cols, resolution)
+        head = col_int[:m * resolution].reshape(m, resolution)
+        folds = np.ascontiguousarray(head.T).sum(axis=1)
+        if extra:
+            longer = np.concatenate([head[:, :extra], col_int[None, m * resolution:]])
+            folds[:extra] = np.ascontiguousarray(longer.T).sum(axis=1)
+        return max(sup_row, float(folds.max()))
 
     def w0_norm(self, resolution=DEFAULT_STATS_RESOLUTION):
         """W0 norm of kappa, read from the unpadded table."""
@@ -462,13 +478,30 @@ class VSignal:
         """Mixed (p, q) grid norm of the signal, `mixed_function_norm` of its render.
 
         At p = q = 2 the quadrature is a quadratic form in the coefficients,
-        read off the cached grid Gram matrices without rendering.
+        read off the cached grid Gram matrices without rendering.  Any other
+        (p, q) streams the render: with P = B_t C formed once, the rows
+        P[rows] B_s^T of one tile of `NORM_TILE` grid rows at a time are
+        checked finite and reduced to their inner q-norms, and the outer
+        p-norm runs once over the assembled row norms.  Each tile holds the
+        same values as those rows of the whole render, and the reductions
+        run along rows in the same order, so the result equals
+        `mixed_function_norm(self.render(grid), params)` bit for bit
+        without the grid ever being whole in memory.
         """
         if params.p == 2.0 and params.q == 2.0:
             G_t, G_s = gram_matrices(grid, self.generator, self.window)
             C = self.coeffs.entries
             return float(np.sqrt(max(0.0, np.sum(C * (G_t @ C @ G_s)))))
-        return mixed_function_norm(self.render(grid), params)
+        B_t, B_s = synthesis_matrices(grid, self.generator, self.window)
+        P = B_t @ self.coeffs.entries
+        w_y = grid.weights_y
+        inner = np.empty(P.shape[0])
+        for r0 in range(0, P.shape[0], NORM_TILE):
+            tile = P[r0: r0 + NORM_TILE] @ B_s.T
+            if not np.all(np.isfinite(tile)):
+                raise InputError("grid function contains non-finite values")
+            inner[r0: r0 + NORM_TILE] = _axis_norm(np.abs(tile, out=tile), w_y, params.q)
+        return float(_axis_norm(inner[None, :], grid.weights_x, params.p)[0])
 
     def eval_pairs(self, xs, ys):
         """Exact values f(xs[i], ys[i]) by direct spline synthesis."""

@@ -56,6 +56,8 @@ class DeviceSet:
     `A_gamma` / `B_gamma` are the minimum and maximum closed-ball covering
     counts over a probe grid of the spatial window; construction fails with
     `GapError` when some probe point is uncovered (gap condition violated).
+    The counts come from a sorted sweep, two `searchsorted` calls on the
+    sorted positions, so no (devices x probes) array is formed.
     """
 
     def __init__(self, positions, delta_prime, window):
@@ -87,9 +89,11 @@ class DeviceSet:
     _COVER_EPS = 1e-12  # absorbs float dust in position arithmetic
 
     def cover_counts(self, ys):
+        """Devices within `delta_prime` of each point of `ys`, by a sorted sweep."""
         ys = np.asarray(ys, dtype=float)
         reach = self.delta_prime + self._COVER_EPS
-        return (np.abs(ys[None, :] - self.positions[:, None]) <= reach).sum(axis=0)
+        return (np.searchsorted(self.positions, ys + reach, "right")
+                - np.searchsorted(self.positions, ys - reach, "left"))
 
     def u_matrix(self, ys):
         """Partition-of-unity weights u_j(ys) as a (devices, points) matrix."""

@@ -156,3 +156,12 @@ def dense_biorth_integrals(order, axis):
     dual_vals = axis.eval(nodes) * weights
     js = np.arange(-r, r + 1)
     return js, np.array([float(dual_vals @ bspline_eval(order, nodes - j)) for j in js])
+
+
+def dense_cover_counts(devices, ys):
+    """Devices within `delta_prime` of each point of `ys`, from the full
+    (devices x points) distance array: the referee for the sorted sweep of
+    `DeviceSet.cover_counts`."""
+    ys = np.asarray(ys, dtype=float)
+    reach = devices.delta_prime + devices._COVER_EPS
+    return (np.abs(ys[None, :] - devices.positions[:, None]) <= reach).sum(axis=0)

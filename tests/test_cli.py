@@ -14,6 +14,7 @@ from temrecon import (
     Generator,
     Grid,
     InputError,
+    MixedNormParams,
     VSignal,
     cli,
     errors,
@@ -107,17 +108,23 @@ def test_hat_sup_without_render_matches_render(hat_gen, step, monkeypatch):
 
 @pytest.mark.parametrize("orders, step", [((2, 2), 0.3), ((2, 3), 1.0 / 32.0)])
 def test_synth_signal_renders_off_the_hat_lattice(orders, step, monkeypatch):
-    # integers off the grid (step 0.3) or a non-hat axis: the sup needs the render
+    # integers off the grid (step 0.3) or a non-hat axis: the sup needs the
+    # render, streamed in row tiles by the (inf, inf) norm, never whole
     gen = Generator(*orders)
     grid = Grid.from_spacing(0.0, 12.0, 0.0, 12.0, step)
     window = window_for_grid(grid, gen)
     seeds = range(20)
     ref = _synth_bytes(window, gen, grid, seeds, random_vsignal)
     calls = []
-    render = VSignal.render
-    monkeypatch.setattr(VSignal, "render", lambda self, g: calls.append(1) or render(self, g))
+    norm = VSignal.norm
+
+    def no_render(self, grid):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr(VSignal, "render", no_render)
+    monkeypatch.setattr(VSignal, "norm", lambda self, g, pr: calls.append(pr) or norm(self, g, pr))
     assert _synth_bytes(window, gen, grid, seeds, synth_random_vsignal) == ref
-    assert len(calls) == len(seeds)
+    assert calls == [MixedNormParams(np.inf, np.inf)] * len(seeds)
 
 
 def test_integrate_and_fire_run_leaves_numpy_ma_unimported(tmp_path):

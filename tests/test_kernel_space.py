@@ -16,6 +16,7 @@ from temrecon import (
     window_for_grid,
 )
 from temrecon import kernel_space
+from temrecon.cli import ExperimentConfig, _encode
 from temrecon.generator import DualAxis
 from temrecon.kernel_space import (
     N_MODULUS_RADII,
@@ -29,7 +30,14 @@ from temrecon.kernel_space import (
     reproducing_bound,
     reproducing_residual,
 )
-from temrecon.mixed_norm import CoefSeq, Grid, GridFunction, mixed_function_norm
+from temrecon.mixed_norm import (
+    CoefSeq,
+    Grid,
+    GridFunction,
+    composite_weights,
+    mixed_function_norm,
+)
+from temrecon.reconstruct import ctem_operator
 
 from conftest import random_vsignal
 
@@ -172,6 +180,25 @@ def test_box_modulus_matches_all_pairs_reference(order):
                     == modulus_reference(order, radius, resolution))
 
 
+def test_w0_column_fold_matches_per_slice_sums():
+    # the fold of the column integrals, one strided 1-D sum per slice
+    def reference(field, resolution):
+        core = np.abs(field)
+        w_s = composite_weights(core.shape[1], 1.0 / resolution)
+        col_int = composite_weights(core.shape[0], 1.0 / resolution) @ core
+        sup_col = max(float(np.sum(col_int[l::resolution])) for l in range(resolution))
+        return max(float(np.max(core @ w_s)), sup_col)
+
+    rng = np.random.default_rng(11)
+    for resolution in (8, 32, 64):
+        for n_cols in (2 * resolution + 1, 6 * resolution + 1, 7 * resolution,
+                       11 * resolution + resolution - 1, 40 * resolution + 3):
+            for _ in range(4):
+                field = rng.standard_normal((resolution + 1, n_cols)) * rng.uniform(0.1, 100.0)
+                assert SplineFactor1D._w0_from_field(field, resolution, 3) == reference(
+                    field, resolution)
+
+
 @pytest.mark.parametrize("order", [2, 3])
 def test_box_modulus_tiles_change_no_bit(order, monkeypatch):
     # a tile that divides the output width, one that leaves a partial last
@@ -205,6 +232,53 @@ def test_vsignal_norm_gram_matches_render(orders):
                            window.k2_first), gen)
     for p, q in [(2.0, 2.0), (1.0, np.inf)]:
         assert zero.norm(grid, MixedNormParams(p, q)) == 0.0
+
+
+TILED_PQ = [(1.0, np.inf), (2.0, np.inf), (3.0, 1.5), (np.inf, 1.0), (np.inf, np.inf)]
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (3, 3), (4, 4)])
+def test_tiled_norm_equals_render_on_desk_grid(orders):
+    # 1025 grid rows: full tiles of NORM_TILE rows and a one-row remainder
+    grid = ExperimentConfig().grid()
+    assert grid.shape[0] % kernel_space.NORM_TILE != 0
+    gen = Generator(*orders)
+    window = window_for_grid(grid, gen)
+    sig = random_vsignal(window, gen, grid, np.random.default_rng(10))
+    for p, q in TILED_PQ:
+        pr = MixedNormParams(p, q)
+        assert sig.norm(grid, pr) == mixed_function_norm(sig.render(grid), pr)
+
+
+def test_tiled_norm_equals_render_for_blind_updates():
+    # blind mode monitors the norm of each Richardson update
+    kernel, grid, window, devices, _, out = _encode(ExperimentConfig(), 3)
+    op = ctem_operator(out, kernel, devices, window)
+    f_n = VSignal.zeros(window, kernel.generator)
+    for _ in range(2):
+        upd = op.step(f_n)
+        for p, q in TILED_PQ:
+            pr = MixedNormParams(p, q)
+            assert upd.norm(grid, pr) == mixed_function_norm(upd.render(grid), pr)
+        f_n = VSignal(CoefSeq(f_n.coeffs.entries + upd.coeffs.entries,
+                              window.k1_first, window.k2_first), kernel.generator)
+
+
+def test_tiled_norm_raises_on_overflowing_render():
+    # cubic weights sum to 1 only up to rounding, so coefficients at the
+    # largest double overflow some rows of the render, here in a later tile
+    grid = ExperimentConfig().grid()
+    gen = Generator(4, 4)
+    window = window_for_grid(grid, gen)
+    C = np.zeros((window.n1, window.n2))
+    C[-6:] = np.finfo(float).max
+    sig = VSignal(CoefSeq(C, window.k1_first, window.k2_first), gen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match="non-finite"):
+            sig.render(grid)
+        for p, q in TILED_PQ:
+            with pytest.raises(InputError, match="non-finite"):
+                sig.norm(grid, MixedNormParams(p, q))
 
 
 def test_projector_biorthogonal_delta(hat_kernel, small_grid, small_window, hat_gen):

@@ -7,6 +7,7 @@ import pytest
 
 from temrecon import (
     DeviceSet,
+    ExperimentConfig,
     GapError,
     Generator,
     Grid,
@@ -20,9 +21,16 @@ from temrecon import (
 )
 from temrecon.generator import bspline_eval
 from temrecon.mixed_norm import CoefSeq
-from temrecon.tem_encode import TemOutput, _SliceTable, ctem_encode, density_report, iftem_encode
+from temrecon.tem_encode import (
+    COVER_PROBES,
+    TemOutput,
+    _SliceTable,
+    ctem_encode,
+    density_report,
+    iftem_encode,
+)
 
-from conftest import plain_integrator_oracle, random_vsignal
+from conftest import dense_cover_counts, plain_integrator_oracle, random_vsignal
 
 
 def crossing_cfg(**kw):
@@ -47,6 +55,40 @@ def test_device_counts_and_gap():
     assert dev.B_gamma <= 2
     with pytest.raises(GapError):
         DeviceSet(np.array([0.0, 4.0]), 0.5, (0.0, 8.0))
+
+
+@pytest.mark.parametrize("spacing", [0.05, 1.0 / 3.0, 0.5, 1.0])
+def test_cover_counts_sweep_matches_dense_referee(spacing):
+    # probes on every ball edge, one ulp to either side of it, and on the devices
+    sets = [DeviceSet.uniform(0.0, 12.0, spacing, f * spacing) for f in (0.5, 0.75, 1.0, 1.5, 2.0)]
+    # jittered positions, five of them twice
+    lattice = DeviceSet.uniform(0.0, 12.0, spacing, spacing).positions
+    pos = lattice + np.random.default_rng(12).uniform(-0.4, 0.4, lattice.size) * spacing
+    sets.append(DeviceSet(np.concatenate([pos, pos[:5]]), spacing, (0.0, 12.0)))
+    for dev in sets:
+        edges = np.concatenate([dev.positions - dev.delta_prime, dev.positions + dev.delta_prime])
+        probes = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                                 dev.positions])
+        assert np.array_equal(dev.cover_counts(probes), dense_cover_counts(dev, probes))
+
+
+def test_cover_counts_closed_balls(monkeypatch):
+    # without the float-dust margin, a point at exactly delta_prime from a
+    # device is covered by it, from either side
+    monkeypatch.setattr(DeviceSet, "_COVER_EPS", 0.0)
+    dev = DeviceSet(np.array([0.0, 1.0, 1.0]), 0.5, (0.0, 1.0))
+    probes = np.array([-0.5, 0.5, 1.5, np.nextafter(1.5, 2.0)])
+    assert dev.cover_counts(probes).tolist() == [1, 3, 2, 0]
+    assert dense_cover_counts(dev, probes).tolist() == [1, 3, 2, 0]
+
+
+@pytest.mark.parametrize("mode, counts", [("crossing", (1, 2)), ("integrate-and-fire", (5, 9))])
+def test_cover_bounds_of_the_readme_configs(mode, counts):
+    # the crossing default is also the device set of the README quick start
+    dev = ExperimentConfig(mode=mode).devices()
+    n = max(2, int(round((dev.window[1] - dev.window[0]) * COVER_PROBES)))
+    dense = dense_cover_counts(dev, np.linspace(dev.window[0], dev.window[1], n + 1))
+    assert (dev.A_gamma, dev.B_gamma) == (int(dense.min()), int(dense.max())) == counts
 
 
 def test_partition_single_device_covers():
