@@ -11,9 +11,10 @@ Exit codes: 0 ok, 2 config error, and for an error a run raises the code
 `EXIT_CODES` gives its class (see `main`); a failed selftest exits 1.
 Config errors include every contract that needs only the config: the
 generator orders (2 to 13), positive grid step, device spacing, gap and
-threshold, devices whose balls cover the spatial window, the interior
-coefficient window on the grid, and the frame lattice and the grid on the
-padded range.
+threshold, devices whose balls cover the spatial window, a fire budget of
+at most `MAX_FIRE_SLOTS` preallocated fire slots, the interior coefficient
+window on the grid, and the frame lattice and the grid on the padded
+range.
 """
 
 import argparse
@@ -72,6 +73,11 @@ EXIT_CODES = {
 # the highest generator order whose dual passes the kernel's biorthogonality
 # gate (BIORTH_TOL = 1e-8): 13 leaves 8.1e-10, 14 reaches 1.1e-8
 MAX_ORDER = 13
+# the most fire slots (devices x `TemConfig.fire_slots`) an encode may
+# preallocate: two float arrays of 32 MB each, about 40 times the 106k of the
+# leaky (1, inf) desk config; integrate-and-fire at theta 1e-4 on [0, 12]^2
+# would ask for 35M
+MAX_FIRE_SLOTS = 2 ** 22
 
 
 @dataclass
@@ -120,7 +126,7 @@ class ExperimentConfig:
         if self.tol <= 0 or self.n_max < 1:
             raise InputError("tol must be positive and n_max at least 1")
         # constructing the derived objects validates the remaining contracts
-        self.tem_config()
+        tem = self.tem_config()
         MixedNormParams(self.p, self.q)
         gen = Generator(self.generator_order_t, self.generator_order_s)
         if max(self.generator_order_t, self.generator_order_s) > MAX_ORDER:
@@ -130,10 +136,15 @@ class ExperimentConfig:
         grid = self.grid()
         window_for_grid(grid, gen)
         try:
-            self.devices()
+            devices = self.devices()
         except GapError as e:
             raise InputError(f"device_spacing={self.device_spacing} with delta_prime="
                              f"{self.delta_prime} leaves the window uncovered: {e}") from None
+        slots = len(devices) * tem.fire_slots(self.x_max - self.x_min)
+        if slots > MAX_FIRE_SLOTS:
+            raise InputError(f"the encoder would preallocate {slots} fire slots for "
+                             f"{len(devices)} devices, above MAX_FIRE_SLOTS = {MAX_FIRE_SLOTS}; "
+                             "raise theta or delta_target, or shrink the window")
         for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max)):
             _lattice(lo - PAD, hi + PAD, self.frame_delta)  # as `FrameFamily.build` lays it
         try:  # the padded grid of `FrameFamily.build`

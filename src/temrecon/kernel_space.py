@@ -39,9 +39,10 @@ from .mixed_norm import (
 )
 
 DEFAULT_STATS_RESOLUTION = 64
-N_MODULUS_RADII = 8
+# radii of fewer lattice steps than this take the direct off-grid box modulus
+MODULUS_MIN_STEPS = 8
 # output columns per tile of the box-modulus passes: at resolution 64 a tile
-# and its four running extremes take under 1 MB and stay in a 2 MB L2
+# and the arrays of its window passes take about 1 MB and stay in a 2 MB L2
 MODULUS_TILE = 256
 # grid rows per tile of the streamed render in `VSignal.norm`: a tile of the
 # 1025-point desk grid is 1 MB, however many rows the grid has
@@ -136,7 +137,7 @@ class SplineFactor1D:
     # -- W0-norm machinery ---------------------------------------------------
 
     @staticmethod
-    def _w0_from_field(field, resolution, R):
+    def _w0_from_field(field, resolution):
         """W0 norm of a diagonally shift-invariant field sampled as in `KappaTable`.
 
         `field` rows cover x in [0, 1]; columns cover s in [-R, R].  Row
@@ -168,91 +169,96 @@ class SplineFactor1D:
         """W0 norm of kappa, read from the unpadded table."""
         return self.w0_and_box_modulus(0.0, resolution)[0]
 
-    def box_modulus_w0(self, radius, resolution=DEFAULT_STATS_RESOLUTION):
-        """W0 norm of the box modulus sup_{|du|,|dv| <= radius} |kappa shift - kappa|."""
-        return self.w0_and_box_modulus(radius, resolution)[1]
-
     def w0_and_box_modulus(self, radius, resolution=DEFAULT_STATS_RESOLUTION):
         """(W0 norm of kappa, W0 norm of its box modulus at `radius`) from one table.
 
-        The table is padded by the largest shift; the W0 norm reads its core,
-        which equals the unpadded table bit for bit (the extra shifts k add
-        nothing there).  Shifts are snapped to the sample grid (ladder of 8
-        radii per axis, both signs), so shifted reads are array views and,
-        for generators with grid-aligned breakpoints, the sampled field is
-        exact at the nodes.  Radii below the grid scale use exact off-grid
-        evaluations at the box corners and axis extremes instead (correct to
-        second order there).
+        The box modulus at a sample (x, s) is the sup of |kappa(x + du, s + dv)
+        - kappa(x, s)| over every lattice offset (du, dv) in [-p, p]^2 steps,
+        with p = floor(radius * resolution), so shifted reads are array views
+        and, for generators with grid-aligned breakpoints, the sampled field
+        is exact at the nodes.  For the hat, kappa is bilinear on each lattice
+        square, so this is the sup over the whole lattice box.  Radii of
+        fewer than `MODULUS_MIN_STEPS` steps use exact off-grid evaluations
+        at the box corners and axis extremes instead (correct to second
+        order there).
 
-        The offset set is a product, so the sup over the box splits by axis:
-        running max/min over the row offsets, then over the column offsets,
-        and mod = max(hi - base, base - lo).  Rounded subtraction is monotone
-        in each operand, so this equals the max of |shifted - base| over all
-        offset pairs bit for bit (the (0, 0) pair only adds a zero).  The
-        table is built and both passes run one tile of `MODULUS_TILE` output
-        columns at a time, both extremes together, on one contiguous array,
-        so every pass is a flat array operation on data that stays in cache
-        and the padded table is never whole in memory; max and min are
-        exact, so neither the tiling nor the flat shifts change a bit.
+        The table is padded by p; the W0 norm reads its core, which equals
+        the unpadded table bit for bit (the extra shifts k add nothing
+        there).  The offset box is a product, so its sup splits by axis:
+        the window max and min over 2 p + 1 rows, then over 2 p + 1 columns
+        (`_window_extreme`, about log2(2 p + 1) passes each), and mod =
+        max(hi - base, base - lo).  Rounded subtraction is monotone in each
+        operand, so this equals the max of |shifted - base| over all offset
+        pairs bit for bit.  The table is built and the passes run one tile
+        of `MODULUS_TILE` output columns at a time, on one flat contiguous
+        array, so every pass is a flat array operation on data that stays
+        in cache and the padded table is never whole in memory; max and min
+        are exact, so neither the tiling nor the flat shifts change a bit.
         """
         if radius < 0:
             raise InputError("modulus radius must be nonnegative")
-        on_grid = radius * resolution >= N_MODULUS_RADII
+        on_grid = radius * resolution >= MODULUS_MIN_STEPS
         pad = int(np.floor(radius * resolution)) if on_grid else 0
         table = KappaTable(self, resolution, pad)
-        R = table.R
         nx = table.n_rows - 2 * pad
         ns = table.n_cols - 2 * pad
         if not on_grid:
             core = table.columns(0, ns)
-            w0 = self._w0_from_field(core, resolution, R)
+            w0 = self._w0_from_field(core, resolution)
             if radius == 0:
                 return w0, 0.0
-            return w0, self._box_modulus_w0_direct(core, R, radius, resolution)
-        offs = sorted({int(np.floor(radius * resolution * j / N_MODULUS_RADII))
-                       for j in range(1, N_MODULUS_RADII + 1)} - {0})
-        offsets = [o for off in offs for o in (off, -off)]
+            return w0, self._box_modulus_w0_direct(core, radius, resolution)
+        span = 2 * pad + 1
         core = np.empty((nx, ns))
         mod = np.empty((nx, ns))
         for c0 in range(0, ns, MODULUS_TILE):
             w = min(MODULUS_TILE, ns - c0)
             width = w + 2 * pad
-            n = nx * width
+            n = nx * width - 2 * pad
             # the tile's output columns with their column offsets, flat: a
-            # row offset is a shift by whole rows
+            # row offset is a shift by whole rows, a column offset a shift by
+            # one, which stays inside its row for the kept columns; entry i
+            # of the passes is the window whose center is base[i]
             tile = table.columns(c0, width).ravel()
-            base = tile[pad * width: pad * width + n]
-            hi = base.copy()
-            lo = base.copy()
-            for o1 in offsets:
-                shifted = tile[(pad + o1) * width: (pad + o1) * width + n]
-                np.maximum(hi, shifted, out=hi)
-                np.minimum(lo, shifted, out=lo)
-            # a column offset is a flat shift too; it stays inside its row
-            # for the kept columns pad .. pad + w, and the rest is dropped
-            box_hi = hi.copy()
-            box_lo = lo.copy()
-            inner = slice(pad, n - pad)
-            for o2 in offsets:
-                np.maximum(box_hi[inner], hi[pad + o2: n - pad + o2], out=box_hi[inner])
-                np.minimum(box_lo[inner], lo[pad + o2: n - pad + o2], out=box_lo[inner])
-            box_hi -= base
-            np.subtract(base, box_lo, out=box_lo)
-            np.maximum(box_hi, box_lo, out=box_hi)
-            core[:, c0: c0 + w] = base.reshape(nx, width)[:, pad: pad + w]
-            mod[:, c0: c0 + w] = box_hi.reshape(nx, width)[:, pad: pad + w]
-        return self._w0_from_field(core, resolution, R), self._w0_from_field(mod, resolution, R)
+            base = tile[pad * width + pad: pad * width + pad + n]
+            hi, lo = (_window_extreme(op, _window_extreme(op, tile, span, width), span, 1)
+                      for op in (np.maximum, np.minimum))
+            hi -= base
+            np.subtract(base, lo, out=lo)
+            box = np.empty(nx * width)
+            np.maximum(hi, lo, out=box[:n])
+            core[:, c0: c0 + w] = tile.reshape(-1, width)[pad: pad + nx, pad: pad + w]
+            mod[:, c0: c0 + w] = box.reshape(nx, width)[:, :w]
+        return self._w0_from_field(core, resolution), self._w0_from_field(mod, resolution)
 
-    def _box_modulus_w0_direct(self, base, R, radius, resolution):
+    def _box_modulus_w0_direct(self, base, radius, resolution):
         h = 1.0 / resolution
+        half = (base.shape[1] - 1) // 2
         xs = np.arange(0, resolution + 1) * h
-        ss = np.arange(-R * resolution, R * resolution + 1) * h
+        ss = np.arange(-half, half + 1) * h
         mod = np.zeros_like(base)
         shifts = [(dx, ds) for dx in (-radius, 0.0, radius)
                   for ds in (-radius, 0.0, radius) if (dx, ds) != (0.0, 0.0)]
         for dx, ds in shifts:
             np.maximum(mod, np.abs(self.eval_outer(xs + dx, ss + ds) - base), out=mod)
-        return self._w0_from_field(mod, resolution, R)
+        return self._w0_from_field(mod, resolution)
+
+
+def _window_extreme(op, x, span, stride):
+    """op (np.maximum or np.minimum) over x[i], x[i + stride], ...,
+    x[i + (span - 1) stride] for every i < x.size - (span - 1) stride.
+
+    Doubling: after a pass with shift `run` strides every entry holds the
+    extreme of a window twice as long, and the last pass overlaps two
+    windows to reach `span` exactly, so about log2(span) flat passes in
+    all (the sparse-table form of van Herk 1992 and Gil & Werman 1993).
+    """
+    run = 1
+    while run < span:
+        s = min(run, span - run)
+        x = op(x[:-s * stride], x[s * stride:])
+        run += s
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +354,6 @@ def build_shift_invariant_kernel(gen, dual):
         generator=gen,
         dual=dual,
     )
-
-
-def generic_w_norm(eval4, s_reach, resolution=8):
-    """Literal nested kernel-norm estimate through the abstract evaluator.
-
-    Assumes diagonal integer shift-invariance in each argument pair so sups
-    reduce to one period; integrals run over [-R, R] with R = ceil(s_reach)+1.
-    Quadratically more expensive than the separable fast path; intended for
-    validating that path on small kernels.
-    """
-    R = int(np.ceil(s_reach)) + 1
-    h = 1.0 / resolution
-    xs = np.arange(0, resolution + 1) * h
-    ss = np.arange(-R * resolution, R * resolution + 1) * h
-    inner = np.zeros((xs.size, ss.size))
-    for i, x in enumerate(xs):
-        for j, s in enumerate(ss):
-            field = eval4(x, xs[:, None], s, ss[None, :])
-            inner[i, j] = SplineFactor1D._w0_from_field(field, resolution, R)
-    return SplineFactor1D._w0_from_field(inner, resolution, R)
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +590,6 @@ def _grid_resolution_check(kernel, grid, window, tol=1e-8):
             f"grid quadrature breaks biorthogonality by {worst:.3e}; grid too coarse"
         )
     kernel._resolved.add(key)
-
-
-def kernel_slice(kernel, s, t, grid):
-    """K(., .; s, t) rendered on the grid (a member of the signal space)."""
-    vt = kernel.factor_t.eval_outer(grid.xs, np.array([float(s)]))[:, 0]
-    vs = kernel.factor_s.eval_outer(grid.ys, np.array([float(t)]))[:, 0]
-    return GridFunction(grid, np.outer(vt, vs))
 
 
 def reproducing_bound(kernel, x, y, params, grid):

@@ -168,6 +168,16 @@ class TemConfig:
                 (self.b_level - self.c_bound) * self.kappa_alpha(self.delta_target),
             )
 
+    def fire_slots(self, duration):
+        """Fires one device can make over `duration`, plus two: the length of
+        the per-device fire arrays the `encode_*_devices` fast paths
+        preallocate.  Crossing gaps are at least (b - c) / lambda,
+        integrate-and-fire gaps at least theta / (b + c)."""
+        if self.mode == "crossing":
+            return int(math.ceil(duration * self.lambda_slope / (self.b_level - self.c_bound))) + 2
+        min_gap = self.theta / (self.b_level + self.c_bound)
+        return int(math.ceil(duration / min_gap)) + 2
+
     def kappa_alpha(self, dt):
         """Integral of the leak weight: (1 - exp(-alpha dt)) / alpha, dt at alpha = 0."""
         if self.alpha == 0.0:
@@ -522,7 +532,7 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
     # pieces where f' may reach lambda, so that g may dip and return
     steep = np.abs(table.poly[..., 1:]) @ np.arange(1.0, table.order) >= lam
     J = len(devices)
-    max_fires = int(math.ceil((t_end - t0) * lam / (b - cfg.c_bound))) + 2
+    max_fires = cfg.fire_slots(t_end - t0)
     all_times = np.zeros((J, max_fires))
     all_values = np.zeros((J, max_fires))
     counts = np.zeros(J, dtype=int)
@@ -705,7 +715,7 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     J = len(devices)
     n_steps = int(math.ceil((t_end - t0) / h))
     edges = np.minimum(t0 + h * np.arange(n_steps + 1), t_end)
-    max_fires = int(math.ceil((t_end - t0) / min_gap)) + 2
+    max_fires = cfg.fire_slots(t_end - t0)
     all_times = np.zeros((J, max_fires))
     all_ints = np.zeros((J, max_fires))
     counts = np.zeros(J, dtype=int)

@@ -11,7 +11,8 @@ from temrecon import (
     dual_generator,
     window_for_grid,
 )
-from temrecon.mixed_norm import CoefSeq
+from temrecon.kernel_space import SplineFactor1D
+from temrecon.mixed_norm import CoefSeq, GridFunction
 
 
 @pytest.fixture(scope="session")
@@ -165,3 +166,30 @@ def dense_cover_counts(devices, ys):
     ys = np.asarray(ys, dtype=float)
     reach = devices.delta_prime + devices._COVER_EPS
     return (np.abs(ys[None, :] - devices.positions[:, None]) <= reach).sum(axis=0)
+
+
+def generic_w_norm(eval4, s_reach, resolution=8):
+    """Literal nested kernel-norm estimate through the abstract evaluator.
+
+    Assumes diagonal integer shift-invariance in each argument pair so sups
+    reduce to one period; integrals run over [-R, R] with R = ceil(s_reach)+1.
+    Quadratically more expensive than the separable fast path; the referee
+    for that path on small kernels.
+    """
+    R = int(np.ceil(s_reach)) + 1
+    h = 1.0 / resolution
+    xs = np.arange(0, resolution + 1) * h
+    ss = np.arange(-R * resolution, R * resolution + 1) * h
+    inner = np.zeros((xs.size, ss.size))
+    for i, x in enumerate(xs):
+        for j, s in enumerate(ss):
+            field = eval4(x, xs[:, None], s, ss[None, :])
+            inner[i, j] = SplineFactor1D._w0_from_field(field, resolution)
+    return SplineFactor1D._w0_from_field(inner, resolution)
+
+
+def kernel_slice(kernel, s, t, grid):
+    """K(., .; s, t) rendered on the grid (a member of the signal space)."""
+    vt = kernel.factor_t.eval_outer(grid.xs, np.array([float(s)]))[:, 0]
+    vs = kernel.factor_s.eval_outer(grid.ys, np.array([float(t)]))[:, 0]
+    return GridFunction(grid, np.outer(vt, vs))

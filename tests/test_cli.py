@@ -349,6 +349,7 @@ def test_high_order_sweep_exits_0(tmp_path, command, order, extent):
     {"device_spacing": 100},
     {"grid_step": 0.0},
     {"mode": "integrate-and-fire", "theta": -1},
+    {"mode": "integrate-and-fire", "theta": 1e-4, "x_max": 12, "y_max": 12},
 ], ids=json.dumps)
 def test_malformed_config_exit_code_table(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"

@@ -19,14 +19,13 @@ from temrecon import kernel_space
 from temrecon.cli import ExperimentConfig, _encode
 from temrecon.generator import DualAxis
 from temrecon.kernel_space import (
-    N_MODULUS_RADII,
+    MODULUS_MIN_STEPS,
     KappaTable,
     Kernel,
     SplineFactor1D,
+    _window_extreme,
     analysis_bound_check,
     apply_T,
-    generic_w_norm,
-    kernel_slice,
     reproducing_bound,
     reproducing_residual,
 )
@@ -39,7 +38,7 @@ from temrecon.mixed_norm import (
 )
 from temrecon.reconstruct import ctem_operator
 
-from conftest import random_vsignal
+from conftest import generic_w_norm, kernel_slice, random_vsignal
 
 
 def haar_factor():
@@ -110,26 +109,43 @@ def per_k_table(factor, resolution, pad):
 
 
 def box_modulus_w0_reference(factor, radius, resolution):
-    """The all-pairs box modulus: |shift - base| over every offset pair."""
-    if radius * resolution < N_MODULUS_RADII:
-        base, R = per_k_table(factor, resolution, 0)
-        return factor._box_modulus_w0_direct(base, R, radius, resolution)
+    """The box modulus by one pass per lattice offset and axis: running max
+    and min over every row offset in [-p, p], then over every column offset."""
+    if radius * resolution < MODULUS_MIN_STEPS:
+        base, _ = per_k_table(factor, resolution, 0)
+        return factor._box_modulus_w0_direct(base, radius, resolution)
     pad = int(np.floor(radius * resolution))
-    field, R = per_k_table(factor, resolution, pad)
-    offs = sorted({int(np.floor(radius * resolution * j / N_MODULUS_RADII))
-                   for j in range(1, N_MODULUS_RADII + 1)} - {0})
-    offsets = [0] + [o for off in offs for o in (off, -off)]
+    field, _ = per_k_table(factor, resolution, pad)
     nx = field.shape[0] - 2 * pad
     ns = field.shape[1] - 2 * pad
+    rows_hi = field[pad: pad + nx].copy()
+    rows_lo = rows_hi.copy()
+    for o in range(-pad, pad + 1):
+        np.maximum(rows_hi, field[pad + o: pad + o + nx], out=rows_hi)
+        np.minimum(rows_lo, field[pad + o: pad + o + nx], out=rows_lo)
     base = field[pad: pad + nx, pad: pad + ns]
-    mod = np.zeros_like(base)
-    for o1 in offsets:
-        for o2 in offsets:
-            if o1 == 0 and o2 == 0:
-                continue
-            shifted = field[pad + o1: pad + o1 + nx, pad + o2: pad + o2 + ns]
-            np.maximum(mod, np.abs(shifted - base), out=mod)
-    return factor._w0_from_field(mod, resolution, R)
+    hi = base.copy()
+    lo = base.copy()
+    for o in range(-pad, pad + 1):
+        np.maximum(hi, rows_hi[:, pad + o: pad + o + ns], out=hi)
+        np.minimum(lo, rows_lo[:, pad + o: pad + o + ns], out=lo)
+    return factor._w0_from_field(np.maximum(hi - base, base - lo), resolution)
+
+
+def modulus_fields(factor, radius, resolution, monkeypatch):
+    """(core, box modulus) fields of `w0_and_box_modulus`, caught on their way
+    to `_w0_from_field`."""
+    fields = []
+    w0_from_field = SplineFactor1D._w0_from_field
+
+    def catch(field, res):
+        fields.append(field.copy())
+        return w0_from_field(field, res)
+
+    with monkeypatch.context() as m:
+        m.setattr(SplineFactor1D, "_w0_from_field", staticmethod(catch))
+        factor.w0_and_box_modulus(radius, resolution)
+    return fields
 
 
 @functools.cache
@@ -158,8 +174,8 @@ def test_w0_norm_reads_the_padded_core(order):
     # the W0 norm from the core of any padded table is the unpadded value
     factor = spline_factor(order)
     for resolution in (32, 64):
-        field, R = per_k_table(factor, resolution, 0)
-        w0 = factor._w0_from_field(field, resolution, R)
+        field, _ = per_k_table(factor, resolution, 0)
+        w0 = factor._w0_from_field(field, resolution)
         assert factor.w0_norm(resolution) == w0
         for radius in (0.05, 0.3536, 0.53):
             assert factor.w0_and_box_modulus(radius, resolution)[0] == w0
@@ -172,12 +188,63 @@ def modulus_reference(order, radius, resolution):
 
 @pytest.mark.parametrize("order", [2, 3])
 def test_box_modulus_matches_all_pairs_reference(order):
-    # the separable running max/min must equal the 17 x 17 offset loop bit for bit
+    # the doubling window passes must equal one pass per offset bit for bit
     factor = spline_factor(order)
     for resolution in (32, 64):
         for radius in (0.05, 0.2, 0.3, 0.3536, 0.53, 0.7, 1.0198):
-            assert (factor.box_modulus_w0(radius, resolution)
+            assert (factor.w0_and_box_modulus(radius, resolution)[1]
                     == modulus_reference(order, radius, resolution))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_box_modulus_is_the_sup_over_every_offset_pair(order, monkeypatch):
+    # the separable sup equals the max of |shift - base| over the full
+    # (2 p + 1)^2 offset product, field for field
+    factor, resolution, radius = spline_factor(order), 32, 0.3
+    pad = int(np.floor(radius * resolution))
+    field, _ = per_k_table(factor, resolution, pad)
+    nx = field.shape[0] - 2 * pad
+    ns = field.shape[1] - 2 * pad
+    base = field[pad: pad + nx, pad: pad + ns]
+    want = np.zeros_like(base)
+    for o1 in range(-pad, pad + 1):
+        for o2 in range(-pad, pad + 1):
+            shifted = field[pad + o1: pad + o1 + nx, pad + o2: pad + o2 + ns]
+            np.maximum(want, np.abs(shifted - base), out=want)
+    core, mod = modulus_fields(factor, radius, resolution, monkeypatch)
+    assert np.array_equal(core, base) and np.array_equal(mod, want)
+
+
+def test_window_extreme_matches_naive_sliding_extreme():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(13 * 150)
+    for stride in (1, 13):
+        for span in range(1, 72):
+            m = x.size - (span - 1) * stride
+            for op in (np.maximum, np.minimum):
+                want = x[:m].copy()
+                for k in range(1, span):
+                    op(want, x[k * stride: k * stride + m], out=want)
+                assert np.array_equal(_window_extreme(op, x, span, stride), want)
+
+
+def test_hat_box_modulus_dominates_off_lattice_shifts(hat_kernel, monkeypatch):
+    # kappa of the hat is bilinear on each lattice square, so the lattice sup
+    # bounds every shift in the box, on the lattice or off it
+    factor = hat_kernel.factor_t
+    resolution = 64
+    h = 1.0 / resolution
+    rng = np.random.default_rng(13)
+    for radius in (0.3536, 0.559):
+        box = int(np.floor(radius * resolution)) * h
+        core, mod = modulus_fields(factor, radius, resolution, monkeypatch)
+        half = (core.shape[1] - 1) // 2
+        i = rng.integers(0, core.shape[0], 4000)
+        n = rng.integers(0, core.shape[1], 4000)
+        du, dv = rng.uniform(-box, box, (2, 4000))
+        x, s = i * h, (n - half) * h
+        moved = np.abs(factor.eval_pairs(x + du, s + dv) - core[i, n])
+        assert np.all(moved <= mod[i, n] + 1e-12)
 
 
 def test_w0_column_fold_matches_per_slice_sums():
@@ -195,7 +262,7 @@ def test_w0_column_fold_matches_per_slice_sums():
                        11 * resolution + resolution - 1, 40 * resolution + 3):
             for _ in range(4):
                 field = rng.standard_normal((resolution + 1, n_cols)) * rng.uniform(0.1, 100.0)
-                assert SplineFactor1D._w0_from_field(field, resolution, 3) == reference(
+                assert SplineFactor1D._w0_from_field(field, resolution) == reference(
                     field, resolution)
 
 
@@ -210,7 +277,7 @@ def test_box_modulus_tiles_change_no_bit(order, monkeypatch):
         for tile in (divisor, 100, ns + 7):
             monkeypatch.setattr(kernel_space, "MODULUS_TILE", tile)
             for radius in (0.3536, 0.53):
-                assert (factor.box_modulus_w0(radius, resolution)
+                assert (factor.w0_and_box_modulus(radius, resolution)[1]
                         == modulus_reference(order, radius, resolution))
 
 
