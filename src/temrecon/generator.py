@@ -1,4 +1,4 @@
-"""Tensor-product B-spline generators, their duals, and amalgam statistics.
+"""Tensor-product B-spline generators, their duals, and amalgam norms.
 
 The concrete generator family is the centered cardinal B-spline, tensored
 over the time and space axes.  Orders >= 2 give continuous, compactly
@@ -8,10 +8,9 @@ expansion coefficients exists.  The dual solve writes the inverse filter of
 the Gram sequence in closed form over the roots of its symbol and truncates
 it where a proven bound on the geometric tail falls below `TRUNC_TOL`.
 
-Amalgam ("sum of unit-cell suprema") norms and moduli of continuity are
-grid estimates at a documented resolution: cell suprema are maxima over
-closed-cell sample grids, shift suprema run over a finite direction/radius
-probe set.
+Amalgam ("sum of unit-cell suprema") norms are grid estimates at a
+documented resolution: cell suprema are maxima over closed-cell sample
+grids.
 """
 
 import math
@@ -196,9 +195,13 @@ class LeakMoments:
     def __call__(self, h):
         h = np.asarray(h, dtype=float)
         hs = h if self.h_series is None else np.minimum(h, self.h_series)
-        powers = np.repeat((hs / self.unit)[..., None], self.coef.shape[0], axis=-1)
-        np.multiply.accumulate(powers, axis=-1, out=powers)
-        M = powers @ self.coef
+        x = (hs / self.unit).ravel()
+        # one row per power, so each product runs along the points
+        powers = np.empty((self.coef.shape[0], x.size))
+        powers[0] = x
+        for k in range(1, powers.shape[0]):
+            np.multiply(powers[k - 1], x, out=powers[k])
+        M = (powers.T @ self.coef).reshape(h.shape + (self.order,))
         if self.alpha == 0.0:
             return M
         M *= np.exp(-self.alpha * hs)[..., None]
@@ -241,7 +244,7 @@ def spline_leaky_integrals(order, a, b, alpha):
 
 
 # ---------------------------------------------------------------------------
-# amalgam norms and moduli of continuity (grid estimates)
+# amalgam norms (grid estimates)
 # ---------------------------------------------------------------------------
 
 def amalgam_norm_1d(f, lo, hi, samples_per_unit=64):
@@ -259,67 +262,6 @@ def amalgam_norm_1d(f, lo, hi, samples_per_unit=64):
         cell = np.linspace(k, k + 1.0, samples_per_unit + 1)
         total += float(np.max(np.abs(f(cell))))
     return total
-
-
-def amalgam_norm_2d(f2, box, samples_per_unit=64):
-    """Amalgam norm of a 2-d function over unit cells of the given box."""
-    xlo, xhi, ylo, yhi = box
-    total = 0.0
-    for k1 in range(int(np.floor(xlo)), int(np.ceil(xhi))):
-        xs = np.linspace(k1, k1 + 1.0, samples_per_unit + 1)
-        for k2 in range(int(np.floor(ylo)), int(np.ceil(yhi))):
-            ys = np.linspace(k2, k2 + 1.0, samples_per_unit + 1)
-            total += float(np.max(np.abs(f2(xs[:, None], ys[None, :]))))
-    return total
-
-
-def _probe_radii(delta, n_radii):
-    return delta * np.arange(1, n_radii + 1) / n_radii
-
-
-def modulus_1d(f, delta, xs, n_radii=8):
-    """Pointwise sup over |shift| <= delta of |f(x + shift) - f(x)| on `xs`."""
-    if delta < 0:
-        raise InputError("modulus radius must be nonnegative")
-    xs = np.asarray(xs, dtype=float)
-    base = f(xs)
-    out = np.zeros_like(base)
-    for r in _probe_radii(delta, n_radii):
-        for s in (r, -r):
-            np.maximum(out, np.abs(f(xs + s) - base), out=out)
-    return out
-
-
-def modulus_of_continuity(f2, delta, xs, ys, n_dirs=16, n_radii=8):
-    """Grid-sampled modulus of continuity of a 2-d function.
-
-    sup over shifts of Euclidean length <= delta of
-    |f(x + x', y + y') - f(x, y)|, with the shift sup taken over
-    `n_dirs` directions times `n_radii` radii.  Monotone non-decreasing
-    in delta; identically zero at delta = 0.
-    """
-    if delta < 0:
-        raise InputError("modulus radius must be nonnegative")
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    base = f2(xs[:, None], ys[None, :])
-    out = np.zeros_like(base)
-    angles = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-    for r in _probe_radii(delta, n_radii):
-        for a in angles:
-            dx, dy = r * np.cos(a), r * np.sin(a)
-            np.maximum(out, np.abs(f2(xs[:, None] + dx, ys[None, :] + dy) - base), out=out)
-    return out
-
-
-def modulus_amalgam_1d(f, delta, lo, hi, samples_per_unit=64, n_radii=8):
-    """Amalgam norm of the 1-d modulus of continuity at radius delta."""
-    return amalgam_norm_1d(
-        lambda x: modulus_1d(f, delta, x, n_radii=n_radii),
-        lo - delta,
-        hi + delta,
-        samples_per_unit=samples_per_unit,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -550,32 +492,3 @@ def tensor_biorth_residual(axis_t, axis_s):
     target = np.zeros_like(prod)
     target[it.size // 2, is_.size // 2] = 1.0
     return float(np.max(np.abs(prod - target)))
-
-
-@dataclass(frozen=True)
-class GeneratorInfo:
-    """Gram-symbol bounds and amalgam statistics of a generator/dual pair."""
-
-    m: float
-    M: float
-    amalgam_norm_phi: float
-    amalgam_norm_dual: float
-
-    def __post_init__(self):
-        if not (0.0 < self.m <= self.M < np.inf):
-            raise InputError("Gram-symbol bounds must satisfy 0 < m <= M < inf")
-
-
-def generator_info(gen, dual, samples_per_unit=64, n_xi=2048):
-    """Compute the 2-d Gram-symbol bounds and amalgam norms."""
-    xi = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
-
-    def symbol(order):
-        offs, vals = bspline_autocorr(order)
-        return sum(v * np.cos(o * xi) for o, v in zip(offs, vals))
-
-    sym_t = symbol(gen.order_t)
-    sym_s = symbol(gen.order_s)
-    m = float(sym_t.min() * sym_s.min())
-    M = float(sym_t.max() * sym_s.max())
-    return GeneratorInfo(m, M, gen.amalgam_norm(samples_per_unit), dual.amalgam_norm(samples_per_unit))

@@ -24,12 +24,13 @@ at higher orders a bracketed Newton iteration locates it.  The
 integrate-and-fire running integral is exact: a piece polynomial,
 Taylor-shifted to the interval start, against the leak-weighted moments
 of `generator.LeakMoments`.  Each device walks a shared ladder of
-evaluation steps to the step where the integral reaches the threshold,
-and the bracketed Newton iteration locates the fire on it.  The fast
-paths are validated against the scalar `ctem_encode` / `iftem_encode`
-reference implementations, which bracket each fire by a scan at a step
-and refine by plain bisection (the integrate-and-fire one on Gauss
-quadrature).
+evaluation steps to the step where the integral reaches the threshold;
+the bracketed Newton iteration locates the fire on it from a Halley step,
+usually in two evaluations.  Both check the amplitude bound on the
+exact max |f| of every piece.  The fast paths are validated against the
+scalar `ctem_encode` / `iftem_encode` reference implementations, which
+bracket each fire by a scan at a step and refine by plain bisection (the
+integrate-and-fire one on Gauss quadrature).
 """
 
 import math
@@ -518,17 +519,16 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
     bound sum_d d |c_d|), on which g can dip and return, are read at
     ceil(8 / delta_target) steps per piece.
 
-    The amplitude bound is checked once per encode on the slice table: at
-    every piece end (exact at order 2) and, above order 2, at
-    ceil(8 / delta_target) points per piece.
+    The amplitude bound is checked once per encode on the slice table, at
+    every piece's ends and interior critical points.
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
     t0, t_end = float(horizon[0]), float(horizon[1])
     b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
     table = _SliceTable(vsig, devices)
-    n_sub = 1 if table.order == 2 else math.ceil(8.0 / delta)
-    _check_table_amplitude(table, cfg, t0, t_end, n_sub)
+    _check_table_amplitude(table, cfg, t0, t_end)
+    sub_step = 1.0 / math.ceil(8.0 / delta)     # the walk on steep pieces
     # pieces where f' may reach lambda, so that g may dip and return
     steep = np.abs(table.poly[..., 1:]) @ np.arange(1.0, table.order) >= lam
     J = len(devices)
@@ -548,7 +548,7 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
         end = np.where(s < table.last, edge + 1.0, np.inf)     # the last piece has no end
         hi = np.minimum(end, cap)
         if table.order > 2:
-            hi = np.minimum(hi, np.where(steep[idx, s], lo + 1.0 / n_sub, np.inf))
+            hi = np.minimum(hi, np.where(steep[idx, s], lo + sub_step, np.inf))
         g_hi = _horner(c, hi - edge) + b - lam * (hi - tp)
         walk = g_hi > 0.0
         stop = walk & (hi == cap)
@@ -597,21 +597,50 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
     return TemOutput(cfg, devices, t0, t_end, times, values)
 
 
-def _check_table_amplitude(table, cfg, lo, hi, n_sub):
+def _real_roots(c):
+    """Real parts of the roots of each row's polynomial sum_k c[i, k] u^k,
+    (rows, degree), NaN where a vanishing leading coefficient leaves fewer.
+
+    The roots are the eigenvalues of the stacked companion matrices.  A
+    complex pair stands as its real part: a point read more, where the
+    roots are candidate extremes, is harmless.
+    """
+    deg = c.shape[1] - 1
+    out = np.full((c.shape[0], max(deg, 0)), np.nan)
+    if deg < 1:
+        return out
+    low = c[:, -1] == 0.0
+    out[low, :-1] = _real_roots(c[low, :-1])
+    c = c[~low]
+    comp = np.zeros((c.shape[0], deg, deg))
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    out[~low] = np.linalg.eigvals(comp).real
+    return out
+
+
+def _check_table_amplitude(table, cfg, lo, hi):
     """Amplitude precondition of every slice over [lo, hi], from the table.
 
-    Each piece meeting [lo, hi] is sampled at its two ends and n_sub - 1
-    evenly spaced interior points, and the slices at lo and hi.  A linear
-    piece takes its extremes at its ends, so n_sub = 1 is exact at order 2.
+    A piece polynomial takes its extremes at its ends or where its slope
+    vanishes, so each piece meeting [lo, hi] is read at its two ends and at
+    the real roots of f' inside it (`_real_roots`), and the slices at lo
+    and hi: the exact max |f| at every order.  Order-2 pieces are linear
+    and read at their ends alone.
     """
     (first, last), _ = table.locate(np.array([lo, hi]))
     s = np.arange(first, last + 1)
-    u = np.arange(n_sub + 1) / n_sub
-    ts = np.concatenate([(table.origin + s[:, None] + u).ravel(), [lo, hi]])
-    every = np.arange(table.poly.shape[0])
-    vals = table.poly[:, s] @ (u ** np.arange(table.order)[:, None])
-    vals = np.concatenate([vals.reshape(every.size, -1), table(every, ts[-2:])], axis=1)
-    vals[:, (ts < lo) | (ts > hi)] = 0.0
+    c = table.poly[:, s]                                    # (devices, pieces, order)
+    every = np.arange(c.shape[0])
+    slope = c[..., 1:] * np.arange(1.0, table.order)
+    r = _real_roots(slope.reshape(-1, table.order - 1)).reshape(c.shape[:2] + (-1,))
+    u = np.concatenate([np.broadcast_to([0.0, 1.0], c.shape[:2] + (2,)),
+                        np.where((r > 0.0) & (r < 1.0), r, 0.0)], axis=2)
+    ts = np.concatenate([(table.origin + s[:, None] + u).reshape(every.size, -1),
+                         np.broadcast_to([lo, hi], (every.size, 2))], axis=1)
+    vals = np.concatenate([_horner(c[..., None, :], u).reshape(every.size, -1),
+                           table(every, np.array([lo, hi]))], axis=1)
+    vals[(ts < lo) | (ts > hi)] = 0.0
     _check_slice_amplitude(vals, cfg, every, ts)
 
 
@@ -657,15 +686,17 @@ class _LeakySegments:
 
     def _y(self, base, c, h):
         y = base * np.exp(-self.moments.alpha * h)
-        y += (c * self.moments(h)).sum(axis=1)
+        y += np.einsum("nd,nd->n", c, self.moments(h))
         return y
 
-    def at(self, sub, t):
-        """(y(t), f(t) + bias) for rows sub at points t."""
+    def at(self, sub, t, slope=False):
+        """(y(t), f(t) + bias) for rows sub at points t; with `slope`, f'(t)
+        from the same Horner pass as a third entry."""
         side = sub + self.n * (t > self.q[sub])
         h = t - self.starts[side]
-        c = self.coefs[side]
-        return self._y(self.bases[side], c, h), _horner(c, h)
+        c = np.take(self.coefs, side, axis=0)
+        f = _horner(c, h, slope)
+        return (self._y(self.bases[side], c, h),) + (f if slope else (f,))
 
     def newton_start(self, y_hi, theta):
         """A start for y(t) = theta per row, given y(hi) = y_hi >= theta > y0.
@@ -673,14 +704,18 @@ class _LeakySegments:
         The crossing lies on one side of q, a single piece, where the
         quadratic through y and y' at the side's start and y at its end is
         read at theta; the secant stands in where that quadratic has no
-        root.  It starts Newton about 1e-6 from the root where the secant
-        across the whole step starts it about 1e-3 away.
+        root.  That point lies about 1e-6 from the root.  One evaluation
+        there, with f' from the same Horner pass, takes a Halley step on
+        g = theta - y, with g' = alpha y - f - b and
+        g'' = alpha (f + b - alpha y) - f'; the Halley point stands where it
+        is finite and strictly inside (s, hi), else the quadratic point.
+        Newton usually accepts it at its first evaluation.
         """
-        n = self.n
+        n, alpha = self.n, self.moments.alpha
         past = (self.bases[n:] < theta) & (self.q < self.hi)    # beyond q
         t_lo = np.where(past, self.q, self.starts[:n])
         y_lo = np.where(past, self.bases[n:], self.bases[:n])
-        slope = np.where(past, self.coefs[n:, 0], self.coefs[:n, 0]) - self.moments.alpha * y_lo
+        slope = np.where(past, self.coefs[n:, 0], self.coefs[:n, 0]) - alpha * y_lo
         H = np.where(past, self.hi, self.q) - t_lo
         Y = np.where(past, y_hi, self.bases[n:]) - y_lo
         D = theta - y_lo
@@ -688,7 +723,12 @@ class _LeakySegments:
         with np.errstate(divide="ignore", invalid="ignore"):
             root = np.sqrt(slope * slope + 4.0 * curve * D)
             tau = np.where(root + slope > 0.0, 2.0 * D / (slope + root), D / Y * H)
-        return np.clip(t_lo + tau, self.starts[:n], self.hi)
+        start = np.clip(t_lo + tau, self.starts[:n], self.hi)
+        y, f, df = self.at(np.arange(n), start, slope=True)
+        g, dg = theta - y, alpha * y - f
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = start - 2.0 * g * dg / (2.0 * dg * dg - g * (alpha * (f - alpha * y) - df))
+        return np.where((t > self.starts[:n]) & (t < self.hi), t, start)
 
 
 def encode_iftem_devices(vsig, devices, cfg, horizon):
@@ -700,8 +740,11 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     from the step holding its last fire until the running integral reaches
     theta at a step end.  That step brackets the fire, and
     `_bracketed_newton` locates it on g = theta - y(t) with
-    g' = alpha y(t) - f(t) - b, from a quadratic start on the bracket's
-    piece.  y(t) is exact: piece coefficients against `LeakMoments`.
+    g' = alpha y(t) - f(t) - b, from a Halley step off a quadratic start on
+    the bracket's piece (`_LeakySegments.newton_start`): usually two
+    evaluations per fire, as Newton accepts that point at once.  y at the
+    fire is theta.
+    y(t) is exact: piece coefficients against `LeakMoments`.
     """
     if cfg.mode != "integrate-and-fire":
         raise InputError("config mode must be 'integrate-and-fire'")
@@ -721,8 +764,7 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     counts = np.zeros(J, dtype=int)
     moments = LeakMoments(alpha, table.order, alpha * h)   # no integral spans more than a step
 
-    # as dense as the 8 Gauss nodes per step that the step integrals replaced
-    _check_table_amplitude(table, cfg, t0, t_end, 1 if table.order == 2 else math.ceil(8.0 / h))
+    _check_table_amplitude(table, cfg, t0, t_end)
     a_vec, b_vec = edges[:-1], edges[1:]
     I_step = _step_integrals(table, a_vec, b_vec, moments, b)   # (n_steps, J)
     step_decay = np.exp(-alpha * (b_vec - a_vec))
@@ -739,11 +781,12 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     while True:
         walk = idx[y_end[idx] < theta]
         while walk.size:
-            k[walk] += 1
-            walk = walk[k[walk] < n_steps]
-            s[walk], y_s[walk], in_step[walk] = edges[k[walk]], y_end[walk], 0
-            y_end[walk] = y_s[walk] * step_decay[k[walk]] + I_step[k[walk], walk]
-            walk = walk[y_end[walk] < theta]
+            kw = k[walk] = k[walk] + 1
+            walk, kw = walk[kw < n_steps], kw[kw < n_steps]
+            yw = y_end[walk]
+            s[walk], y_s[walk], in_step[walk] = edges[kw], yw, 0
+            yw = y_end[walk] = yw * step_decay[kw] + I_step[kw, walk]
+            walk = walk[yw < theta]
         idx = idx[k[idx] < n_steps]
         if idx.size == 0:
             break
@@ -761,13 +804,12 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
         counts[idx] = c + 1
         if c.max() + 1 >= max_fires:
             raise EncodingInvariantError("fire-count bound exceeded")
-        in_step[idx] += 1
-        if in_step[idx].max() > 8:
+        n_in = in_step[idx] = in_step[idx] + 1
+        if n_in.max() > 8:
             raise EncodingInvariantError("too many fires within one evaluation step")
         # a fresh integrator over the rest of the step: y at the step end
-        # less what the fire took away, carried to the step end
-        y_fire = segment.at(np.arange(idx.size), t_fire)[0]
-        rest = y_end[idx] - y_fire * np.exp(-alpha * (hi - t_fire))
+        # less what the fire took away, theta, carried to the step end
+        rest = y_end[idx] - theta * np.exp(-alpha * (hi - t_fire))
         y_end[idx] = np.where(hi - t_fire > BISECTION_TOL, rest, 0.0)
         t_prev_fire[idx], s[idx], y_s[idx] = t_fire, t_fire, 0.0
     times = [all_times[j, : counts[j]].copy() for j in range(J)]

@@ -1,4 +1,7 @@
-"""Session-scoped fixtures: the default hat stack is expensive enough to share."""
+"""Session-scoped fixtures (the default hat stack is expensive enough to
+share) and the test-only referees of the library's fast paths."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,11 +9,13 @@ import pytest
 from temrecon import (
     Generator,
     Grid,
+    InputError,
     VSignal,
     build_shift_invariant_kernel,
     dual_generator,
     window_for_grid,
 )
+from temrecon.generator import amalgam_norm_1d, bspline_autocorr
 from temrecon.kernel_space import SplineFactor1D
 from temrecon.mixed_norm import CoefSeq, GridFunction
 
@@ -193,3 +198,100 @@ def kernel_slice(kernel, s, t, grid):
     vt = kernel.factor_t.eval_outer(grid.xs, np.array([float(s)]))[:, 0]
     vs = kernel.factor_s.eval_outer(grid.ys, np.array([float(t)]))[:, 0]
     return GridFunction(grid, np.outer(vt, vs))
+
+
+# ---------------------------------------------------------------------------
+# grid estimates of the paper's amalgam norm, modulus of continuity and
+# Gram-symbol bounds
+# ---------------------------------------------------------------------------
+
+def amalgam_norm_2d(f2, box, samples_per_unit=64):
+    """Amalgam norm of a 2-d function over unit cells of the given box."""
+    xlo, xhi, ylo, yhi = box
+    total = 0.0
+    for k1 in range(int(np.floor(xlo)), int(np.ceil(xhi))):
+        xs = np.linspace(k1, k1 + 1.0, samples_per_unit + 1)
+        for k2 in range(int(np.floor(ylo)), int(np.ceil(yhi))):
+            ys = np.linspace(k2, k2 + 1.0, samples_per_unit + 1)
+            total += float(np.max(np.abs(f2(xs[:, None], ys[None, :]))))
+    return total
+
+
+def _probe_radii(delta, n_radii):
+    return delta * np.arange(1, n_radii + 1) / n_radii
+
+
+def modulus_1d(f, delta, xs, n_radii=8):
+    """Pointwise sup over |shift| <= delta of |f(x + shift) - f(x)| on `xs`."""
+    if delta < 0:
+        raise InputError("modulus radius must be nonnegative")
+    xs = np.asarray(xs, dtype=float)
+    base = f(xs)
+    out = np.zeros_like(base)
+    for r in _probe_radii(delta, n_radii):
+        for s in (r, -r):
+            np.maximum(out, np.abs(f(xs + s) - base), out=out)
+    return out
+
+
+def modulus_of_continuity(f2, delta, xs, ys, n_dirs=16, n_radii=8):
+    """Grid-sampled modulus of continuity of a 2-d function.
+
+    sup over shifts of Euclidean length <= delta of
+    |f(x + x', y + y') - f(x, y)|, with the shift sup taken over
+    `n_dirs` directions times `n_radii` radii.  Monotone non-decreasing
+    in delta; identically zero at delta = 0.
+    """
+    if delta < 0:
+        raise InputError("modulus radius must be nonnegative")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    base = f2(xs[:, None], ys[None, :])
+    out = np.zeros_like(base)
+    angles = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    for r in _probe_radii(delta, n_radii):
+        for a in angles:
+            dx, dy = r * np.cos(a), r * np.sin(a)
+            np.maximum(out, np.abs(f2(xs[:, None] + dx, ys[None, :] + dy) - base), out=out)
+    return out
+
+
+def modulus_amalgam_1d(f, delta, lo, hi, samples_per_unit=64, n_radii=8):
+    """Amalgam norm of the 1-d modulus of continuity at radius delta."""
+    return amalgam_norm_1d(
+        lambda x: modulus_1d(f, delta, x, n_radii=n_radii),
+        lo - delta,
+        hi + delta,
+        samples_per_unit=samples_per_unit,
+    )
+
+
+
+
+@dataclass(frozen=True)
+class GeneratorInfo:
+    """Gram-symbol bounds and amalgam statistics of a generator/dual pair."""
+
+    m: float
+    M: float
+    amalgam_norm_phi: float
+    amalgam_norm_dual: float
+
+    def __post_init__(self):
+        if not (0.0 < self.m <= self.M < np.inf):
+            raise InputError("Gram-symbol bounds must satisfy 0 < m <= M < inf")
+
+
+def generator_info(gen, dual, samples_per_unit=64, n_xi=2048):
+    """Compute the 2-d Gram-symbol bounds and amalgam norms."""
+    xi = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
+
+    def symbol(order):
+        offs, vals = bspline_autocorr(order)
+        return sum(v * np.cos(o * xi) for o, v in zip(offs, vals))
+
+    sym_t = symbol(gen.order_t)
+    sym_s = symbol(gen.order_s)
+    m = float(sym_t.min() * sym_s.min())
+    M = float(sym_t.max() * sym_s.max())
+    return GeneratorInfo(m, M, gen.amalgam_norm(samples_per_unit), dual.amalgam_norm(samples_per_unit))

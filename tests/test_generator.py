@@ -11,14 +11,9 @@ from temrecon.generator import (
     LeakMoments,
     _biorth_integrals_1d,
     amalgam_norm_1d,
-    amalgam_norm_2d,
     bspline_autocorr,
     bspline_eval,
     dual_coeffs_from_autocorr,
-    generator_info,
-    modulus_1d,
-    modulus_amalgam_1d,
-    modulus_of_continuity,
     spline_antiderivative,
     spline_basis,
     spline_leaky_integrals,
@@ -26,7 +21,16 @@ from temrecon.generator import (
     taylor_shift,
 )
 
-from conftest import dense_biorth_integrals, knot_split_rule, subpanel_rule
+from conftest import (
+    amalgam_norm_2d,
+    dense_biorth_integrals,
+    generator_info,
+    knot_split_rule,
+    modulus_1d,
+    modulus_amalgam_1d,
+    modulus_of_continuity,
+    subpanel_rule,
+)
 
 SQRT3 = 1.7320508075688772
 DECAY = 0.2679491924311228  # 2 - sqrt(3)

@@ -19,11 +19,14 @@ from temrecon import (
     encode_iftem_devices,
     window_for_grid,
 )
+from temrecon import tem_encode
 from temrecon.generator import bspline_eval
 from temrecon.mixed_norm import CoefSeq
 from temrecon.tem_encode import (
     COVER_PROBES,
     TemOutput,
+    _check_table_amplitude,
+    _LeakySegments,
     _SliceTable,
     ctem_encode,
     density_report,
@@ -374,6 +377,59 @@ def test_vectorized_matches_scalar_order4():
         assert np.max(np.abs(v_s - out.values[0])) <= 1e-10
 
 
+def _order_signal(order, seed):
+    gen = Generator(order, 2)
+    grid = Grid.from_spacing(0.0, 12.0, 0.0, 12.0, 1.0 / 32.0)
+    return random_vsignal(window_for_grid(grid, gen), gen, grid, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("fault", ["off-bracket", "not-finite"])
+def test_fires_hold_when_the_halley_point_is_unusable(order, fault, monkeypatch):
+    # an injected f' sends every Halley point beyond an end of its bracket,
+    # or to NaN: Newton then starts from the quadratic point, takes more
+    # evaluations and finds the same fires
+    sig = _order_signal(order, 30 + order)
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    cfg = if_cfg(alpha=0.5)
+    fast = encode_iftem_devices(sig, dev, cfg, (0.0, 12.0))
+    theta, alpha = cfg.theta, cfg.alpha
+    at, rounds = _LeakySegments.at, []
+
+    def faulty(self, sub, t, slope=False):
+        rounds.append(slope)
+        out = at(self, sub, t, slope)
+        if not slope:
+            return out
+        y, f, df = out
+        if fault == "not-finite":
+            return y, f, np.full_like(df, np.nan)
+        # the f' whose Halley step lands a bracket's width past either end
+        s, hi = self.starts[sub], self.hi[sub]
+        far = np.where(sub % 2, hi + (hi - s), s - (hi - s))
+        g, dg = theta - y, alpha * y - f
+        return y, f, alpha * (f - alpha * y) - (2.0 * dg * dg - 2.0 * g * dg / (t - far)) / g
+
+    newton, starts_inside = tem_encode._bracketed_newton, []
+
+    def checked(g, lo, hi, start):
+        # the start must lie inside each bracket
+        starts_inside.append(np.all((lo <= start) & (start <= hi)))
+        return newton(g, lo, hi, start)
+
+    monkeypatch.setattr(_LeakySegments, "at", faulty)
+    monkeypatch.setattr(tem_encode, "_bracketed_newton", checked)
+    slow = encode_iftem_devices(sig, dev, cfg, (0.0, 12.0))
+    assert starts_inside and all(starts_inside)
+    assert slow.fire_count() == fast.fire_count() > 0
+    # more than the two evaluations per round of the unfaulted solve
+    assert len(rounds) > 2 * rounds.count(True)
+    for j in range(len(dev)):
+        assert slow.times[j].size == fast.times[j].size
+        assert np.max(np.abs(slow.times[j] - fast.times[j]), initial=0.0) <= 1e-13
+        assert np.max(np.abs(slow.values[j] - fast.values[j]), initial=0.0) <= 1e-12
+
+
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_slice_table_matches_bspline_design(order):
     gen = Generator(order, 2)
@@ -433,6 +489,53 @@ def test_vectorized_amplitude_error_names_device(encode, cfg, case, hat_gen, sma
     assert cfg.mode in msg and f"on device {j} " in msg
     t = float(re.search(r"at t=(\S+)", msg).group(1))
     assert abs(sig.eval_slice(dev.positions[j], np.array([t]))[0]) > cfg.c_bound
+
+
+@pytest.mark.parametrize("mode", ["crossing", "integrate-and-fire"])
+def test_amplitude_check_reads_an_interior_peak(mode):
+    # quadratic B-splines with coefficients a at knot 4 and a / 2 at knot 5:
+    # on the piece [3.5, 4.5], f = a (0.75 - x^2) + a (x + 0.5)^2 / 4 with
+    # x = t - 4 peaks at x = 1/6 with 5a/6, between the samples u = 0, 1/2,
+    # 1 of the old check at delta_target 4 (crossing) and 2e-4 above its
+    # nearest sample of 22 per piece (integrate-and-fire)
+    a = 1.00005 * 6.0 / 5.0
+    entries = np.zeros((12, 12))        # knots -1 .. 10 on both axes
+    entries[5], entries[6] = a, a / 2.0
+    sig = VSignal(CoefSeq(entries, -1, -1), Generator(3, 2))
+    dev = DeviceSet(np.array([6.0]), 6.0, (0.0, 12.0))
+    cfg = TemConfig(mode, 1.0, 1.2, 4.0)
+    t_peak = 4.0 + 1.0 / 6.0
+    assert sig.eval_slice(6.0, np.array([t_peak]))[0] == pytest.approx(1.00005, abs=1e-12)
+    encode = encode_ctem_devices if mode == "crossing" else encode_iftem_devices
+    with pytest.raises(PreconditionError) as err:
+        encode(sig, dev, cfg, (0.0, 8.0))
+    msg = str(err.value)
+    assert "on device 0 " in msg
+    assert float(re.search(r"at t=(\S+)", msg).group(1)) == pytest.approx(t_peak, abs=1e-5)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_amplitude_check_is_exact(order):
+    # the check reads every slice's max |f| over the horizon: a bound just
+    # under a dense max fails, one just over it passes
+    gen = Generator(order, 2)
+    grid = Grid.from_spacing(0.0, 12.0, 0.0, 12.0, 1.0 / 32.0)
+    window = window_for_grid(grid, gen)
+    rng = np.random.default_rng(20 + order)
+    sig = VSignal(CoefSeq(rng.uniform(-1.0, 1.0, (window.n1, window.n2)),
+                          window.k1_first, window.k2_first), gen)
+    dev = DeviceSet(np.array([2.5, 6.0, 9.25]), 6.0, (0.0, 12.0))
+    table = _SliceTable(sig, dev)
+    horizon = (0.3, 11.7)
+    rows = np.arange(len(dev))
+    t = np.linspace(*horizon, 120_001)
+    j, i = np.unravel_index(np.argmax(np.abs(table(rows, t))), (rows.size, t.size))
+    fine = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 20_001)
+    peak = float(np.abs(table(rows[j: j + 1], fine)).max())
+    _check_table_amplitude(table, crossing_cfg(c_bound=peak + 1e-8, b_level=2.0 * peak), *horizon)
+    with pytest.raises(PreconditionError, match=f"on device {j} "):
+        _check_table_amplitude(table, crossing_cfg(c_bound=peak - 1e-9, b_level=2.0 * peak),
+                               *horizon)
 
 
 def test_monotone_load_if(hat_gen, small_grid, small_window):
