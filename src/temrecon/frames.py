@@ -148,22 +148,6 @@ def neumann_coefficients(N):
     return gamma
 
 
-def neumann_plus(kernel, kdelta, N, r0=None):
-    """Truncated Neumann inverse sum_m gamma_m (A_t^m (x) A_s^m).
-
-    Returns (gamma, powers_t, powers_s) with per-axis coefficient powers
-    [I, A, ..., A^N].  Requires a measured contraction r0 < 1 (measured on
-    the default window when not supplied); the truncation tail in operator
-    norm is bounded by r0^(N+1) / (1 - r0).
-    """
-    ax_t, ax_s = kdelta.axis_frames
-    if r0 is None:
-        r0 = measured_r0(kernel, kdelta)
-    if not (r0 < 1.0):
-        raise ContractionError(f"measured contraction r0 = {r0:.6g} >= 1")
-    return neumann_coefficients(N), ax_t.powers(N), ax_s.powers(N)
-
-
 def measured_r0(kernel, kdelta, window=None):
     """Operator norm of I - T_delta restricted to the coefficient window.
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError
 from .generator import bspline_eval, spline_basis, spline_leaky_integrals, spline_sum
 from .kernel_space import VSignal, window_for_grid
-from .mixed_norm import CoefSeq, GridFunction, MixedNormParams
+from .mixed_norm import CoefSeq, MixedNormParams
 from .tem_encode import density_report
 
 
@@ -150,40 +150,6 @@ def iftem_operator(out, kernel, devices, window):
     return MeasurementOperator(kernel, devices, window, My, MA,
                                kernel.dual.axis_s.eval(devices.positions[:, None]
                                                        - window.k2s[None, :]))
-
-
-def apply_S(out, devices, grid, values_override=None):
-    """Crossing-sample quasi-interpolant rendered on the grid.
-
-    Piecewise constant in time between midpoints of consecutive fires
-    (nearest-fire assignment, with the leading and trailing stubs extended
-    from the nearest available sample) and blended across space by the
-    device partition of unity.  The grid reference for `ctem_operator`.
-    """
-    if out.config.mode != "crossing":
-        raise InputError("apply_S requires crossing-mode output")
-    U = devices.u_matrix(grid.ys)
-    xs = grid.xs
-    profiles = np.zeros((len(devices), xs.size))
-    vals_src = values_override if values_override is not None else out.values
-    for j in range(len(devices)):
-        t = out.times[j]
-        v = np.asarray(vals_src[j], dtype=float)
-        if t.size == 0:
-            continue
-        breaks = 0.5 * (t[:-1] + t[1:])
-        profiles[j] = v[np.searchsorted(breaks, xs, side="right")]
-    return GridFunction(grid, profiles.T @ U)
-
-
-def apply_R(out, kernel, devices, window):
-    """Integrate-and-fire synthesis operator R applied to the recovered integrals.
-
-    The M side of `iftem_operator`; kernel slices are members of the signal
-    space, so R lands in it by construction.
-    """
-    op = iftem_operator(out, kernel, devices, window)
-    return op.synthesize(op.My)
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,23 @@ unit knot piece (integer knots for even orders, half-integer for odd).
 The fast paths convert the slices once per encode into a table of
 per-piece power-basis coefficients, and read values and slopes from it by
 a gather plus Horner.  The crossing encoder walks each device along its
-pieces to the first piece end where the crossing test function is no
-longer positive; the fire lies on that one piece.  At order 2 the test
-function is linear on each piece, so the fire is solved in closed form;
-at higher orders a bracketed Newton iteration locates it.  The
-integrate-and-fire running integral is exact: a piece polynomial,
-Taylor-shifted to the interval start, against the leak-weighted moments
-of `generator.LeakMoments`.  Each device walks a shared ladder of
-evaluation steps to the step where the integral reaches the threshold;
-the bracketed Newton iteration locates the fire on it from a Halley step,
-usually in two evaluations.  Both check the amplitude bound on the
-exact max |f| of every piece.  The fast paths are validated against the
-scalar `ctem_encode` / `iftem_encode` reference implementations, which
-bracket each fire by a scan at a step and refine by plain bisection (the
-integrate-and-fire one on Gauss quadrature).
+pieces and reads the crossing test function at the ends of its segment
+on a piece and at the test function's critical points inside it, so the
+first read where it is no longer positive brackets the first crossing.
+At order 2 the test function is linear on each piece, so every fire on
+a piece follows from the first in closed form (the gaps are geometric)
+and a round fires the whole piece; at higher orders a bracketed Newton
+iteration locates one fire per round.  The integrate-and-fire running
+integral is exact: a piece polynomial, Taylor-shifted to the interval
+start, against the leak-weighted moments of `generator.LeakMoments`.
+Each device walks a shared ladder of evaluation steps to the step where
+the integral reaches the threshold; the bracketed Newton iteration
+locates the fire on it from a Halley step, usually in two evaluations.
+Both check the amplitude bound on the exact max |f| of every piece.  The
+fast paths are validated against the scalar `ctem_encode` /
+`iftem_encode` reference implementations, which bracket each fire by a
+scan at a step and refine by plain bisection (the integrate-and-fire one
+on Gauss quadrature).
 """
 
 import math
@@ -504,23 +507,52 @@ def _bracketed_newton(g_and_slope, lo, hi, start):
     return root
 
 
+def _piece_fires(c, edge, lo, hi, tp, b, lam, n_fires):
+    """The first `n_fires` candidate order-2 fires of each row, (rows, n_fires),
+    on its piece f = c0 + c1 u, u = t - edge, from t_prev = tp on [lo, hi].
+
+    On a falling piece (c1 < lambda) the first fire t_1 is the root of the
+    linear g = f + b - lambda (t - t_prev), clamped to [lo, hi].  The ramp
+    restarts at each fire, so the next gap is
+    h_1 = (f(t_1) + b) / (lambda - c1) and, as f(t_2) + b = lambda h_1, each
+    later one A = lambda / (lambda - c1) times the last: fire k is
+    t_1 + h_1 (A^k - 1) / (A - 1).  A flat or rising piece fires once, at
+    lo, where rounding flipped a sign at an end.
+    """
+    c0, c1 = c[:, 0], c[:, 1]
+    falling = c1 < lam
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = edge + (c0 + b - lam * (edge - tp)) / (lam - c1)
+        t1 = np.where(falling, np.minimum(np.maximum(root, lo), hi), lo)
+        h1 = (c0 + b + c1 * (t1 - edge)) / (lam - c1)
+        x = (c1 / (lam - c1))[:, None]              # A - 1
+        k = np.arange(n_fires)
+        # (A^k - 1) / (A - 1) without cancellation near A = 1
+        span = np.where(x == 0.0, k, np.expm1(k * np.log1p(x)) / x)
+        times = t1[:, None] + h1[:, None] * span
+    times[~falling, 1:] = np.inf
+    return times
+
+
 def encode_ctem_devices(vsig, devices, cfg, horizon):
     """Crossing-encode every device of a set in lockstep; returns TemOutput.
 
-    Each device walks its slice's knot pieces.  A round gathers every
-    active device's current piece once and reads
-    g = f + b - lambda (t - t_prev) at the piece end, or at
-    t_prev + delta_target or the horizon end where they come first.  Where
-    g > 0 the device moves on; otherwise the fire lies between that point
-    and the last one read.  At order 2, g is linear on a piece, so the fire
-    is its closed-form root and the first crossing exactly.  Higher orders
-    run `_bracketed_newton` on g with g' = f' - lambda from the secant
-    across the segment; there, pieces where f' may reach lambda (slope
-    bound sum_d d |c_d|), on which g can dip and return, are read at
-    ceil(8 / delta_target) steps per piece.
-
-    The amplitude bound is checked once per encode on the slice table, at
-    every piece's ends and interior critical points.
+    A round gathers every active device's current knot piece once and reads
+    g = f + b - lambda (t - t_prev) on the segment from the device's
+    position to the piece end, or to t_prev + delta_target or the horizon
+    end where they come first: at its ends and at the roots of f' - lambda
+    inside it (`_real_roots`, once per encode).  g is monotone between
+    reads, so where all are positive the device moves to its next piece,
+    and otherwise the first read with g <= 0 and the one before it bracket
+    the first crossing exactly.  At order 2 a round fires the whole piece
+    (`_piece_fires`), up to the piece end and the horizon end, with room
+    for every fire the gap lower bound (b - c_bound) / (lambda + max |c1|)
+    allows on a unit piece, so a device takes one round per piece.  Above
+    order 2, `_bracketed_newton` locates one fire per round from the
+    secant start.  A gap longer than delta_target, where
+    t_prev + delta_target lies inside the piece and the horizon, raises
+    `EncodingInvariantError`: the amplitude bound, checked once per encode
+    on the slice table, rules it out.  Values come from the times alone.
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
@@ -528,13 +560,17 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
     b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
     table = _SliceTable(vsig, devices)
     _check_table_amplitude(table, cfg, t0, t_end)
-    sub_step = 1.0 / math.ceil(8.0 / delta)     # the walk on steep pieces
-    # pieces where f' may reach lambda, so that g may dip and return
-    steep = np.abs(table.poly[..., 1:]) @ np.arange(1.0, table.order) >= lam
+    # g's critical points on every piece, (devices, pieces, order - 2)
+    # offsets in increasing order, +inf where a piece has fewer
+    slope = table.poly[..., 1:] * np.arange(1.0, table.order)
+    slope[..., 0] -= lam
+    crit = _real_roots(slope.reshape(-1, table.order - 1)).reshape(slope.shape[:2] + (-1,))
+    crit = np.sort(np.where(np.isnan(crit), np.inf, crit), axis=2)
+    # the fires a unit order-2 piece can hold, from the gap lower bound
+    n_fires = 1 + math.ceil((lam + np.abs(table.poly[..., 1]).max()) / (b - cfg.c_bound))
     J = len(devices)
     max_fires = cfg.fire_slots(t_end - t0)
     all_times = np.zeros((J, max_fires))
-    all_values = np.zeros((J, max_fires))
     counts = np.zeros(J, dtype=int)
     t_prev = np.full(J, t0)
     pos = t_prev.copy()             # the last fire, or the last point read with g > 0
@@ -547,53 +583,62 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
         cap = np.minimum(tp + delta, t_end)
         end = np.where(s < table.last, edge + 1.0, np.inf)     # the last piece has no end
         hi = np.minimum(end, cap)
-        if table.order > 2:
-            hi = np.minimum(hi, np.where(steep[idx, s], lo + sub_step, np.inf))
-        g_hi = _horner(c, hi - edge) + b - lam * (hi - tp)
-        walk = g_hi > 0.0
+        inner = np.clip(edge[:, None] + crit[idx, s], lo[:, None], hi[:, None])
+        reads = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)     # increasing
+        g = _horner(c[:, None], reads - edge[:, None]) + b - lam * (reads - tp[:, None])
+        dip = g[:, 1:] <= 0.0                       # lo itself aside
+        walk = ~dip.any(axis=1)
         stop = walk & (hi == cap)
         # no crossing by the window end: legal only when the horizon truncated the window
-        if np.any(tp[stop] + delta <= t_end + BISECTION_TOL):
+        late = np.any(tp[stop] + delta <= t_end + BISECTION_TOL)
+        keep, fire = ~stop, ~walk
+        rows, tp, c, edge, end = idx[fire], tp[fire], c[fire], edge[fire], end[fire]
+        if table.order == 2:
+            times = _piece_fires(c, edge, lo[fire], hi[fire], tp, b, lam, n_fires)
+            ok = times[:, 1:] <= np.minimum(end, t_end)[:, None]
+            ok &= times[:, :-1] < t_end - BISECTION_TOL     # a fire at the horizon end stops
+            n = 1 + np.logical_and.accumulate(ok, axis=1).sum(axis=1)
+            # a kept gap, or the one after the last kept fire, whose ramp
+            # reaches delta_target inside the piece and the horizon
+            ramp = times[:, :-1] + delta
+            late |= np.any((times[:, 1:] > ramp) & (np.arange(1, n_fires) <= n[:, None])
+                           & (np.minimum(ramp, t_end) <= end[:, None])
+                           & (ramp <= t_end + BISECTION_TOL))
+        else:
+            at = np.flatnonzero(fire)
+            hit = 1 + np.argmax(dip[at], axis=1)
+            a, z, g_a, g_z = reads[at, hit - 1], reads[at, hit], g[at, hit - 1], g[at, hit]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                start = np.where(g_a > 0.0, a + g_a / (g_a - g_z) * (z - a), a)
+
+            def crossing(sub, t):
+                f, df = _horner(c[sub], t - edge[sub], slope=True)
+                return f + b - lam * (t - tp[sub]), df - lam
+
+            times = _bracketed_newton(crossing, a, z, start)[:, None]
+            n = np.ones(rows.size, dtype=int)
+        if late:
             raise EncodingInvariantError(
                 "no crossing found within delta_target despite amplitude bound"
             )
-        moved = walk & ~stop
-        pos[idx[moved]] = hi[moved]
-        on = idx[moved & (hi == end)]       # onto the next piece, from its left edge
+        k = counts[rows]
+        if np.any(k + n >= max_fires):
+            raise EncodingInvariantError("fire-count bound exceeded")
+        r, i = np.nonzero(np.arange(times.shape[1]) < n[:, None])
+        all_times[rows[r], k[r] + i] = times[r, i]
+        counts[rows] = k + n
+        t_prev[rows] = pos[rows] = last = times[np.arange(rows.size), n - 1]
+        # a device whose candidates all fit (one, above order 2) stays on its piece
+        full = n == times.shape[1]
+        walk[fire] = ~full
+        keep[fire] = (last < t_end - BISECTION_TOL) & (full | (end < t_end))
+        on = idx[walk & keep]                       # onto the next piece, from its left edge
         piece[on] += 1
         pos[on] = table.origin + piece[on]
-        keep = ~stop
-        fire = ~walk
-        if fire.any():
-            rows, tp, lo, c, edge, hi, g_hi = (idx[fire], tp[fire], lo[fire], c[fire],
-                                               edge[fire], hi[fire], g_hi[fire])
-            if table.order == 2:
-                # a decreasing piece is certain unless rounding flipped a sign
-                # at an end; a flat or rising piece then holds the fire at lo
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    root = edge + (c[:, 0] + b - lam * (edge - tp)) / (lam - c[:, 1])
-                t_fire = np.where(c[:, 1] < lam, np.minimum(np.maximum(root, lo), hi), lo)
-            else:
-                g_lo = _horner(c, lo - edge) + b - lam * (lo - tp)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    start = np.where(g_lo > 0.0, lo + g_lo / (g_lo - g_hi) * (hi - lo), lo)
-
-                def crossing(sub, t):
-                    f, df = _horner(c[sub], t - edge[sub], slope=True)
-                    return f + b - lam * (t - tp[sub]), df - lam
-
-                t_fire = _bracketed_newton(crossing, lo, hi, start)
-            k = counts[rows]
-            all_times[rows, k] = t_fire
-            all_values[rows, k] = -b + lam * (t_fire - tp)
-            counts[rows] = k + 1
-            t_prev[rows] = pos[rows] = t_fire
-            if k.max() + 1 >= max_fires:
-                raise EncodingInvariantError("fire-count bound exceeded")
-            keep[fire] = t_fire < t_end - BISECTION_TOL
         idx = idx[keep]
+    gaps = np.diff(all_times[:, : counts.max()], axis=1, prepend=t0)
     times = [all_times[j, : counts[j]].copy() for j in range(J)]
-    values = [all_values[j, : counts[j]].copy() for j in range(J)]
+    values = [-b + lam * gaps[j, : counts[j]] for j in range(J)]
     return TemOutput(cfg, devices, t0, t_end, times, values)
 
 

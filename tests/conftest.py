@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from temrecon import (
+    ContractionError,
     Generator,
     Grid,
     InputError,
@@ -15,9 +16,11 @@ from temrecon import (
     dual_generator,
     window_for_grid,
 )
+from temrecon.frames import measured_r0, neumann_coefficients
 from temrecon.generator import amalgam_norm_1d, bspline_autocorr
 from temrecon.kernel_space import SplineFactor1D
 from temrecon.mixed_norm import CoefSeq, GridFunction
+from temrecon.reconstruct import iftem_operator
 
 
 @pytest.fixture(scope="session")
@@ -198,6 +201,60 @@ def kernel_slice(kernel, s, t, grid):
     vt = kernel.factor_t.eval_outer(grid.xs, np.array([float(s)]))[:, 0]
     vs = kernel.factor_s.eval_outer(grid.ys, np.array([float(t)]))[:, 0]
     return GridFunction(grid, np.outer(vt, vs))
+
+
+# ---------------------------------------------------------------------------
+# grid and matrix references of the reconstruction and frame operators
+# ---------------------------------------------------------------------------
+
+def apply_S(out, devices, grid, values_override=None):
+    """Crossing-sample quasi-interpolant rendered on the grid.
+
+    Piecewise constant in time between midpoints of consecutive fires
+    (nearest-fire assignment, with the leading and trailing stubs extended
+    from the nearest available sample) and blended across space by the
+    device partition of unity.  The grid reference for `ctem_operator`.
+    """
+    if out.config.mode != "crossing":
+        raise InputError("apply_S requires crossing-mode output")
+    U = devices.u_matrix(grid.ys)
+    xs = grid.xs
+    profiles = np.zeros((len(devices), xs.size))
+    vals_src = values_override if values_override is not None else out.values
+    for j in range(len(devices)):
+        t = out.times[j]
+        v = np.asarray(vals_src[j], dtype=float)
+        if t.size == 0:
+            continue
+        breaks = 0.5 * (t[:-1] + t[1:])
+        profiles[j] = v[np.searchsorted(breaks, xs, side="right")]
+    return GridFunction(grid, profiles.T @ U)
+
+
+def apply_R(out, kernel, devices, window):
+    """Integrate-and-fire synthesis operator R applied to the recovered integrals.
+
+    The M side of `iftem_operator`; kernel slices are members of the signal
+    space, so R lands in it by construction.
+    """
+    op = iftem_operator(out, kernel, devices, window)
+    return op.synthesize(op.My)
+
+
+def neumann_plus(kernel, kdelta, N, r0=None):
+    """Truncated Neumann inverse sum_m gamma_m (A_t^m (x) A_s^m).
+
+    Returns (gamma, powers_t, powers_s) with per-axis coefficient powers
+    [I, A, ..., A^N].  Requires a measured contraction r0 < 1 (measured on
+    the default window when not supplied); the truncation tail in operator
+    norm is bounded by r0^(N+1) / (1 - r0).
+    """
+    ax_t, ax_s = kdelta.axis_frames
+    if r0 is None:
+        r0 = measured_r0(kernel, kdelta)
+    if not (r0 < 1.0):
+        raise ContractionError(f"measured contraction r0 = {r0:.6g} >= 1")
+    return neumann_coefficients(N), ax_t.powers(N), ax_s.powers(N)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,12 @@ from temrecon.frames import (
     frame_bounds_check,
     measured_r0,
     neumann_coefficients,
-    neumann_plus,
 )
 from temrecon.generator import DualAxis
 from temrecon.kernel_space import Kernel, SplineFactor1D
 from temrecon.mixed_norm import Grid, composite_weights, mixed_function_norm
 
-from conftest import random_vsignal
+from conftest import neumann_plus, random_vsignal
 
 PR = MixedNormParams(2.0, 2.0)
 

@@ -23,8 +23,6 @@ from temrecon.cli import ExperimentConfig, run_experiment
 from temrecon.kernel_space import Kernel, SplineFactor1D, apply_T
 from temrecon.mixed_norm import GridFunction, mixed_function_norm
 from temrecon.reconstruct import (
-    apply_R,
-    apply_S,
     ctem_operator,
     estimate_r1,
     estimate_r2,
@@ -32,7 +30,7 @@ from temrecon.reconstruct import (
 )
 from temrecon.tem_encode import TemOutput
 
-from conftest import knot_split_rule, random_vsignal
+from conftest import apply_R, apply_S, knot_split_rule, random_vsignal
 
 PR = MixedNormParams(2.0, 2.0)
 

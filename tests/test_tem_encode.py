@@ -7,6 +7,7 @@ import pytest
 
 from temrecon import (
     DeviceSet,
+    EncodingInvariantError,
     ExperimentConfig,
     GapError,
     Generator,
@@ -330,6 +331,11 @@ def test_crossing_walk_over_several_pieces(hat_gen, small_grid, small_window):
         assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
 
 
+def _quadratic_dip(t0):
+    # the first crossing of the quadratic dip of the cases below, from the start t0
+    return 2.0 + (0.6 - np.sqrt(0.36 - 7.2 * (0.6 * t0 - 0.55))) / 3.6
+
+
 @pytest.mark.parametrize("order, dip, t0, first", [
     # a hat slice at 0.8 on every knot but -0.25 at knot 2: with lambda 0.6
     # from the start 0.25, g = f + b - lambda (t - t_prev) is 1.55 at knot 1
@@ -340,7 +346,19 @@ def test_crossing_walk_over_several_pieces(hat_gen, small_grid, small_window):
     # [-0.5, 0.5], g = 1.8 x^2 - 0.6 x - 0.07 dips below zero and returns
     # (f' = 3.6 x reaches 1.8 > lambda), positive at both piece ends
     (3, -1.0, 0.8, 2.0 + (0.6 - np.sqrt(0.864)) / 3.6),
-], ids=["hat", "quadratic-in-piece"])
+    # later starts t0, with g = 1.8 x^2 - 0.6 x + 0.6 t0 - 0.55: the dip
+    # lies between samples of a walk that reads a piece at points fixed in
+    # advance rather than at g's critical points
+    (3, -1.0, 0.93, _quadratic_dip(0.93)),
+    (3, -1.0, 0.95, _quadratic_dip(0.95)),
+    (3, -1.0, 0.97, _quadratic_dip(0.97)),
+    # a cubic slice at -1 on knot 2: on the piece x = t - 2 in [0, 1],
+    # g = -0.9 x^3 + 1.8 x^2 - 0.6 x + 0.02 is positive at both ends and
+    # dips below zero from x = 0.0375 on
+    (4, -1.0, 0.7, 2.0 + min(r.real for r in np.roots([-0.9, 1.8, -0.6, 0.02])
+                             if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0)),
+], ids=["hat", "quadratic-in-piece", "quadratic-start-0.93", "quadratic-start-0.95",
+        "quadratic-start-0.97", "cubic-in-piece"])
 def test_crossing_fires_at_the_first_crossing_of_a_dip(order, dip, t0, first):
     entries = np.full((12, 12), 0.8)    # knots -1 .. 10 on both axes
     entries[3] = dip
@@ -358,6 +376,46 @@ def test_crossing_fires_at_the_first_crossing_of_a_dip(order, dip, t0, first):
         g = sig.eval_slice(6.0, t) + cfg.b_level - cfg.lambda_slope * (t - t_prev)
         assert np.all(g > 0.0)
     assert out.gaps(0).max() <= cfg.delta_target
+
+
+def test_order2_crossing_takes_one_round_per_piece(hat_gen, small_grid, small_window,
+                                                 monkeypatch):
+    # a round gathers each active device's piece once; at order 2 it fires
+    # the whole piece, so the rounds follow the pieces, not the fires
+    sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(11))
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    pieces, calls = _SliceTable.pieces, []
+
+    def counted(self, rows, s):
+        calls.append(rows.size)
+        return pieces(self, rows, s)
+
+    monkeypatch.setattr(_SliceTable, "pieces", counted)
+    out = encode_ctem_devices(sig, dev, crossing_cfg(), (0.0, 12.0))
+    # the horizon crosses the 12 unit pieces between integer knots, each
+    # holding several fires of every device
+    assert out.fire_count() > 5 * 12 * len(dev)
+    assert len(calls) <= 12 + 2
+
+
+# with the amplitude check off: a slice above b_level, on which the ramp
+# from the horizon start stays below f + b for longer than delta_target,
+# and a hat slice rising from 0 at knot 2 to 3 at knot 3, on which a gap
+# after a fire inside the piece [2, 3] exceeds delta_target, with the
+# horizon ending at the piece end
+FLAT = (np.full(12, 1.5), TemConfig("crossing", 1.0, 1.2, 4.0), 8.0)
+STEP = (np.where(np.arange(-1, 11) >= 3, 3.0, 0.0), TemConfig("crossing", 1.0, 1.2, 0.25), 3.0)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("case", [FLAT, STEP], ids=["above-b", "step"])
+def test_crossing_invariant_trips_when_the_amplitude_bound_fails(order, case, monkeypatch):
+    column, cfg, t_end = case
+    sig = VSignal(CoefSeq(np.repeat(column[:, None], 12, axis=1), -1, -1), Generator(order, 2))
+    dev = DeviceSet(np.array([6.0]), 6.0, (0.0, 12.0))
+    monkeypatch.setattr(tem_encode, "_check_table_amplitude", lambda *args: None)
+    with pytest.raises(EncodingInvariantError, match="no crossing found within delta_target"):
+        encode_ctem_devices(sig, dev, cfg, (0.0, t_end))
 
 
 def test_vectorized_matches_scalar_order4():
