@@ -444,6 +444,13 @@ def _suite_reconstruct(res, rng):
                           window=window)
     checks.append(rep.converged)
     checks.append(all(r < 1.0 for r in rep.ratios))
+    # one leaky integrate-and-fire iteration: the other caller of the operator fold
+    devices = DeviceSet.uniform(0.0, 12.0, 0.125, 0.5)
+    cfg = TemConfig("integrate-and-fire", 1.0, 2.0, 0.25, alpha=0.5)
+    out = encode_iftem_devices(sig, devices, cfg, (0.0, 12.0))
+    _, rep = iftem_iterate(out, kernel, devices, grid, f_true=sig, n_max=40, tol=1e-7,
+                           window=window)
+    checks.append(rep.converged)
     return checks
 
 

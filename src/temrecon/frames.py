@@ -9,8 +9,9 @@ f = sum_k c_k beta(. - k) as the small matrix
     A = Gd^T G / delta,   G[l, k]  = int_{cell l} beta(u - k) du,
                           Gd[l, k] = int_{cell l} dual(u - k) du,
 
-with cells lambda_l +- delta / 2 integrated exactly: both are differences
-of spline antiderivatives over the lattice edges (`spline_antiderivative`).
+with cells lambda_l +- delta / 2 integrated exactly: G by the banded
+interval-integral rule (`spline_cell_integrals`), and Gd = G T, as the
+dual is sum_m b_m beta(. - m) and T[n, k] = b_(n - k) (`DualAxis.toeplitz`).
 The truncated Neumann inverse is then a matrix polynomial,
 
     T_plus(N) = sum_{n=0..N} (I - A)^n = sum_m gamma_m A^m,
@@ -42,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractionError, InputError
-from .generator import bspline_eval, spline_antiderivative
+from .generator import bspline_eval, spline_cell_integrals
 from .kernel_space import VSignal, window_for_grid
 from .mixed_norm import (
     CoefSeq,
@@ -89,8 +90,8 @@ class _AxisFrame:
         edges = np.append(self.lattice - delta / 2.0, self.lattice[-1] + delta / 2.0)
         r = self.order / 2.0
         self.ks = np.arange(int(np.floor(edges[0] - r)) + 1, int(np.ceil(edges[-1] + r)))
-        self.G = np.diff(spline_antiderivative(self.order, edges, self.ks), axis=0)
-        self.Gd = np.diff(self.dual_axis.antiderivative(edges, self.ks), axis=0)
+        self.G = spline_cell_integrals(self.order, edges[:-1], edges[1:], self.ks)
+        self.Gd = self.G @ self.dual_axis.toeplitz(self.ks, self.ks)
         self.A = self.Gd.T @ self.G / delta
 
     def index(self, ks):

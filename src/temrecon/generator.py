@@ -66,37 +66,27 @@ def bspline_autocorr(order):
 
 
 def spline_basis(order, x):
-    """(first, vals), vals[i, l] = beta(x[i] - first[i] + l), first = floor(x + order/2).
+    """(k0, V), V[i, l] = beta(x[i] - k0[i] - l), k0 = floor(x + order/2) - (order - 1):
+    banded rows, as those of `spline_leaky_integrals`.
 
     The support is left-closed, so these are the only `order` shifts with
     beta(x - m) nonzero; they serve every integer shift of x (`spline_sum`).
     """
     x = np.asarray(x, dtype=float)
-    first = np.floor(x + order / 2.0).astype(int)
-    return first, np.stack([bspline_eval(order, x - (first - l)) for l in range(order)], axis=1)
+    k0 = np.floor(x + order / 2.0).astype(int) - (order - 1)
+    return k0, np.stack([bspline_eval(order, x - (k0 + l)) for l in range(order)], axis=1)
 
 
-def spline_sum(basis, ks, c, right=0.0):
+def spline_sum(basis, ks, c):
     """S[i, j] = sum_m c(m) beta(x[i] - ks[j] - m) on `spline_basis(order, x)`,
-    where c(m) reads the table c, is 0 for m < 0 and `right` for m >= c.size."""
-    first, vals = basis
-    table = np.concatenate([[0.0], c, [right]])
-    shift = first[:, None] - np.asarray(ks)[None, :] + 1
+    where c(m) reads the table c and is 0 off it."""
+    k0, vals = basis
+    table = np.concatenate([[0.0], c, [0.0]])
+    shift = k0[:, None] - np.asarray(ks)[None, :] + 1
     out = np.zeros(shift.shape)
-    for l in range(vals.shape[1]):
-        out += table[np.clip(shift - l, 0, table.size - 1)] * vals[:, l, None]
+    for l in reversed(range(vals.shape[1])):
+        out += table[np.clip(shift + l, 0, table.size - 1)] * vals[:, l, None]
     return out
-
-
-def spline_antiderivative(order, x, ks, b=(1.0,)):
-    """A[i, j] = int_{-inf}^{x[i]} sum_m b[m] beta(u - ks[j] - m) du, 1-d x.
-
-    beta integrates to sum_{m >= 0} beta_{order + 1}(x - 1/2 - m) (de Boor),
-    so A is the order + 1 spline sum of the running sum C of b, which keeps
-    its total past the table.  Interval integrals are differences of rows.
-    """
-    C = np.cumsum(b)
-    return spline_sum(spline_basis(order + 1, np.asarray(x, dtype=float) - 0.5), ks, C, C[-1])
 
 
 def gauss_panel_rule(lo, hi, points_per_panel, panel=0.5):
@@ -226,7 +216,7 @@ def spline_leaky_integrals(order, a, b, alpha):
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     Q = piece_polynomials(order)
-    first = np.floor(a + order / 2.0)          # as `spline_basis`: first piece's splines
+    first = np.floor(a + order / 2.0)          # the last spline at a (`spline_basis`)
     edge = first - order / 2.0
     longest = float(np.max(b - a, initial=0.0))
     n_pieces = int(np.ceil(longest)) + 1
@@ -239,8 +229,23 @@ def spline_leaky_integrals(order, a, b, alpha):
         M *= np.exp(-alpha * (b - hi))[:, None]
         rows = taylor_shift(np.broadcast_to(Q, (a.size, order, order)), (lo - edge - p)[:, None])
         # spline first + p - l is row l of Q on this piece: column p + order - 1 - l
-        R[:, p: p + order] += np.einsum("ild,id->il", rows, M)[:, ::-1]
+        R[:, p: p + order] += (rows * M[:, None, :]).sum(axis=2)[:, ::-1]
     return first.astype(int) - (order - 1), R
+
+
+def band_columns(k0, vals, lo, n):
+    """Columns k0[i] - lo + l of banded rows vals[i, l], clipped into [0, n),
+    and the values with those of columns off [0, n) set to 0."""
+    cols = k0[:, None] - lo + np.arange(vals.shape[1])
+    return np.clip(cols, 0, n - 1), np.where((cols >= 0) & (cols < n), vals, 0.0)
+
+
+def spline_cell_integrals(order, a, b, ks):
+    """P[i, j] = int_a[i]^b[i] beta(u - ks[j]) du over the index range ks:
+    the rows of `spline_leaky_integrals` at alpha = 0, placed on ks."""
+    cols, R = band_columns(*spline_leaky_integrals(order, a, b, 0.0), ks[0], len(ks))
+    flat = (np.arange(R.shape[0])[:, None] * len(ks) + cols).ravel()
+    return np.bincount(flat, R.ravel(), minlength=R.shape[0] * len(ks)).reshape(-1, len(ks))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +362,12 @@ class DualAxis:
         basis = spline_basis(self.order, x.ravel())
         return spline_sum(basis, self.offsets[:1], self.b).reshape(x.shape)
 
-    def antiderivative(self, x, ks):
-        """D[i, j] = int_{-inf}^{x[i]} dual(u - ks[j]) du, 1-d x."""
-        return spline_antiderivative(self.order, x, np.asarray(ks) + self.offsets[0], self.b)
+    def toeplitz(self, ns, ks):
+        """T[i, j] = b(ns[i] - ks[j]), 0 off the table: dual(. - k) is
+        sum_n T[n, k] beta(. - n), so dual integrals are B-spline ones times T."""
+        table = np.concatenate([[0.0], self.b, [0.0]])
+        lag = np.subtract.outer(ns, ks) - self.offsets[0] + 1
+        return table[np.clip(lag, 0, table.size - 1)]
 
 
 def dual_coeffs_from_autocorr(a_offsets, a_values):
@@ -417,11 +425,11 @@ def _biorth_integrals_1d(axis):
     r = int(np.ceil(reach + order / 2.0))
     nodes, weights = gauss_panel_rule(-reach, reach, order + 1)
     dual_vals = axis.eval(nodes) * weights
-    first, vals = spline_basis(order, nodes)
+    k0, vals = spline_basis(order, nodes)
     out = np.zeros(2 * r + 1)
-    for l in range(order):
-        # vals[:, l] is beta(node - j) at j = first - l
-        out += np.bincount(first - l + r, weights=dual_vals * vals[:, l], minlength=out.size)
+    for l in reversed(range(order)):
+        # vals[:, l] is beta(node - j) at j = k0 + l
+        out += np.bincount(k0 + l + r, weights=dual_vals * vals[:, l], minlength=out.size)
     return np.arange(-r, r + 1), out
 
 

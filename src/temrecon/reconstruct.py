@@ -8,11 +8,13 @@ the encoder-recovered measurements of the signal, and M_j maps the residual
 back to time-axis coefficients, which one space factor spreads across
 space.  The crossing machine samples at the fires and uses M = T S, the
 projector after the nearest-fire quasi-interpolant, built from exact
-interval integrals of the dual (differences of its spline antiderivative)
-without a grid; the integrate-and-fire machine takes exact leak-weighted
-interval integrals (`generator.spline_leaky_integrals`, on the moments of
-`generator.LeakMoments`) and uses M = R, kernel slices at the interval
-midpoints.  No second encoding pass is ever needed.
+interval integrals without a grid; the integrate-and-fire machine takes
+exact leak-weighted interval integrals and uses M = R, kernel slices at the
+interval midpoints.  One banded rule, `generator.spline_leaky_integrals`
+(on the moments of `generator.LeakMoments`), gives every interval integral,
+those of the dual through its Toeplitz gather (`DualAxis.toeplitz`), and
+both operators build through one fold, `MeasurementOperator`.  No second
+encoding pass is ever needed.
 
 Divergence is a reported outcome, not an exception: the sufficient rate
 bounds are wildly pessimistic and experiments deliberately sweep past them.
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .generator import bspline_eval, spline_basis, spline_leaky_integrals, spline_sum
+from .generator import (band_columns, bspline_eval, spline_basis, spline_cell_integrals,
+                        spline_leaky_integrals)
 from .kernel_space import VSignal, window_for_grid
 from .mixed_norm import CoefSeq, MixedNormParams
 from .tem_encode import density_report
@@ -34,23 +37,59 @@ from .tem_encode import density_report
 # measurement operators
 # ---------------------------------------------------------------------------
 
+# devices per block of the operator fold: its arrays never span every fire
+_BLOCK = 32
+
+
+def _index_range(order, lo, hi):
+    """Indices n of every B-spline beta(. - n) of the order that meets [lo, hi]."""
+    return np.arange(int(np.floor(lo + order / 2.0)) - (order - 1),
+                     int(np.floor(hi + order / 2.0)) + 1)
+
+
 class MeasurementOperator:
     """Richardson update c -> M (y - A c) of one machine, folded per device.
 
     Per device j the measurement matrix A_j (fires x n1) and the synthesis
     matrix M_j (n1 x fires) enter the update only through M_j y_j, column j
     of `My`, and the n1 x n1 product M_j A_j, `MA[j]`, which is all the
-    operator keeps (its size does not grow with the fire count).  The update
-    column of device j is M_j y_j - (M_j A_j) c_j, with c_j = C slice_s[j]
-    the time-axis coefficients of the iterate's slice at the device; the
-    columns then spread across space through `space` (devices x n2).
+    operator keeps (its size does not grow with the fire count).  Both
+    machines write M_j = w_j T^T P_j^T, with P_j banded in the time-axis
+    B-splines and T the dual's b-gather T[n, k] = b_(n - k)
+    (`DualAxis.toeplitz`), so M_j A_j and M_j y_j fold through the banded
+    products P_j^T A_j and P_j^T y_j, and no fires x n1 matrix is formed.
+    `rows(ts)` gives the banded rows (k0, values) of P and of A for the
+    fires of a block of devices with fire times ts; `_BLOCK` devices are
+    folded at a time.  The update column of device j is
+    M_j y_j - (M_j A_j) c_j, with c_j = C slice_s[j] the time-axis
+    coefficients of the iterate's slice at the device; the columns then
+    spread across space through `space` (devices x n2).
     """
 
-    def __init__(self, kernel, devices, window, My, MA, space):
+    def __init__(self, out, kernel, devices, window, rows, weight, space):
         self.window, self.generator, self.space = window, kernel.generator, space
         self.slice_s = bspline_eval(kernel.generator.order_s,
                                     devices.positions[:, None] - window.k2s[None, :])
-        self.My, self.MA = My, MA
+        n1, J = window.n1, len(devices)
+        ns = _index_range(kernel.generator.order_t, out.t_start, out.t_end)
+        N, T = ns.size, kernel.dual.axis_t.toeplitz(ns, window.k1s)
+        self.My, self.MA = np.zeros((n1, J)), np.zeros((J, n1, n1))
+        for j0 in range(0, J, _BLOCK):
+            ts = out.times[j0: j0 + _BLOCK]
+            nb = len(ts)
+            (p0, P), (a0, A) = rows(ts)
+            p_cols, P = band_columns(p0, P, ns[0], N)
+            a_cols, A = band_columns(a0, A, window.k1_first, n1)     # off the window: 0
+            p_rows = np.repeat(np.arange(nb), [t.size for t in ts])[:, None] * N + p_cols
+            flat = p_rows[:, :, None] * n1 + a_cols[:, None, :]
+            G = np.bincount(flat.ravel(), (P[:, :, None] * A[:, None, :]).ravel(),
+                            minlength=nb * N * n1).reshape(nb, N, n1)
+            y = np.concatenate(out.values[j0: j0 + nb])
+            g = np.bincount(p_rows.ravel(), (P * y[:, None]).ravel(),
+                            minlength=nb * N).reshape(nb, N)
+            w = weight[j0: j0 + nb]
+            self.MA[j0: j0 + nb] = w[:, None, None] * (T.T @ G)
+            self.My[:, j0: j0 + nb] = (g @ T).T * w
 
     def synthesize(self, cols):
         """Signal with coefficients sum_j cols[:, j] (x) space[j]."""
@@ -69,87 +108,55 @@ def ctem_operator(out, kernel, devices, window):
     S holds each residual sample constant over its nearest-fire cell (breaks
     at midpoints of consecutive fires, stubs extended to [t_start, t_end])
     and blends devices by the partition of unity; T analyses against the
-    dual.  So M_j holds the exact dual integrals over the cells, and the
-    space factor those of the partition weights, constant between ball ends
-    (clipped to the device window).
+    dual.  So P_j holds the exact B-spline integrals over the cells, A_j
+    the B-splines at the fires, and the space factor the exact dual
+    integrals of the partition weights, constant between ball ends (clipped
+    to the device window).
     """
     if out.config.mode != "crossing":
         raise InputError("the crossing operator requires crossing-mode output")
-    gen, dual = kernel.generator, kernel.dual
-    edges = [np.concatenate([[out.t_start], 0.5 * (t[:-1] + t[1:]), [out.t_end]])
-             if t.size else np.zeros(0) for t in out.times]
-    # spline values of every device's edges at once, the gather per device
-    first, vals = spline_basis(gen.order_t + 1, np.concatenate(edges) - 0.5)
-    split = np.cumsum([e.size for e in edges])[:-1]
-    C, k1s = np.cumsum(dual.axis_t.b), window.k1s + dual.axis_t.offsets[0]
+    order, axis_s = kernel.generator.order_t, kernel.dual.axis_s
 
-    My, MA = np.zeros((window.n1, len(devices))), np.zeros((len(devices), window.n1, window.n1))
-    for j, (t, f, v) in enumerate(zip(out.times, np.split(first, split), np.split(vals, split))):
-        A_j = bspline_eval(gen.order_t, t[:, None] - window.k1s[None, :])
-        M_j = np.diff(spline_sum((f, v), k1s, C, C[-1]), axis=0).T
-        My[:, j], MA[j] = M_j @ out.values[j], M_j @ A_j
+    def rows(ts):
+        cuts = [np.concatenate([[out.t_start], 0.5 * (t[:-1] + t[1:]), [out.t_end]])
+                if t.size else t for t in ts]
+        lo, hi = np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
+        return spline_leaky_integrals(order, lo, hi, 0.0), spline_basis(order, np.concatenate(ts))
 
     # a repeated cut makes an empty piece, whose integrals are exactly 0
     pos, r = devices.positions, devices.delta_prime
     cuts = np.sort(np.clip(np.concatenate([pos - r, pos + r, devices.window]), *devices.window))
-    pieces = np.diff(dual.axis_s.antiderivative(cuts, window.k2s), axis=0)
+    ns = _index_range(axis_s.order, *devices.window)
+    pieces = (spline_cell_integrals(axis_s.order, cuts[:-1], cuts[1:], ns)
+              @ axis_s.toeplitz(ns, window.k2s))
     space = devices.u_matrix(0.5 * (cuts[:-1] + cuts[1:])) @ pieces
-    return MeasurementOperator(kernel, devices, window, My, MA, space)
-
-
-# devices per fold of `iftem_operator`: its arrays never span every fire
-_BLOCK = 32
+    return MeasurementOperator(out, kernel, devices, window, rows, np.ones(len(devices)), space)
 
 
 def iftem_operator(out, kernel, devices, window):
     """Integrate-and-fire operator: A integrates over the firing intervals, M = R.
 
     A_j[i] holds the exact integrals of the time-axis B-splines against the
-    leak weight exp(alpha (u - t_i)) over [t_{i-1}, t_i], banded
-    (`spline_leaky_integrals`), so fresh integrals of the iterate match the
-    encoder-recovered ones to root-finding accuracy.
+    leak weight exp(alpha (u - t_i)) over [t_{i-1}, t_i], banded, so fresh
+    integrals of the iterate match the encoder-recovered ones to
+    root-finding accuracy.
     R g = sum_j sum_i I_i^(j) K(., .; s_i^(j), y_j) ||u_j||_L1 with interval
-    midpoints s: M_j is the dual at the midpoints times ||u_j||_L1, and the
-    space factor is the dual at the device positions.  The dual is
-    sum_m b_m beta(. - m), so with B_j the B-spline basis at the midpoints
-    (one `spline_basis`, `order` entries per row) and T the b-gather
-    T[n, k] = b_(n - k), M_j = ||u_j|| T^T B_j^T: M_j A_j and M_j y_j fold
-    through the banded products B_j^T A_j and B_j^T y_j, and no fires x n1
-    matrix is formed.  `_BLOCK` devices are folded at a time.
+    midpoints s: M_j is the dual at the midpoints times ||u_j||_L1, so P_j
+    is the B-spline basis at the midpoints, and the space factor is the
+    dual at the device positions.
     """
     if out.config.mode != "integrate-and-fire":
         raise InputError("the integrate-and-fire operator requires integrate-and-fire output")
-    order, axis, n1, J = kernel.generator.order_t, kernel.dual.axis_t, window.n1, len(devices)
-    weight = devices.u_l1_norms()
-    # every midpoint basis index n lies in [n_lo, n_lo + N)
-    n_lo = int(np.floor(out.t_start + order / 2.0)) - (order - 1)
-    N = int(np.floor(out.t_end + order / 2.0)) + 1 - n_lo
-    lag = (n_lo + np.arange(N))[:, None] - window.k1s[None, :] - axis.offsets[0]
-    inside = (lag >= 0) & (lag < axis.b.size)
-    T = np.where(inside, axis.b[np.clip(lag, 0, axis.b.size - 1)], 0.0)
-    My, MA = np.zeros((n1, J)), np.zeros((J, n1, n1))
-    for j0 in range(0, J, _BLOCK):
-        ts = out.times[j0: j0 + _BLOCK]
-        nb = len(ts)
+    order = kernel.generator.order_t
+
+    def rows(ts):
         t = np.concatenate(ts)
         a = np.concatenate([np.concatenate([[out.t_start], tj])[:-1] for tj in ts])
-        device = np.repeat(np.arange(nb), [tj.size for tj in ts])
-        k0, R = spline_leaky_integrals(order, a, t, out.config.alpha)
-        first, V = spline_basis(order, 0.5 * (a + t))
-        rows = (device * N + first - n_lo)[:, None] - np.arange(order)    # B_j columns
-        cols = k0[:, None] - window.k1_first + np.arange(R.shape[1])     # A_j columns
-        R = np.where((cols >= 0) & (cols < n1), R, 0.0)                   # off the window
-        flat = rows[:, :, None] * n1 + np.clip(cols, 0, n1 - 1)[:, None, :]
-        G = np.bincount(flat.ravel(), (V[:, :, None] * R[:, None, :]).ravel(),
-                        minlength=nb * N * n1).reshape(nb, N, n1)
-        g = np.bincount(rows.ravel(), (V * np.concatenate(out.values[j0: j0 + nb])[:, None]).ravel(),
-                        minlength=nb * N).reshape(nb, N)
-        w = weight[j0: j0 + nb]
-        MA[j0: j0 + nb] = w[:, None, None] * (T.T @ G)
-        My[:, j0: j0 + nb] = (g @ T).T * w
-    return MeasurementOperator(kernel, devices, window, My, MA,
-                               kernel.dual.axis_s.eval(devices.positions[:, None]
-                                                       - window.k2s[None, :]))
+        return (spline_basis(order, 0.5 * (a + t)),
+                spline_leaky_integrals(order, a, t, out.config.alpha))
+
+    space = kernel.dual.axis_s.eval(devices.positions[:, None] - window.k2s[None, :])
+    return MeasurementOperator(out, kernel, devices, window, rows, devices.u_l1_norms(), space)
 
 
 # ---------------------------------------------------------------------------

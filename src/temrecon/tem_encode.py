@@ -26,9 +26,10 @@ and a round fires the whole piece; at higher orders a bracketed Newton
 iteration locates one fire per round.  The integrate-and-fire running
 integral is exact: a piece polynomial, Taylor-shifted to the interval
 start, against the leak-weighted moments of `generator.LeakMoments`.
-Each device walks a shared ladder of evaluation steps to the step where
-the integral reaches the threshold; the bracketed Newton iteration
-locates the fire on it from a Halley step, usually in two evaluations.
+Each device walks a shared ladder of evaluation steps, integrated by the
+banded rule `generator.spline_leaky_integrals`, to the step where the
+integral reaches the threshold; the bracketed Newton iteration locates
+the fire on it from a Halley step, usually in two evaluations.
 Both check the amplitude bound on the exact max |f| of every piece.  The
 fast paths are validated against the scalar `ctem_encode` /
 `iftem_encode` reference implementations, which bracket each fire by a
@@ -42,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EncodingInvariantError, GapError, InputError, PreconditionError
-from .generator import LeakMoments, bspline_eval, piece_polynomials, taylor_shift
+from .generator import (LeakMoments, band_columns, bspline_eval, piece_polynomials,
+                        spline_leaky_integrals, taylor_shift)
 
 BISECTION_TOL = 1e-14
 # probe points per unit length of the spatial window for the cover counts
@@ -113,23 +115,15 @@ class DeviceSet:
     def u_l1_norms(self):
         """Exact L1 norms of the partition weights over the whole line.
 
-        The weights are piecewise constant with breakpoints at the ball
-        endpoints, so the integral is a finite sum of interval lengths
-        divided by covering counts.
+        The weights are constant between the sorted ball ends, so each norm
+        is the weights at the midpoints, by the rule of `u_matrix`, against
+        the interval lengths; a stretch no ball covers adds 0.
         """
-        # sorted distinct ball endpoints, as np.unique computes them; np.unique
-        # itself imports numpy.ma on first use (about 12 ms of a cold run)
         ends = np.sort(np.concatenate([self.positions - self.delta_prime,
                                        self.positions + self.delta_prime]))
-        events = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
-        out = np.zeros(self.positions.size)
-        for lo, hi in zip(events[:-1], events[1:]):
-            mid = 0.5 * (lo + hi)
-            covering = np.abs(mid - self.positions) <= self.delta_prime
-            n_cov = int(covering.sum())
-            if n_cov:
-                out[covering] += (hi - lo) / n_cov
-        return out
+        mids = 0.5 * (ends[:-1] + ends[1:])
+        ind = np.abs(mids[None, :] - self.positions[:, None]) <= self.delta_prime + self._COVER_EPS
+        return ind @ (np.diff(ends) / np.maximum(ind.sum(axis=0), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +411,8 @@ class _SliceTable:
         self.poly = np.zeros((coefs.shape[0], n_k + order + 1, order))
         for r in range(order):
             self.poly[:, 1 + r: 1 + r + n_k] += coefs[:, :, None] * Q[r]
-        self.order = order
-        self.origin = vsig.window.k1_first - order / 2.0 - 1.0
+        self.order, self.coefs, self.k_first = order, coefs, vsig.window.k1_first
+        self.origin = self.k_first - order / 2.0 - 1.0
         self.last = n_k + order
 
     def locate(self, t):
@@ -689,23 +683,6 @@ def _check_table_amplitude(table, cfg, lo, hi):
     _check_slice_amplitude(vals, cfg, every, ts)
 
 
-def _step_integrals(table, a, b, moments, bias):
-    """I[k, j] = int_a[k]^b[k] exp(-alpha (b[k] - u)) (f_j(u) + bias) du.
-
-    Steps shorter than a piece cross at most one knot q.  The steps are
-    shared by every device, so each part is the gathered piece coefficients,
-    Taylor-shifted to the part's start, against one (steps, order) table of
-    moments.
-    """
-    s, u = table.locate(a)
-    q = np.clip(table.origin + s + 1.0, a, b)      # past the table the piece is zero
-    head = moments(q - a) * np.exp(-moments.alpha * (b - q))[:, None]
-    I = np.einsum("jkd,kd->kj", taylor_shift(table.poly[:, s], u), head)
-    I += np.einsum("jkd,kd->kj", table.poly[:, np.minimum(s + 1, table.last)], moments(b - q))
-    I += bias * moments(b - a)[:, :1]
-    return I
-
-
 class _LeakySegments:
     """Leaky running integrals of a batch of device slices from given starts.
 
@@ -781,7 +758,7 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
 
     Each round locates the next fire of every device at once.  The leaky
     recurrence runs over a ladder of evaluation steps shared by all
-    devices, with exact step integrals of the slice table: a device walks
+    devices, with exact step integrals of the slices: a device walks
     from the step holding its last fire until the running integral reaches
     theta at a step end.  That step brackets the fire, and
     `_bracketed_newton` locates it on g = theta - y(t) with
@@ -810,9 +787,14 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     moments = LeakMoments(alpha, table.order, alpha * h)   # no integral spans more than a step
 
     _check_table_amplitude(table, cfg, t0, t_end)
-    a_vec, b_vec = edges[:-1], edges[1:]
-    I_step = _step_integrals(table, a_vec, b_vec, moments, b)   # (n_steps, J)
-    step_decay = np.exp(-alpha * (b_vec - a_vec))
+    # step integrals (n_steps, J): the banded rows against the slices'
+    # B-spline coefficients, one band column at a time, plus the bias
+    k0, R = spline_leaky_integrals(table.order, edges[:-1], edges[1:], alpha)
+    cols, R = band_columns(k0, R, table.k_first, table.coefs.shape[1])
+    I_step = np.repeat(b * cfg.kappa_alpha(np.diff(edges))[:, None], J, axis=1)
+    for l in range(R.shape[1]):
+        I_step += R[:, l, None] * table.coefs.T[cols[:, l]]
+    step_decay = np.exp(-alpha * np.diff(edges))
 
     # per device: the step k holding the segment start s (the last fire, or
     # a step edge), y at s, y at the end of step k, fires so far in step k

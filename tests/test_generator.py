@@ -14,8 +14,8 @@ from temrecon.generator import (
     bspline_autocorr,
     bspline_eval,
     dual_coeffs_from_autocorr,
-    spline_antiderivative,
     spline_basis,
+    spline_cell_integrals,
     spline_leaky_integrals,
     spline_sum,
     taylor_shift,
@@ -282,6 +282,7 @@ def test_dual_eval_matches_shift_loop(order):
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_antiderivative_rows_match_gauss_cells(order):
+    # banded B-spline and dual cell integrals against the knot-split Gauss rule
     axis = _dual_axis(order)
     rng = np.random.default_rng(10 + order)
     a = rng.uniform(-15.0, 15.0, 120)
@@ -292,25 +293,21 @@ def test_antiderivative_rows_match_gauss_cells(order):
     x = nodes[:, :, None] - ks
     want_b = np.einsum("iq,iqk->ik", w, bspline_eval(order, x))
     want_d = np.einsum("iq,iqk->ik", w, axis.eval(x))
-    got_b = spline_antiderivative(order, b, ks) - spline_antiderivative(order, a, ks)
-    got_d = axis.antiderivative(b, ks) - axis.antiderivative(a, ks)
+    got_b = spline_cell_integrals(order, a, b, ks)
+    # the dual's cells: B-spline cells over every spline meeting them, times T
+    ns = np.arange(-18 - order, 19 + order)
+    got_d = spline_cell_integrals(order, a, b, ns) @ axis.toeplitz(ns, ks)
     assert np.max(np.abs(got_b - want_b)) <= 1e-13
     assert np.max(np.abs(got_d - want_d)) <= 1e-13
 
 
 def test_spline_sum_reads_zero_left_and_total_right():
+    # the total right of the table is 0: spline sums read 0 off it on both sides
     c = np.array([0.5, -2.0, 3.0])
     for order in (2, 3, 4):
-        x = np.array([-7.3, -order / 2.0, 9.0, 40.25])
-        got = spline_sum(spline_basis(order, x), [0], c, right=7.0)[:, 0]
-        assert got[0] == 0.0 and got[1] == 0.0
-        assert abs(got[2] - 7.0) <= 1e-14 and abs(got[3] - 7.0) <= 1e-14
-    axis = _dual_axis(3)
-    ends = np.array([-axis.reach - 1.0, axis.reach + 5.0])     # past both shifts
-    D = axis.antiderivative(ends, [0, 4])
-    assert np.all(D[0] == 0.0) and np.max(np.abs(D[1] - axis.b.sum())) <= 1e-14
-    Phi = spline_antiderivative(3, ends, [0, 4])
-    assert np.all(Phi[0] == 0.0) and np.max(np.abs(Phi[1] - 1.0)) <= 1e-14
+        x = np.array([-7.3, -order / 2.0, c.size + order / 2.0, 40.25])
+        got = spline_sum(spline_basis(order, x), [0], c)[:, 0]
+        assert np.all(got == 0.0)
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])

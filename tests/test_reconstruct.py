@@ -30,7 +30,7 @@ from temrecon.reconstruct import (
 )
 from temrecon.tem_encode import TemOutput
 
-from conftest import apply_R, apply_S, knot_split_rule, random_vsignal
+from conftest import apply_R, apply_S, knot_split_rule, random_vsignal, subpanel_rule
 
 PR = MixedNormParams(2.0, 2.0)
 
@@ -152,16 +152,23 @@ def _gauss_dual_integrals(axis, a, b, ks):
     return np.einsum("iq,iqk->ik", w, axis.eval(nodes[:, :, None] - ks))
 
 
-@pytest.mark.parametrize("silent_device, crowded", [(None, False), (3, False), (None, True)],
-                         ids=["None", "3", "crowded"])
-def test_ctem_operator_step_matches_gauss_cells(hat_kernel, hat_gen, small_grid, small_window,
-                                                silent_device, crowded):
+def _machine(order, grid):
+    """(generator, kernel, window) of the tensor B-spline of one order on both axes."""
+    gen = Generator(order, order)
+    return gen, build_shift_invariant_kernel(gen, dual_generator(gen)), window_for_grid(grid, gen)
+
+
+@pytest.mark.parametrize("order, silent_device, crowded", [
+    pytest.param(order, silent, crowded, id=name if order == 2 else f"order{order}-{name}")
+    for order in (2, 3, 4)
+    for silent, crowded, name in ((None, False, "None"), (3, False, "3"), (None, True, "crowded"))])
+def test_ctem_operator_step_matches_gauss_cells(small_grid, order, silent_device, crowded):
     # one step M (y - A f_n) against M_j and the space factor built
     # independently: Gauss integrals of the dual over the nearest-fire cells
     # and over the pieces between ball ends, weights counted at the midpoints
-    dev, out, f_n, resid = _crossing_case(hat_gen, small_grid, small_window,
-                                          silent_device, crowded)
-    dual, w = hat_kernel.dual, small_window
+    gen, kernel, w = _machine(order, small_grid)
+    dev, out, f_n, resid = _crossing_case(gen, small_grid, w, silent_device, crowded)
+    dual = kernel.dual
     cols = np.zeros((w.n1, len(dev)))
     for j, t in enumerate(out.times):
         if t.size:
@@ -174,7 +181,7 @@ def test_ctem_operator_step_matches_gauss_cells(hat_kernel, hat_gen, small_grid,
     mids = 0.5 * (ends[:-1] + ends[1:])
     cover = np.abs(mids[None, :] - dev.positions[:, None]) <= 0.5
     want = cols @ ((cover / cover.sum(axis=0)) @ pieces)
-    got = ctem_operator(out, hat_kernel, dev, small_window).step(f_n)
+    got = ctem_operator(out, kernel, dev, w).step(f_n)
     assert np.max(np.abs(want)) > 0.1
     assert np.max(np.abs(got.coeffs.entries - want)) <= 1e-13
 
@@ -350,6 +357,36 @@ def test_apply_r_zero_and_single_fire(hat_kernel, hat_gen, small_grid, small_win
             want = I * l1 * hat_kernel.eval(x, y, s_mid, 6.0)
             got = float(sig.eval_pairs([x], [y])[0])
             assert got == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("order", [2, 3])
+def test_iftem_operator_step_matches_gauss_intervals(small_grid, order, alpha):
+    # one step M (y - A f_n) against A_j, M_j and the space factor built
+    # independently: leak-weighted sub-panel Gauss integrals of the
+    # iterate's slices over the firing intervals, ||u_j|| times the dual at
+    # their midpoints, and the dual at the device positions
+    gen, kernel, w = _machine(order, small_grid)
+    rng = np.random.default_rng(13)
+    sig = random_vsignal(w, gen, small_grid, rng)
+    f_n = random_vsignal(w, gen, small_grid, rng, sup=0.5)
+    dev = DeviceSet.uniform(0.0, 12.0, 0.75, 0.5)
+    out = encode_iftem_devices(sig, dev, if_cfg(alpha=alpha), (0.0, 12.0))
+    out.times[3], out.values[3] = np.zeros(0), np.zeros(0)        # a silent device
+    dual, l1 = kernel.dual, dev.u_l1_norms()
+    cols = np.zeros((w.n1, len(dev)))
+    for j, t in enumerate(out.times):
+        if t.size:
+            a = np.concatenate([[0.0], t[:-1]])
+            nodes, q = subpanel_rule(a, t)
+            q = q * np.exp(alpha * (nodes - t[:, None]))
+            f = f_n.eval_slice(dev.positions[j], nodes.ravel()).reshape(nodes.shape)
+            M_j = l1[j] * dual.axis_t.eval(0.5 * (a + t)[None, :] - w.k1s[:, None])
+            cols[:, j] = M_j @ (out.values[j] - (q * f).sum(axis=1))
+    want = cols @ dual.axis_s.eval(dev.positions[:, None] - w.k2s[None, :])
+    got = iftem_operator(out, kernel, dev, w).step(f_n)
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(got.coeffs.entries - want)) <= 1e-13
 
 
 def test_apply_r_boundedness(hat_kernel, hat_gen, small_grid, small_window):
