@@ -74,7 +74,7 @@ EXIT_CODES = {
 # gate (BIORTH_TOL = 1e-8): 13 leaves 8.1e-10, 14 reaches 1.1e-8
 MAX_ORDER = 13
 # the most fire slots (devices x `TemConfig.fire_slots`) an encode may
-# preallocate: two float arrays of 32 MB each, about 40 times the 106k of the
+# preallocate: one float array of 32 MB, about 40 times the 106k of the
 # leaky (1, inf) desk config; integrate-and-fire at theta 1e-4 on [0, 12]^2
 # would ask for 35M
 MAX_FIRE_SLOTS = 2 ** 22

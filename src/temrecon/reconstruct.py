@@ -110,8 +110,7 @@ def ctem_operator(out, kernel, devices, window):
     and blends devices by the partition of unity; T analyses against the
     dual.  So P_j holds the exact B-spline integrals over the cells, A_j
     the B-splines at the fires, and the space factor the exact dual
-    integrals of the partition weights, constant between ball ends (clipped
-    to the device window).
+    integrals of the partition weights, constant between `DeviceSet.cuts`.
     """
     if out.config.mode != "crossing":
         raise InputError("the crossing operator requires crossing-mode output")
@@ -124,8 +123,7 @@ def ctem_operator(out, kernel, devices, window):
         return spline_leaky_integrals(order, lo, hi, 0.0), spline_basis(order, np.concatenate(ts))
 
     # a repeated cut makes an empty piece, whose integrals are exactly 0
-    pos, r = devices.positions, devices.delta_prime
-    cuts = np.sort(np.clip(np.concatenate([pos - r, pos + r, devices.window]), *devices.window))
+    cuts = devices.cuts()
     ns = _index_range(axis_s.order, *devices.window)
     pieces = (spline_cell_integrals(axis_s.order, cuts[:-1], cuts[1:], ns)
               @ axis_s.toeplitz(ns, window.k2s))

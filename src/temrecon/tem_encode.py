@@ -28,13 +28,15 @@ integral is exact: a piece polynomial, Taylor-shifted to the interval
 start, against the leak-weighted moments of `generator.LeakMoments`.
 Each device walks a shared ladder of evaluation steps, integrated by the
 banded rule `generator.spline_leaky_integrals`, to the step where the
-integral reaches the threshold; the bracketed Newton iteration locates
-the fire on it from a Halley step, usually in two evaluations.
-Both check the amplitude bound on the exact max |f| of every piece.  The
-fast paths are validated against the scalar `ctem_encode` /
-`iftem_encode` reference implementations, which bracket each fire by a
-scan at a step and refine by plain bisection (the integrate-and-fire one
-on Gauss quadrature).
+integral reaches the threshold; the ladder holds every knot, so that step
+lies on one piece, and the bracketed Newton iteration locates the fire on
+it from a Halley step, usually in two evaluations.
+Both check the amplitude bound on the exact max |f| of every piece.  All
+four encoders take the recovered values from the gaps by one rule,
+`TemConfig.recovered_values`.  The fast paths are validated against the
+scalar `ctem_encode` / `iftem_encode` reference implementations, which
+bracket each fire by a scan at a step and refine by plain bisection (the
+integrate-and-fire one on Gauss quadrature).
 """
 
 import math
@@ -47,8 +49,6 @@ from .generator import (LeakMoments, band_columns, bspline_eval, piece_polynomia
                         spline_leaky_integrals, taylor_shift)
 
 BISECTION_TOL = 1e-14
-# probe points per unit length of the spatial window for the cover counts
-COVER_PROBES = 64
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
@@ -60,10 +60,12 @@ class DeviceSet:
     """Relatively separated device positions with gap `delta_prime`.
 
     `A_gamma` / `B_gamma` are the minimum and maximum closed-ball covering
-    counts over a probe grid of the spatial window; construction fails with
-    `GapError` when some probe point is uncovered (gap condition violated).
-    The counts come from a sorted sweep, two `searchsorted` calls on the
-    sorted positions, so no (devices x probes) array is formed.
+    counts over the spatial window.  The counts are constant between the
+    sorted ball ends, so they are read at `cuts` and at the midpoints
+    between them: exact bounds, and construction fails with
+    `GapError` where any stretch of the window is uncovered (gap condition
+    violated).  The counts come from a sorted sweep, two `searchsorted`
+    calls on the sorted positions, so no (devices x points) array is formed.
     """
 
     def __init__(self, positions, delta_prime, window):
@@ -74,14 +76,14 @@ class DeviceSet:
             raise InputError("gap delta_prime must be positive")
         self.delta_prime = float(delta_prime)
         self.window = (float(window[0]), float(window[1]))
-        n = max(2, int(round((self.window[1] - self.window[0]) * COVER_PROBES)))
-        probes = np.linspace(self.window[0], self.window[1], n + 1)
-        counts = self.cover_counts(probes)
+        cuts = self.cuts()
+        ys = np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])])
+        counts = self.cover_counts(ys)
         self.A_gamma = int(counts.min())
         self.B_gamma = int(counts.max())
         if self.A_gamma < 1:
-            bad = probes[int(np.argmin(counts))]
-            raise GapError(f"probe y={bad:.6g} is not within {delta_prime} of any device")
+            bad = ys[int(np.argmin(counts))]
+            raise GapError(f"y={bad:.6g} is not within {delta_prime} of any device")
 
     @classmethod
     def uniform(cls, y_min, y_max, spacing, delta_prime):
@@ -111,6 +113,12 @@ class DeviceSet:
             bad = ys[int(np.argmin(counts))]
             raise GapError(f"y={bad:.6g} is not covered by any device ball")
         return ind / counts
+
+    def cuts(self):
+        """The ball ends clipped to the window, and the window ends, sorted:
+        cover counts and partition weights are constant between them."""
+        pos, r = self.positions, self.delta_prime
+        return np.sort(np.clip(np.concatenate([pos - r, pos + r, self.window]), *self.window))
 
     def u_l1_norms(self):
         """Exact L1 norms of the partition weights over the whole line.
@@ -182,15 +190,25 @@ class TemConfig:
             return dt
         return -np.expm1(-self.alpha * np.asarray(dt, dtype=float)) / self.alpha
 
+    def recovered_values(self, times, t_start):
+        """The per-fire values a decoder reads from one device's fire times
+        alone, by the gaps from t_start on: the signal at the fire,
+        -b + lambda gap (crossing), or the leak-weighted integral over the
+        interval, theta - b kappa_alpha(gap) (integrate-and-fire)."""
+        gaps = np.diff(times, prepend=t_start)
+        if self.mode == "crossing":
+            return -self.b_level + self.lambda_slope * gaps
+        return self.theta - self.b_level * self.kappa_alpha(gaps)
+
 
 @dataclass
 class TemOutput:
     """Per-device firing times and the decoder-recoverable per-fire quantities.
 
-    Crossing mode: `values[j][i]` is the signal value at `times[j][i]`,
-    recomputed from the ramp, i.e. from times alone.  Integrate-and-fire
-    mode: `values[j][i]` is the leak-weighted integral over the interval
-    ending at `times[j][i]`, recovered as theta - b * kappa_alpha(gap).
+    The encoders fill `values[j]` with `TemConfig.recovered_values` of
+    `times[j]`: per fire, the signal value there (crossing) or the
+    leak-weighted integral over the interval it ends (integrate-and-fire),
+    from times alone.
     """
 
     config: TemConfig
@@ -203,11 +221,7 @@ class TemOutput:
     def gaps(self, j):
         """Inter-fire gaps of device j, including the lead-in from the start
         anchor and the trailing stub to the horizon end."""
-        t = self.times[j]
-        if t.size == 0:
-            return np.array([self.t_end - self.t_start])
-        edges = np.concatenate([[self.t_start], t, [self.t_end]])
-        return np.diff(edges)
+        return np.diff(self.times[j], prepend=self.t_start, append=self.t_end)
 
     def fire_count(self):
         return int(sum(t.size for t in self.times))
@@ -259,7 +273,7 @@ def ctem_encode(f, cfg, horizon, scan_step=None):
     t0, t_end = float(horizon[0]), float(horizon[1])
     step = scan_step if scan_step is not None else cfg.delta_target / 8.0
     b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
-    times, values = [], []
+    times = []
     t_prev = t0
     while True:
         window_end = min(t_prev + delta, t_end)
@@ -293,9 +307,9 @@ def ctem_encode(f, cfg, horizon, scan_step=None):
                 c = m
         t_fire = 0.5 * (a + c)  # midpoint: unbiased within the final bracket
         times.append(t_fire)
-        values.append(-b + lam * (t_fire - t_prev))
         t_prev = t_fire
-    return np.array(times), np.array(values)
+    times = np.array(times, dtype=float)
+    return times, cfg.recovered_values(times, t0)
 
 
 def _gauss_segment(f, a, b_hi, alpha, t_ref, bias):
@@ -338,8 +352,7 @@ def iftem_encode(f, cfg, horizon, grid_step=None):
     min_gap = theta / (cfg.b_level + cfg.c_bound)
     h = min(h, max(min_gap, BISECTION_TOL), 0.5)  # at most one fire per step
     n_steps = int(math.ceil((t_end - t0) / h))
-    times, integrals = [], []
-    t_prev_fire = t0
+    times = []
     y = 0.0
     t_k = t0
     for k in range(n_steps):
@@ -356,10 +369,7 @@ def iftem_encode(f, cfg, horizon, grid_step=None):
                 else:
                     c = m
             t_fire = 0.5 * (a + c)
-            gap = t_fire - t_prev_fire
             times.append(t_fire)
-            integrals.append(theta - b * float(cfg.kappa_alpha(gap)))
-            t_prev_fire = t_fire
             # integrate the remainder of the step from a fresh integrator
             y = 0.0
             t_k = t_fire
@@ -373,7 +383,8 @@ def iftem_encode(f, cfg, horizon, grid_step=None):
         t_k = t_next
         if t_k >= t_end:
             break
-    return np.array(times), np.array(integrals)
+    times = np.array(times, dtype=float)
+    return times, cfg.recovered_values(times, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +641,8 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
         piece[on] += 1
         pos[on] = table.origin + piece[on]
         idx = idx[keep]
-    gaps = np.diff(all_times[:, : counts.max()], axis=1, prepend=t0)
     times = [all_times[j, : counts[j]].copy() for j in range(J)]
-    values = [-b + lam * gaps[j, : counts[j]] for j in range(J)]
-    return TemOutput(cfg, devices, t0, t_end, times, values)
+    return TemOutput(cfg, devices, t0, t_end, times, [cfg.recovered_values(t, t0) for t in times])
 
 
 def _real_roots(c):
@@ -688,44 +697,33 @@ class _LeakySegments:
 
     Row i holds y(t) = y0[i] exp(-alpha (t - s[i])) +
     int_s[i]^t exp(-alpha (t - u)) (f(u) + bias) du for s[i] <= t <= hi[i],
-    with hi[i] - s[i] shorter than a piece.  Such a segment crosses at most
-    one knot q[i].  Both sides' starts, start values and biased piece
-    coefficients (Taylor-shifted to the start) are fixed at construction,
-    rows 0..n-1 before q and n..2n-1 after it, so an evaluation gathers its
-    side and takes one `LeakMoments` call.
+    where [s[i], hi[i]] lies inside one knot piece: the step ladder of
+    `encode_iftem_devices` holds every piece edge.  The biased piece
+    coefficients, Taylor-shifted to the start, are fixed at construction,
+    so an evaluation takes one `LeakMoments` call and one Horner pass.
     """
 
     def __init__(self, table, rows, s, y0, hi, moments, bias):
-        n = rows.size
-        self.moments, self.n, self.hi = moments, n, hi
+        self.moments, self.starts, self.y0, self.hi = moments, s, y0, hi
         p, u = table.locate(s)
-        self.q = np.clip(table.origin + p + 1.0, s, hi)
-        self.starts = np.concatenate([s, self.q])
-        self.coefs = np.concatenate([taylor_shift(table.pieces(rows, p), u),
-                                     table.pieces(rows, np.minimum(p + 1, table.last))])
+        self.coefs = taylor_shift(table.pieces(rows, p), u)
         self.coefs[:, 0] += bias
-        self.bases = np.concatenate([y0, self._y(y0, self.coefs[:n], self.q - s)])
-
-    def _y(self, base, c, h):
-        y = base * np.exp(-self.moments.alpha * h)
-        y += np.einsum("nd,nd->n", c, self.moments(h))
-        return y
 
     def at(self, sub, t, slope=False):
         """(y(t), f(t) + bias) for rows sub at points t; with `slope`, f'(t)
         from the same Horner pass as a third entry."""
-        side = sub + self.n * (t > self.q[sub])
-        h = t - self.starts[side]
-        c = np.take(self.coefs, side, axis=0)
+        h = t - self.starts[sub]
+        c = np.take(self.coefs, sub, axis=0)
         f = _horner(c, h, slope)
-        return (self._y(self.bases[side], c, h),) + (f if slope else (f,))
+        y = self.y0[sub] * np.exp(-self.moments.alpha * h)
+        y += np.einsum("nd,nd->n", c, self.moments(h))
+        return (y,) + (f if slope else (f,))
 
     def newton_start(self, y_hi, theta):
         """A start for y(t) = theta per row, given y(hi) = y_hi >= theta > y0.
 
-        The crossing lies on one side of q, a single piece, where the
-        quadratic through y and y' at the side's start and y at its end is
-        read at theta; the secant stands in where that quadratic has no
+        On the row's piece the quadratic through y and y' at s and y at hi
+        is read at theta; the secant stands in where that quadratic has no
         root.  That point lies about 1e-6 from the root.  One evaluation
         there, with f' from the same Horner pass, takes a Halley step on
         g = theta - y, with g' = alpha y - f - b and
@@ -733,24 +731,19 @@ class _LeakySegments:
         is finite and strictly inside (s, hi), else the quadratic point.
         Newton usually accepts it at its first evaluation.
         """
-        n, alpha = self.n, self.moments.alpha
-        past = (self.bases[n:] < theta) & (self.q < self.hi)    # beyond q
-        t_lo = np.where(past, self.q, self.starts[:n])
-        y_lo = np.where(past, self.bases[n:], self.bases[:n])
-        slope = np.where(past, self.coefs[n:, 0], self.coefs[:n, 0]) - alpha * y_lo
-        H = np.where(past, self.hi, self.q) - t_lo
-        Y = np.where(past, y_hi, self.bases[n:]) - y_lo
-        D = theta - y_lo
+        alpha = self.moments.alpha
+        slope = self.coefs[:, 0] - alpha * self.y0
+        H, Y, D = self.hi - self.starts, y_hi - self.y0, theta - self.y0
         curve = (Y - slope * H) / (H * H)
         with np.errstate(divide="ignore", invalid="ignore"):
             root = np.sqrt(slope * slope + 4.0 * curve * D)
             tau = np.where(root + slope > 0.0, 2.0 * D / (slope + root), D / Y * H)
-        start = np.clip(t_lo + tau, self.starts[:n], self.hi)
-        y, f, df = self.at(np.arange(n), start, slope=True)
+        start = np.clip(self.starts + tau, self.starts, self.hi)
+        y, f, df = self.at(np.arange(start.size), start, slope=True)
         g, dg = theta - y, alpha * y - f
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = start - 2.0 * g * dg / (2.0 * dg * dg - g * (alpha * (f - alpha * y) - df))
-        return np.where((t > self.starts[:n]) & (t < self.hi), t, start)
+        return np.where((t > self.starts) & (t < self.hi), t, start)
 
 
 def encode_iftem_devices(vsig, devices, cfg, horizon):
@@ -760,12 +753,12 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     recurrence runs over a ladder of evaluation steps shared by all
     devices, with exact step integrals of the slices: a device walks
     from the step holding its last fire until the running integral reaches
-    theta at a step end.  That step brackets the fire, and
-    `_bracketed_newton` locates it on g = theta - y(t) with
+    theta at a step end.  The ladder holds every knot piece edge inside the
+    horizon, so that step, which brackets the fire, lies on one piece.
+    `_bracketed_newton` locates the fire on g = theta - y(t) with
     g' = alpha y(t) - f(t) - b, from a Halley step off a quadratic start on
-    the bracket's piece (`_LeakySegments.newton_start`): usually two
-    evaluations per fire, as Newton accepts that point at once.  y at the
-    fire is theta.
+    the piece (`_LeakySegments.newton_start`): usually two evaluations per
+    fire, as Newton accepts that point at once.  y at the fire is theta.
     y(t) is exact: piece coefficients against `LeakMoments`.
     """
     if cfg.mode != "integrate-and-fire":
@@ -774,15 +767,17 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     b, alpha, theta = cfg.b_level, cfg.alpha, cfg.theta
     min_gap = theta / (cfg.b_level + cfg.c_bound)
     # the step integrals are exact for spline slices at any step, so the
-    # ladder only needs to isolate fires (gap >= min_gap)
+    # ladder only needs to isolate fires (gap >= min_gap) and cut at knots
     h = min(min_gap, 0.5)
     table = _SliceTable(vsig, devices)
     J = len(devices)
-    n_steps = int(math.ceil((t_end - t0) / h))
-    edges = np.minimum(t0 + h * np.arange(n_steps + 1), t_end)
+    knots = table.origin + np.arange(1, table.last + 1)
+    edges = np.concatenate([t0 + h * np.arange(math.ceil((t_end - t0) / h)), knots, [t_end]])
+    edges = np.sort(edges[(edges >= t0) & (edges <= t_end)])
+    edges = edges[np.concatenate([[True], np.diff(edges) > 0.0])]
+    n_steps = edges.size - 1
     max_fires = cfg.fire_slots(t_end - t0)
     all_times = np.zeros((J, max_fires))
-    all_ints = np.zeros((J, max_fires))
     counts = np.zeros(J, dtype=int)
     moments = LeakMoments(alpha, table.order, alpha * h)   # no integral spans more than a step
 
@@ -803,7 +798,6 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     y_s = np.zeros(J)
     y_end = I_step[0].copy()
     in_step = np.zeros(J, dtype=int)
-    t_prev_fire = np.full(J, t0)
     idx = np.arange(J)              # devices with steps left
     while True:
         walk = idx[y_end[idx] < theta]
@@ -827,7 +821,6 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
         t_fire = _bracketed_newton(level, s0, hi, segment.newton_start(y_end[idx], theta))
         c = counts[idx]
         all_times[idx, c] = t_fire
-        all_ints[idx, c] = theta - b * cfg.kappa_alpha(t_fire - t_prev_fire[idx])
         counts[idx] = c + 1
         if c.max() + 1 >= max_fires:
             raise EncodingInvariantError("fire-count bound exceeded")
@@ -838,7 +831,6 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
         # less what the fire took away, theta, carried to the step end
         rest = y_end[idx] - theta * np.exp(-alpha * (hi - t_fire))
         y_end[idx] = np.where(hi - t_fire > BISECTION_TOL, rest, 0.0)
-        t_prev_fire[idx], s[idx], y_s[idx] = t_fire, t_fire, 0.0
+        s[idx], y_s[idx] = t_fire, 0.0
     times = [all_times[j, : counts[j]].copy() for j in range(J)]
-    ints = [all_ints[j, : counts[j]].copy() for j in range(J)]
-    return TemOutput(cfg, devices, t0, t_end, times, ints)
+    return TemOutput(cfg, devices, t0, t_end, times, [cfg.recovered_values(t, t0) for t in times])

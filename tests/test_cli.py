@@ -347,6 +347,7 @@ def test_high_order_sweep_exits_0(tmp_path, command, order, extent):
     {"delta_prime": 0.0},
     {"delta_prime": 0.001},
     {"device_spacing": 100},
+    {"device_spacing": 1.0001},
     {"grid_step": 0.0},
     {"mode": "integrate-and-fire", "theta": -1},
     {"mode": "integrate-and-fire", "theta": 1e-4, "x_max": 12, "y_max": 12},

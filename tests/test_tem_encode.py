@@ -24,7 +24,6 @@ from temrecon import tem_encode
 from temrecon.generator import bspline_eval
 from temrecon.mixed_norm import CoefSeq
 from temrecon.tem_encode import (
-    COVER_PROBES,
     TemOutput,
     _check_table_amplitude,
     _LeakySegments,
@@ -59,6 +58,9 @@ def test_device_counts_and_gap():
     assert dev.B_gamma <= 2
     with pytest.raises(GapError):
         DeviceSet(np.array([0.0, 4.0]), 0.5, (0.0, 8.0))
+    # gaps of 1e-4 between the balls
+    with pytest.raises(GapError):
+        DeviceSet.uniform(0.0, 8.0, 1.0001, 0.5)
 
 
 @pytest.mark.parametrize("spacing", [0.05, 1.0 / 3.0, 0.5, 1.0])
@@ -88,10 +90,14 @@ def test_cover_counts_closed_balls(monkeypatch):
 
 @pytest.mark.parametrize("mode, counts", [("crossing", (1, 2)), ("integrate-and-fire", (5, 9))])
 def test_cover_bounds_of_the_readme_configs(mode, counts):
-    # the crossing default is also the device set of the README quick start
+    # the crossing default is also the device set of the README quick start;
+    # the counts are constant between the ball ends, so the ends in the
+    # window, the window ends and the midpoints between them take every count
     dev = ExperimentConfig(mode=mode).devices()
-    n = max(2, int(round((dev.window[1] - dev.window[0]) * COVER_PROBES)))
-    dense = dense_cover_counts(dev, np.linspace(dev.window[0], dev.window[1], n + 1))
+    pos, r = dev.positions, dev.delta_prime
+    cuts = np.sort(np.clip(np.concatenate([pos - r, pos + r, dev.window]), *dev.window))
+    assert np.array_equal(cuts, dev.cuts())
+    dense = dense_cover_counts(dev, np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])]))
     assert (dev.A_gamma, dev.B_gamma) == (int(dense.min()), int(dense.max())) == counts
 
 
@@ -486,6 +492,32 @@ def test_fires_hold_when_the_halley_point_is_unusable(order, fault, monkeypatch)
         assert slow.times[j].size == fast.times[j].size
         assert np.max(np.abs(slow.times[j] - fast.times[j]), initial=0.0) <= 1e-13
         assert np.max(np.abs(slow.values[j] - fast.values[j]), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_leaky_segments_stay_on_one_piece(order, monkeypatch):
+    # on a horizon off the knot lattice every fire bracket still lies inside
+    # the knot piece that holds its start, one segment row per device
+    sig = _order_signal(order, 40 + order)
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    cfg, horizon = if_cfg(alpha=0.5), (0.3, 12.0)
+    init, segments = _LeakySegments.__init__, []
+
+    def spy(self, table, rows, s, y0, hi, moments, bias):
+        init(self, table, rows, s, y0, hi, moments, bias)
+        assert self.coefs.shape[0] == rows.size
+        p = table.locate(s)[0]
+        segments.append((hi, np.where(p < table.last, table.origin + p + 1.0, np.inf)))
+
+    monkeypatch.setattr(_LeakySegments, "__init__", spy)
+    out = encode_iftem_devices(sig, dev, cfg, horizon)
+    assert segments
+    for hi, right in segments:
+        assert np.all(hi <= right)
+    for j in (3, 7):
+        t_s, _ = iftem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg, horizon)
+        assert t_s.size == out.times[j].size > 0
+        assert np.max(np.abs(t_s - out.times[j])) <= 1e-10
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
