@@ -425,6 +425,13 @@ def _suite_tem(res, rng):
         us = np.linspace(a, b, 400)
         oracle.append(np.trapezoid(f(us) * np.exp(cfg_i.alpha * (us - b)), us))
     checks.append(float(np.max(np.abs(np.array(oracle) - ints))) <= 1e-6)
+    # the device fast path against the scalar referee on one device (a fixed
+    # seed leaves the shared stream of the later suites as it was)
+    gen, grid = Generator(2, 2), Grid.from_spacing(0.0, 8.0, 0.0, 8.0, 1.0 / res)
+    sig = synth_random_vsignal(window_for_grid(grid, gen), gen, grid, np.random.default_rng(21), 0.8)
+    fast = encode_iftem_devices(sig, DeviceSet([4.0], 4.0, (0.0, 8.0)), cfg_i, (0.0, 8.0)).times[0]
+    times = iftem_encode(lambda x: sig.eval_slice(4.0, x), cfg_i, (0.0, 8.0))[0]
+    checks.append(times.size == fast.size > 0 and float(np.max(np.abs(times - fast))) <= 1e-10)
     return checks
 
 

@@ -248,14 +248,6 @@ class FrameFamily:
         ax_t, ax_s = self._axes
         return ax_t.basis(self.grid.xs) + ax_s.basis(self.grid.ys)
 
-    @property
-    def lattice_t(self):
-        return self._axes[0].lattice
-
-    @property
-    def lattice_s(self):
-        return self._axes[1].lattice
-
     def _order(self, N):
         return self.n_list[-1] if N is None else N
 

@@ -153,11 +153,6 @@ class GridFunction:
         self.values = values
 
     @classmethod
-    def from_callable(cls, grid, fun):
-        xs, ys = grid.xs, grid.ys
-        return cls(grid, np.asarray(fun(xs[:, None], ys[None, :]), dtype=float))
-
-    @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 

@@ -13,30 +13,21 @@ Encoding a device is inherently sequential (each test function depends on
 the previous fire), but devices are independent; the `encode_*_devices`
 fast paths advance all devices of a set in lockstep.  Every slice lies in
 the shift-invariant B-spline space, so it is a fixed polynomial on each
-unit knot piece (integer knots for even orders, half-integer for odd).
-The fast paths convert the slices once per encode into a table of
-per-piece power-basis coefficients, and read values and slopes from it by
-a gather plus Horner.  The crossing encoder walks each device along its
-pieces and reads the crossing test function at the ends of its segment
-on a piece and at the test function's critical points inside it, so the
-first read where it is no longer positive brackets the first crossing.
-At order 2 the test function is linear on each piece, so every fire on
-a piece follows from the first in closed form (the gaps are geometric)
-and a round fires the whole piece; at higher orders a bracketed Newton
-iteration locates one fire per round.  The integrate-and-fire running
-integral is exact: a piece polynomial, Taylor-shifted to the interval
-start, against the leak-weighted moments of `generator.LeakMoments`.
-Each device walks a shared ladder of evaluation steps, integrated by the
-banded rule `generator.spline_leaky_integrals`, to the step where the
-integral reaches the threshold; the ladder holds every knot, so that step
-lies on one piece, and the bracketed Newton iteration locates the fire on
-it from a Halley step, usually in two evaluations.
-Both check the amplitude bound on the exact max |f| of every piece.  All
-four encoders take the recovered values from the gaps by one rule,
-`TemConfig.recovered_values`.  The fast paths are validated against the
-scalar `ctem_encode` / `iftem_encode` reference implementations, which
-bracket each fire by a scan at a step and refine by plain bisection (the
-integrate-and-fire one on Gauss quadrature).
+unit knot piece (integer knots for even orders, half-integer for odd),
+read from a table of per-piece power-basis coefficients built once per
+encode.  The crossing encoder brackets each first crossing by reading the
+test function at its critical points on a piece; at order 2 the gaps on
+a piece are geometric and a round fires the whole piece, and at higher
+orders a bracketed Newton iteration locates one fire per round.  The
+integrate-and-fire encoder fires a whole piece per round too, by Newton on
+the chain of its fires, whose Jacobian is lower bidiagonal; its running
+integral is exact, the piece polynomial against the leak-weighted moments
+of `generator.LeakMoments`.  Both check the amplitude bound on the exact
+max |f| of every piece.  All four encoders take the recovered values from
+the gaps by one rule, `TemConfig.recovered_values`.  The fast paths are
+validated against the scalar `ctem_encode` / `iftem_encode` reference
+implementations, which bracket each fire by a scan at a step and refine by
+plain bisection (the integrate-and-fire one on Gauss quadrature).
 """
 
 import math
@@ -45,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EncodingInvariantError, GapError, InputError, PreconditionError
-from .generator import (LeakMoments, band_columns, bspline_eval, piece_polynomials,
-                        spline_leaky_integrals, taylor_shift)
+from .generator import LeakMoments, bspline_eval, piece_polynomials
 
 BISECTION_TOL = 1e-14
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
@@ -218,14 +208,6 @@ class TemOutput:
     times: list
     values: list
 
-    def gaps(self, j):
-        """Inter-fire gaps of device j, including the lead-in from the start
-        anchor and the trailing stub to the horizon end."""
-        return np.diff(self.times[j], prepend=self.t_start, append=self.t_end)
-
-    def fire_count(self):
-        return int(sum(t.size for t in self.times))
-
     def write_events_csv(self, path):
         """One row per fire; each device's rows come from one format template."""
         with open(path, "w") as fh:
@@ -238,13 +220,21 @@ class TemOutput:
 
 
 def density_report(out, delta):
-    """(max gap, fire count, ok flag): ok iff every gap is at most delta."""
-    max_gap = 0.0
-    any_fires = out.fire_count() > 0
-    for j in range(len(out.devices)):
-        max_gap = max(max_gap, float(out.gaps(j).max()))
-    ok = any_fires and max_gap <= delta + 1e-12
-    return max_gap, out.fire_count(), ok
+    """(max gap, fire count, ok flag): ok iff every gap is at most delta.
+
+    Every device's gaps, the lead-in from t_start and the stub to t_end
+    included (t_end - t_start without fires), in one pass over all fires.
+    """
+    sizes = np.array([t.size for t in out.times])
+    flat = np.concatenate(out.times)
+    has = sizes > 0
+    last = (np.cumsum(sizes) - 1)[has]
+    gaps = np.concatenate([np.diff(flat), flat[last - sizes[has] + 1] - out.t_start,
+                           out.t_end - flat[last],
+                           np.full(np.count_nonzero(~has), out.t_end - out.t_start)])
+    gaps[last[:-1]] = 0.0       # the next device's first fire less this one's last
+    max_gap = float(gaps.max())
+    return max_gap, flat.size, flat.size > 0 and max_gap <= delta + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +367,6 @@ def iftem_encode(f, cfg, horizon, grid_step=None):
                 y_new = 0.0
                 break
             y_new = _gauss_segment(f, t_k, t_next, alpha, t_next, b)
-        else:
-            pass
         y = y_new if t_next > t_k else 0.0
         t_k = t_next
         if t_k >= t_end:
@@ -422,8 +410,8 @@ class _SliceTable:
         self.poly = np.zeros((coefs.shape[0], n_k + order + 1, order))
         for r in range(order):
             self.poly[:, 1 + r: 1 + r + n_k] += coefs[:, :, None] * Q[r]
-        self.order, self.coefs, self.k_first = order, coefs, vsig.window.k1_first
-        self.origin = self.k_first - order / 2.0 - 1.0
+        self.order = order
+        self.origin = vsig.window.k1_first - order / 2.0 - 1.0
         self.last = n_k + order
 
     def locate(self, t):
@@ -539,6 +527,30 @@ def _piece_fires(c, edge, lo, hi, tp, b, lam, n_fires):
     return times
 
 
+class _Fires:
+    """The fires of every device so far, in a (devices, slots) matrix."""
+
+    def __init__(self, J, slots):
+        self.times, self.counts = np.zeros((J, slots)), np.zeros(J, dtype=int)
+
+    def add(self, rows, times, n):
+        """Append the first n[i] of times[i] to the fires of device rows[i]."""
+        k = self.counts[rows]
+        if np.any(k + n >= self.times.shape[1]):
+            raise EncodingInvariantError("fire-count bound exceeded")
+        i, col = np.nonzero(np.arange(times.shape[1]) < n[:, None])
+        self.times[rows[i], k[i] + col] = times[i, col]
+        self.counts[rows] = k + n
+
+    def output(self, cfg, devices, t0, t_end):
+        """TemOutput; one `TemConfig.recovered_values` call on the filled
+        columns gives the values, and each device reads its own row."""
+        times = self.times[:, : self.counts.max(initial=0)]
+        values = cfg.recovered_values(times, t0)
+        return TemOutput(cfg, devices, t0, t_end, *(
+            [m[j, :n].copy() for j, n in enumerate(self.counts)] for m in (times, values)))
+
+
 def encode_ctem_devices(vsig, devices, cfg, horizon):
     """Crossing-encode every device of a set in lockstep; returns TemOutput.
 
@@ -574,9 +586,7 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
     # the fires a unit order-2 piece can hold, from the gap lower bound
     n_fires = 1 + math.ceil((lam + np.abs(table.poly[..., 1]).max()) / (b - cfg.c_bound))
     J = len(devices)
-    max_fires = cfg.fire_slots(t_end - t0)
-    all_times = np.zeros((J, max_fires))
-    counts = np.zeros(J, dtype=int)
+    fires = _Fires(J, cfg.fire_slots(t_end - t0))
     t_prev = np.full(J, t0)
     pos = t_prev.copy()             # the last fire, or the last point read with g > 0
     piece = table.locate(pos)[0]
@@ -626,12 +636,7 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
             raise EncodingInvariantError(
                 "no crossing found within delta_target despite amplitude bound"
             )
-        k = counts[rows]
-        if np.any(k + n >= max_fires):
-            raise EncodingInvariantError("fire-count bound exceeded")
-        r, i = np.nonzero(np.arange(times.shape[1]) < n[:, None])
-        all_times[rows[r], k[r] + i] = times[r, i]
-        counts[rows] = k + n
+        fires.add(rows, times, n)
         t_prev[rows] = pos[rows] = last = times[np.arange(rows.size), n - 1]
         # a device whose candidates all fit (one, above order 2) stays on its piece
         full = n == times.shape[1]
@@ -641,8 +646,7 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
         piece[on] += 1
         pos[on] = table.origin + piece[on]
         idx = idx[keep]
-    times = [all_times[j, : counts[j]].copy() for j in range(J)]
-    return TemOutput(cfg, devices, t0, t_end, times, [cfg.recovered_values(t, t0) for t in times])
+    return fires.output(cfg, devices, t0, t_end)
 
 
 def _real_roots(c):
@@ -692,145 +696,167 @@ def _check_table_amplitude(table, cfg, lo, hi):
     _check_slice_amplitude(vals, cfg, every, ts)
 
 
-class _LeakySegments:
-    """Leaky running integrals of a batch of device slices from given starts.
+class _LeakyPiece:
+    """Leaky running integrals of every device slice on one knot piece.
 
-    Row i holds y(t) = y0[i] exp(-alpha (t - s[i])) +
-    int_s[i]^t exp(-alpha (t - u)) (f(u) + bias) du for s[i] <= t <= hi[i],
-    where [s[i], hi[i]] lies inside one knot piece: the step ladder of
-    `encode_iftem_devices` holds every piece edge.  The biased piece
-    coefficients, Taylor-shifted to the start, are fixed at construction,
-    so an evaluation takes one `LeakMoments` call and one Horner pass.
+    E(t) = int_e^t exp(-alpha (t - u)) (f(u) + bias) du from the piece's
+    left edge e is the biased piece polynomial against the `LeakMoments` of
+    t - e.  y from s, with y(s) = y0, is E(t) - exp(-alpha (t - s)) (E(s) -
+    y0), so one evaluation at a batch of points serves every interval
+    between them.
     """
 
-    def __init__(self, table, rows, s, y0, hi, moments, bias):
-        self.moments, self.starts, self.y0, self.hi = moments, s, y0, hi
-        p, u = table.locate(s)
-        self.coefs = taylor_shift(table.pieces(rows, p), u)
+    def __init__(self, table, edge, moments, bias):
+        self.coefs = table.poly[:, table.locate(np.array([edge]))[0][0]].copy()
         self.coefs[:, 0] += bias
+        self.edge, self.moments = edge, moments
 
-    def at(self, sub, t, slope=False):
-        """(y(t), f(t) + bias) for rows sub at points t; with `slope`, f'(t)
-        from the same Horner pass as a third entry."""
-        h = t - self.starts[sub]
-        c = np.take(self.coefs, sub, axis=0)
-        f = _horner(c, h, slope)
-        y = self.y0[sub] * np.exp(-self.moments.alpha * h)
-        y += np.einsum("nd,nd->n", c, self.moments(h))
-        return (y,) + (f if slope else (f,))
+    def at(self, rows, t):
+        """(E(t), f(t) + bias) at points t, (rows, points), of device rows."""
+        c, u = self.coefs[rows], t - self.edge
+        return np.einsum("rd,rpd->rp", c, self.moments(u)), _horner(c[:, None], u)
 
-    def newton_start(self, y_hi, theta):
-        """A start for y(t) = theta per row, given y(hi) = y_hi >= theta > y0.
 
-        On the row's piece the quadratic through y and y' at s and y at hi
-        is read at theta; the secant stands in where that quadratic has no
-        root.  That point lies about 1e-6 from the root.  One evaluation
-        there, with f' from the same Horner pass, takes a Halley step on
-        g = theta - y, with g' = alpha y - f - b and
-        g'' = alpha (f + b - alpha y) - f'; the Halley point stands where it
-        is finite and strictly inside (s, hi), else the quadratic point.
-        Newton usually accepts it at its first evaluation.
-        """
-        alpha = self.moments.alpha
-        slope = self.coefs[:, 0] - alpha * self.y0
-        H, Y, D = self.hi - self.starts, y_hi - self.y0, theta - self.y0
-        curve = (Y - slope * H) / (H * H)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(slope * slope + 4.0 * curve * D)
-            tau = np.where(root + slope > 0.0, 2.0 * D / (slope + root), D / Y * H)
-        start = np.clip(self.starts + tau, self.starts, self.hi)
-        y, f, df = self.at(np.arange(start.size), start, slope=True)
-        g, dg = theta - y, alpha * y - f
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = start - 2.0 * g * dg / (2.0 * dg * dg - g * (alpha * (f - alpha * y) - df))
-        return np.where((t > self.starts) & (t < self.hi), t, start)
+CHAIN_PASSES = 12     # Newton passes a row takes on a piece before `_finish_piece` takes over
+CHAIN_TOL = 1e-8      # the largest kept step at which a row's chain stops
+
+
+def _chain_fires(piece, a, z, y0, theta, alpha, n):
+    """(times, counts): the fires of every device on the segment [a, z] of
+    a piece, from y(a) = y0, by Newton on a chain of n candidates (see
+    `encode_iftem_devices`); a device whose chain does not stop keeps none."""
+    J, L = y0.size, z - a
+    E, fb = piece.at(np.arange(J), np.broadcast_to([a, z], (J, 2)))
+    base, fb_a, slope = E[:, 0] - y0, fb[:, :1], (fb[:, 1:] - fb[:, :1]) / L
+
+    def gap(x, r):      # the gap over which a constant rate r lifts y from 0 to x
+        return -np.log1p(-alpha * x / r) / alpha if alpha else x / r
+
+    # r: the chord's rate at each gap's middle, at first its mean; r_eff:
+    # the constant rate whose leaky integral over the gap is the chord's,
+    # r + alpha r' h^2 / 12 to first order in alpha h
+    r = r_eff = fb_a + 0.5 * slope * L
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            h = gap(theta, r_eff) - np.where(np.arange(n) == 0, gap(y0[:, None], r_eff), 0.0)
+            Q = np.cumsum(r * h, axis=1)        # the chord's integral from a to each candidate
+            disc = fb_a * fb_a + 2.0 * slope * Q
+            tau = np.where(disc >= 0.0, 2.0 * Q / (fb_a + np.sqrt(disc)), L)
+            h = np.diff(tau, prepend=0.0)
+            r = fb_a + slope * (tau - 0.5 * h)
+            r_eff = r + slope * alpha * h * h / 12.0
+    T = np.clip(a + tau, a, z)
+    times, counts = np.zeros((J, n)), np.zeros(J, dtype=int)
+    idx = np.arange(J)
+    for _ in range(CHAIN_PASSES):
+        E, fb = piece.at(idx, T)
+        decay = np.exp(-alpha * np.diff(T, prepend=a))
+        y = E - decay * np.concatenate([base[idx, None], E[:, :-1]], axis=1)
+        d = fb - alpha * y
+        with np.errstate(all="ignore"):     # a non-finite step keeps no candidate
+            lead = decay[:, 1:] * fb[:, :-1] / d[:, 1:]         # a_k, and c_k = -r_k / d_k
+            P = np.cumprod(np.concatenate([np.ones((idx.size, 1)), lead], axis=1), axis=1)
+            step = P * np.cumsum((theta - y) / (d * P), axis=1)     # delta = P cumsum(c / P)
+            T_next = T + step
+            kept = np.logical_and.accumulate(T_next <= z, axis=1)
+        cnt = kept.sum(axis=1)
+        done = ((np.where(kept, np.abs(step), 0.0).max(axis=1) <= CHAIN_TOL)
+                & np.all((d > 0.0) | ~kept, axis=1))
+        times[idx[done], : T.shape[1]] = T_next[done]
+        counts[idx[done]] = cnt[done]
+        idx, cnt = idx[~done], cnt[~done]
+        if idx.size == 0:
+            break
+        T = np.clip(T_next[~done, : cnt.max() + 1], a, z)     # trim the columns no row reaches
+    return times, counts
+
+
+def _finish_piece(piece, s, y_s, z, theta, alpha, h, fires):
+    """Add to `fires` every device's fires on [s, z] from y(s) = y_s, one per
+    round, and return y at z.  A round reads y at steps h from s; the first
+    read that reaches theta and the one before it bracket the fire, which
+    `_bracketed_newton` locates from the secant across the bracket."""
+    y_z, s, y_s, live = np.empty(s.size), s.copy(), y_s.copy(), np.arange(s.size)
+    while True:
+        steps = np.arange(max(math.ceil((z - s[live].min()) / h), 1) + 1)
+        pts = np.minimum(s[live, None] + h * steps, z)
+        pts[:, -1] = z
+        E, _ = piece.at(live, pts)
+        base = E[:, 0] - y_s[live]
+        y = E - np.exp(-alpha * (pts - pts[:, :1])) * base[:, None]
+        hit = y[:, 1:] >= theta
+        fire = hit.any(axis=1)
+        y_z[live[~fire]] = y[~fire, -1]
+        if not fire.any():
+            return y_z
+        live, pts, y, base = live[fire], pts[fire], y[fire], base[fire]
+        i, j = np.argmax(hit[fire], axis=1), np.arange(live.size)
+        lo, hi, y_lo, y_hi = pts[j, i], pts[j, i + 1], y[j, i], y[j, i + 1]
+        start = s[live]
+
+        def level(q, t):
+            Et, fb = piece.at(live[q], t[:, None])
+            yt = Et[:, 0] - np.exp(-alpha * (t - start[q])) * base[q]
+            return theta - yt, alpha * yt - fb[:, 0]
+
+        t_fire = _bracketed_newton(level, lo, hi, lo + (theta - y_lo) / (y_hi - y_lo) * (hi - lo))
+        fires.add(live, t_fire[:, None], np.ones(live.size, dtype=int))
+        s[live], y_s[live] = t_fire, 0.0
 
 
 def encode_iftem_devices(vsig, devices, cfg, horizon):
     """Integrate-and-fire-encode every device of a set; returns TemOutput.
 
-    Each round locates the next fire of every device at once.  The leaky
-    recurrence runs over a ladder of evaluation steps shared by all
-    devices, with exact step integrals of the slices: a device walks
-    from the step holding its last fire until the running integral reaches
-    theta at a step end.  The ladder holds every knot piece edge inside the
-    horizon, so that step, which brackets the fire, lies on one piece.
-    `_bracketed_newton` locates the fire on g = theta - y(t) with
-    g' = alpha y(t) - f(t) - b, from a Halley step off a quadratic start on
-    the piece (`_LeakySegments.newton_start`): usually two evaluations per
-    fire, as Newton accepts that point at once.  y at the fire is theta.
-    y(t) is exact: piece coefficients against `LeakMoments`.
+    The devices advance in lockstep one knot piece at a time, and a round
+    solves every fire each device makes on the piece at once
+    (`_chain_fires`): Newton on a chain of n = ceil(piece / min_gap) + 2
+    candidates t_k, whose residuals r_k = y(t_k) - theta run y from
+    t_(k-1), or from the piece start with y carried in for k = 1; one
+    `_LeakyPiece` evaluation gives them all.  The Jacobian is lower
+    bidiagonal, dr_k/dt_k = f(t_k) + b - alpha y(t_k) and dr_k/dt_(k-1) =
+    -exp(-alpha (t_k - t_(k-1))) (f(t_(k-1)) + b), so a Newton step is the
+    recurrence delta_k = a_k delta_(k-1) + c_k, solved for all rows by
+    `cumprod`/`cumsum`.  The start inverts the integral of the chord of
+    f + b across the piece at the fire levels: theta apart at alpha = 0,
+    and otherwise the constant-rate leaky gaps, at the chord's mean rate
+    and then at each gap's own, leak-corrected.  A row stops once its
+    largest step over the candidates kept, those up to the piece end, is
+    at most CHAIN_TOL, with dr_k/dt_k > 0 at each.  Where b - c_bound -
+    alpha theta > 0, as with the derived theta, y rises strictly between
+    fires, so each fire is the one root after the last; where a given
+    theta breaks that bound no chain runs.  Every device then finishes
+    the piece in `_finish_piece` from its last chain fire, or from the
+    piece start: a scan reads y at min_gap steps, and `_bracketed_newton`
+    locates any fire the chain left (a row that did not stop within
+    CHAIN_PASSES, or whose candidates ran out), one per round.  The last
+    read is y at the piece end, carried to the next piece.  y at a fire
+    is theta.
     """
     if cfg.mode != "integrate-and-fire":
         raise InputError("config mode must be 'integrate-and-fire'")
     t0, t_end = float(horizon[0]), float(horizon[1])
     b, alpha, theta = cfg.b_level, cfg.alpha, cfg.theta
     min_gap = theta / (cfg.b_level + cfg.c_bound)
-    # the step integrals are exact for spline slices at any step, so the
-    # ladder only needs to isolate fires (gap >= min_gap) and cut at knots
-    h = min(min_gap, 0.5)
     table = _SliceTable(vsig, devices)
-    J = len(devices)
-    knots = table.origin + np.arange(1, table.last + 1)
-    edges = np.concatenate([t0 + h * np.arange(math.ceil((t_end - t0) / h)), knots, [t_end]])
-    edges = np.sort(edges[(edges >= t0) & (edges <= t_end)])
-    edges = edges[np.concatenate([[True], np.diff(edges) > 0.0])]
-    n_steps = edges.size - 1
-    max_fires = cfg.fire_slots(t_end - t0)
-    all_times = np.zeros((J, max_fires))
-    counts = np.zeros(J, dtype=int)
-    moments = LeakMoments(alpha, table.order, alpha * h)   # no integral spans more than a step
-
     _check_table_amplitude(table, cfg, t0, t_end)
-    # step integrals (n_steps, J): the banded rows against the slices'
-    # B-spline coefficients, one band column at a time, plus the bias
-    k0, R = spline_leaky_integrals(table.order, edges[:-1], edges[1:], alpha)
-    cols, R = band_columns(k0, R, table.k_first, table.coefs.shape[1])
-    I_step = np.repeat(b * cfg.kappa_alpha(np.diff(edges))[:, None], J, axis=1)
-    for l in range(R.shape[1]):
-        I_step += R[:, l, None] * table.coefs.T[cols[:, l]]
-    step_decay = np.exp(-alpha * np.diff(edges))
+    J = len(devices)
+    rows = np.arange(J)
+    fires = _Fires(J, cfg.fire_slots(t_end - t0))
+    moments = LeakMoments(alpha, table.order, alpha)    # t - e is at most 1 on a piece
+    chain = b - cfg.c_bound - alpha * theta > 0.0       # y' > 0 while y <= theta
 
-    # per device: the step k holding the segment start s (the last fire, or
-    # a step edge), y at s, y at the end of step k, fires so far in step k
-    k = np.zeros(J, dtype=int)
-    s = np.full(J, t0)
-    y_s = np.zeros(J)
-    y_end = I_step[0].copy()
-    in_step = np.zeros(J, dtype=int)
-    idx = np.arange(J)              # devices with steps left
-    while True:
-        walk = idx[y_end[idx] < theta]
-        while walk.size:
-            kw = k[walk] = k[walk] + 1
-            walk, kw = walk[kw < n_steps], kw[kw < n_steps]
-            yw = y_end[walk]
-            s[walk], y_s[walk], in_step[walk] = edges[kw], yw, 0
-            yw = y_end[walk] = yw * step_decay[kw] + I_step[kw, walk]
-            walk = walk[yw < theta]
-        idx = idx[k[idx] < n_steps]
-        if idx.size == 0:
-            break
-        s0, y0, hi = s[idx], y_s[idx], edges[k[idx] + 1]
-        segment = _LeakySegments(table, idx, s0, y0, hi, moments, b)
-
-        def level(sub, t):
-            yt, ft = segment.at(sub, t)
-            return theta - yt, alpha * yt - ft
-
-        t_fire = _bracketed_newton(level, s0, hi, segment.newton_start(y_end[idx], theta))
-        c = counts[idx]
-        all_times[idx, c] = t_fire
-        counts[idx] = c + 1
-        if c.max() + 1 >= max_fires:
-            raise EncodingInvariantError("fire-count bound exceeded")
-        n_in = in_step[idx] = in_step[idx] + 1
-        if n_in.max() > 8:
-            raise EncodingInvariantError("too many fires within one evaluation step")
-        # a fresh integrator over the rest of the step: y at the step end
-        # less what the fire took away, theta, carried to the step end
-        rest = y_end[idx] - theta * np.exp(-alpha * (hi - t_fire))
-        y_end[idx] = np.where(hi - t_fire > BISECTION_TOL, rest, 0.0)
-        s[idx], y_s[idx] = t_fire, 0.0
-    times = [all_times[j, : counts[j]].copy() for j in range(J)]
-    return TemOutput(cfg, devices, t0, t_end, times, [cfg.recovered_values(t, t0) for t in times])
+    a, y = t0, np.zeros(J)          # the segment start and y there
+    while a < t_end:
+        edge = table.origin + math.floor(a - table.origin)
+        z = min(edge + 1.0, t_end)
+        piece = _LeakyPiece(table, edge, moments, b)
+        # the rest of the piece from the chain's last fire, where y is 0, or from a
+        s, y_s = np.full(J, a), y.copy()
+        if chain:
+            times, n_fired = _chain_fires(piece, a, z, y, theta, alpha,
+                                          math.ceil((z - a) / min_gap) + 2)
+            fires.add(rows, times, n_fired)
+            on = np.flatnonzero(n_fired)
+            s[on], y_s[on] = times[on, n_fired[on] - 1], 0.0
+        y, a = _finish_piece(piece, s, y_s, z, theta, alpha, min_gap, fires), z
+    return fires.output(cfg, devices, t0, t_end)

@@ -107,6 +107,26 @@ def subpanel_rule(a, b, panels=64, points=8):
     return nodes.reshape(a.size, -1), np.broadcast_to(half * gw, nodes.shape).reshape(a.size, -1)
 
 
+def device_gaps(out, j):
+    """Inter-fire gaps of device j of a TemOutput, with the lead-in from
+    t_start and the stub to t_end."""
+    return np.diff(out.times[j], prepend=out.t_start, append=out.t_end)
+
+
+def fire_count(out):
+    return int(sum(t.size for t in out.times))
+
+
+def grid_function(grid, fun):
+    """fun(x, y) sampled on every grid point, as a GridFunction."""
+    return GridFunction(grid, np.asarray(fun(grid.xs[:, None], grid.ys[None, :]), dtype=float))
+
+
+def family_lattices(family):
+    """The (time, space) lattices that a frame family's atoms sit on."""
+    return tuple(axis.lattice for axis in family._axes)
+
+
 def random_vsignal(window, gen, grid, rng, sup=0.8):
     coefs = rng.uniform(-1.0, 1.0, (window.n1, window.n2))
     sig = VSignal(CoefSeq(coefs, window.k1_first, window.k2_first), gen)

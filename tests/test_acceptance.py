@@ -30,7 +30,7 @@ from temrecon.kernel_space import (
 from temrecon.mixed_norm import Grid, GridFunction, duality_pairing, mixed_function_norm
 from temrecon.reconstruct import estimate_r1, estimate_r2
 
-from conftest import plain_integrator_oracle, random_vsignal
+from conftest import device_gaps, plain_integrator_oracle, random_vsignal
 
 PQ_CHOICES = [1.0, 1.5, 2.0, 3.0, np.inf]
 PR22 = MixedNormParams(2.0, 2.0)
@@ -141,7 +141,7 @@ def test_criterion_06_tem_contracts(hat_gen, default_grid, default_window):
     gx, gw = np.polynomial.legendre.leggauss(8)
     for j in range(50):
         for out, cfg in ((out_c, cfg_c), (out_i, cfg_i)):
-            gaps = out.gaps(j)
+            gaps = device_gaps(out, j)
             assert np.all(np.diff(out.times[j]) > 0)
             assert gaps.max() <= cfg.delta_target + 1e-12
         # crossing residual against the ramp

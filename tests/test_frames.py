@@ -28,7 +28,7 @@ from temrecon.generator import DualAxis
 from temrecon.kernel_space import Kernel, SplineFactor1D
 from temrecon.mixed_norm import Grid, composite_weights, mixed_function_norm
 
-from conftest import neumann_plus, random_vsignal
+from conftest import family_lattices, neumann_plus, random_vsignal
 
 PR = MixedNormParams(2.0, 2.0)
 
@@ -335,7 +335,7 @@ def test_formula_branches(hat_kernel):
 
 def test_lattice_relative_separation(family):
     # closed balls of radius delta/2 cover each lattice point exactly once
-    lat = family.lattice_t
+    lat = family_lattices(family)[0]
     probes = np.linspace(lat[0], lat[-1], 997)
     counts = (np.abs(probes[None, :] - lat[:, None]) < family.delta / 2.0).sum(axis=0)
     assert counts.max() <= 1
@@ -345,8 +345,7 @@ def test_atom_translation_symmetry(family):
     # integer lattice shifts of a shift-invariant kernel translate the atoms
     steps_per_unit = round(1.0 / family.grid.h_x)
     shift_cells = round(1.0 / family.delta)
-    i1 = family.lattice_t.size // 2
-    i2 = family.lattice_s.size // 2
+    i1, i2 = (lat.size // 2 for lat in family_lattices(family))
     a0 = family.atom_values(i1, i2)
     a1 = family.atom_values(i1 + shift_cells, i2)
     probe = np.s_[family.grid.n_x // 3: family.grid.n_x // 3 + 50, family.grid.n_y // 2]
@@ -359,8 +358,7 @@ def test_dual_atom_norm_bound(family, hat_kernel, small_grid):
     from temrecon.mixed_norm import GridFunction
 
     pc = PR.conjugate()
-    i1 = family.lattice_t.size // 2
-    i2 = family.lattice_s.size // 2
+    i1, i2 = (lat.size // 2 for lat in family_lattices(family))
     vals = family.dual_atom_values(i1, i2)
     nrm = mixed_function_norm(GridFunction(small_grid, vals), pc)
     W = hat_kernel.w_norm()

@@ -38,7 +38,7 @@ from temrecon.mixed_norm import (
 )
 from temrecon.reconstruct import ctem_operator
 
-from conftest import generic_w_norm, kernel_slice, random_vsignal
+from conftest import generic_w_norm, grid_function, kernel_slice, random_vsignal
 
 
 def haar_factor():
@@ -350,7 +350,7 @@ def test_tiled_norm_raises_on_overflowing_render():
 
 def test_projector_biorthogonal_delta(hat_kernel, small_grid, small_window, hat_gen):
     k0 = (small_window.k1_first + 2, small_window.k2_first + 1)
-    f = GridFunction.from_callable(
+    f = grid_function(
         small_grid, lambda x, y: hat_gen.eval(x - k0[0], y - k0[1]))
     sig = apply_T(hat_kernel, f, window=small_window)
     want = np.zeros((small_window.n1, small_window.n2))

@@ -14,6 +14,8 @@ from temrecon.mixed_norm import (
     mixed_sequence_norm,
 )
 
+from conftest import grid_function
+
 INF = np.inf
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
 
@@ -109,7 +111,7 @@ def test_sequence_norm_against_two_stage_oracle():
 
 def test_pairing_zero_and_symmetry():
     grid = unit_grid()
-    bump = GridFunction.from_callable(
+    bump = grid_function(
         grid, lambda x, y: np.exp(-20 * ((x - 0.5) ** 2 + (y - 0.5) ** 2)))
     zero = GridFunction(grid, np.zeros(grid.shape))
     assert duality_pairing(bump, zero) == 0.0

@@ -26,14 +26,15 @@ from temrecon.mixed_norm import CoefSeq
 from temrecon.tem_encode import (
     TemOutput,
     _check_table_amplitude,
-    _LeakySegments,
+    _LeakyPiece,
     _SliceTable,
     ctem_encode,
     density_report,
     iftem_encode,
 )
 
-from conftest import dense_cover_counts, plain_integrator_oracle, random_vsignal
+from conftest import (dense_cover_counts, device_gaps, fire_count, plain_integrator_oracle,
+                      random_vsignal)
 
 
 def crossing_cfg(**kw):
@@ -268,6 +269,21 @@ def test_density_report_cases():
     assert not ok and n == 0
 
 
+@pytest.mark.parametrize("times", [
+    # no fire, one fire and several: the largest gap is a silent device's
+    [[], [0.9], [0.6, 1.1, 2.9], [], [0.55, 3.0]],
+    # a fire on every device: the largest gap lies inside a device
+    [[0.9], [0.6, 1.1, 2.9], [0.6, 3.3], [1.0], [2.0]],
+], ids=["silent-devices", "inner-gap"])
+def test_density_report_matches_the_per_device_gaps(times):
+    dev = DeviceSet(np.arange(5.0), 1.0, (0.0, 4.0))
+    times = [np.array(t) for t in times]
+    out = TemOutput(crossing_cfg(), dev, 0.5, 3.4, times, times)
+    want = max(float(device_gaps(out, j).max()) for j in range(len(dev)))
+    assert density_report(out, 2.8) == (want, fire_count(out), want <= 2.8)
+    assert density_report(out, want)[2]
+
+
 def test_gaps_and_monotone_times(hat_gen, small_grid, small_window):
     rng = np.random.default_rng(3)
     for machine in ("crossing", "integrate-and-fire"):
@@ -381,7 +397,7 @@ def test_crossing_fires_at_the_first_crossing_of_a_dip(order, dip, t0, first):
         t = np.linspace(t_prev, t_fire, 2001)[:-1]
         g = sig.eval_slice(6.0, t) + cfg.b_level - cfg.lambda_slope * (t - t_prev)
         assert np.all(g > 0.0)
-    assert out.gaps(0).max() <= cfg.delta_target
+    assert device_gaps(out, 0).max() <= cfg.delta_target
 
 
 def test_order2_crossing_takes_one_round_per_piece(hat_gen, small_grid, small_window,
@@ -400,7 +416,7 @@ def test_order2_crossing_takes_one_round_per_piece(hat_gen, small_grid, small_wi
     out = encode_ctem_devices(sig, dev, crossing_cfg(), (0.0, 12.0))
     # the horizon crosses the 12 unit pieces between integer knots, each
     # holding several fires of every device
-    assert out.fire_count() > 5 * 12 * len(dev)
+    assert fire_count(out) > 5 * 12 * len(dev)
     assert len(calls) <= 12 + 2
 
 
@@ -449,30 +465,30 @@ def _order_signal(order, seed):
 
 @pytest.mark.parametrize("order", [2, 3])
 @pytest.mark.parametrize("fault", ["off-bracket", "not-finite"])
-def test_fires_hold_when_the_halley_point_is_unusable(order, fault, monkeypatch):
-    # an injected f' sends every Halley point beyond an end of its bracket,
-    # or to NaN: Newton then starts from the quadratic point, takes more
-    # evaluations and finds the same fires
+def test_fires_hold_when_a_chain_pass_is_unusable(order, fault, monkeypatch):
+    # inside the chain f + b reads with its sign flipped, so every Newton
+    # pass steps away from the roots until the pass cap, or reads NaN, so
+    # no candidate is kept: either way the chain keeps no fire, and the
+    # scan and bracketed Newton of `_finish_piece` find the same fires
     sig = _order_signal(order, 30 + order)
     dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
     cfg = if_cfg(alpha=0.5)
     fast = encode_iftem_devices(sig, dev, cfg, (0.0, 12.0))
-    theta, alpha = cfg.theta, cfg.alpha
-    at, rounds = _LeakySegments.at, []
+    chain, results = tem_encode._chain_fires, []
 
-    def faulty(self, sub, t, slope=False):
-        rounds.append(slope)
-        out = at(self, sub, t, slope)
-        if not slope:
-            return out
-        y, f, df = out
-        if fault == "not-finite":
-            return y, f, np.full_like(df, np.nan)
-        # the f' whose Halley step lands a bracket's width past either end
-        s, hi = self.starts[sub], self.hi[sub]
-        far = np.where(sub % 2, hi + (hi - s), s - (hi - s))
-        g, dg = theta - y, alpha * y - f
-        return y, f, alpha * (f - alpha * y) - (2.0 * dg * dg - 2.0 * g * dg / (t - far)) / g
+    def faulty(piece, *args):
+        at = piece.at
+
+        def broken(rows, t):
+            E, fb = at(rows, t)
+            return E, np.full_like(fb, np.nan) if fault == "not-finite" else -fb
+
+        piece.at = broken
+        try:
+            results.append(chain(piece, *args))
+        finally:
+            del piece.at
+        return results[-1]
 
     newton, starts_inside = tem_encode._bracketed_newton, []
 
@@ -481,13 +497,12 @@ def test_fires_hold_when_the_halley_point_is_unusable(order, fault, monkeypatch)
         starts_inside.append(np.all((lo <= start) & (start <= hi)))
         return newton(g, lo, hi, start)
 
-    monkeypatch.setattr(_LeakySegments, "at", faulty)
+    monkeypatch.setattr(tem_encode, "_chain_fires", faulty)
     monkeypatch.setattr(tem_encode, "_bracketed_newton", checked)
     slow = encode_iftem_devices(sig, dev, cfg, (0.0, 12.0))
+    assert results and all(counts.sum() == 0 for _, counts in results)
     assert starts_inside and all(starts_inside)
-    assert slow.fire_count() == fast.fire_count() > 0
-    # more than the two evaluations per round of the unfaulted solve
-    assert len(rounds) > 2 * rounds.count(True)
+    assert fire_count(slow) == fire_count(fast) > 0
     for j in range(len(dev)):
         assert slow.times[j].size == fast.times[j].size
         assert np.max(np.abs(slow.times[j] - fast.times[j]), initial=0.0) <= 1e-13
@@ -495,25 +510,77 @@ def test_fires_hold_when_the_halley_point_is_unusable(order, fault, monkeypatch)
 
 
 @pytest.mark.parametrize("order", [2, 3])
-def test_leaky_segments_stay_on_one_piece(order, monkeypatch):
-    # on a horizon off the knot lattice every fire bracket still lies inside
-    # the knot piece that holds its start, one segment row per device
+def test_fires_hold_when_the_chain_runs_out_of_candidates(order, monkeypatch):
+    # with three candidates a piece on a horizon off the knot lattice, the
+    # chain's fires stop short of most piece ends, and `_finish_piece` fires
+    # the rest of each piece from the last kept one.  Every running
+    # integral is read on its own knot piece.
     sig = _order_signal(order, 40 + order)
     dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
     cfg, horizon = if_cfg(alpha=0.5), (0.3, 12.0)
-    init, segments = _LeakySegments.__init__, []
+    fast = encode_iftem_devices(sig, dev, cfg, horizon)
+    chain, at, short, reads = tem_encode._chain_fires, _LeakyPiece.at, [], []
 
-    def spy(self, table, rows, s, y0, hi, moments, bias):
-        init(self, table, rows, s, y0, hi, moments, bias)
-        assert self.coefs.shape[0] == rows.size
-        p = table.locate(s)[0]
-        segments.append((hi, np.where(p < table.last, table.origin + p + 1.0, np.inf)))
+    def three(*args):
+        times, counts = chain(*args[:-1], 3)
+        short.append(np.count_nonzero(counts == 3))
+        return times, counts
 
-    monkeypatch.setattr(_LeakySegments, "__init__", spy)
+    def spy(self, rows, t):
+        reads.append((t - self.edge).ravel())
+        return at(self, rows, t)
+
+    monkeypatch.setattr(tem_encode, "_chain_fires", three)
+    monkeypatch.setattr(_LeakyPiece, "at", spy)
     out = encode_iftem_devices(sig, dev, cfg, horizon)
-    assert segments
-    for hi, right in segments:
-        assert np.all(hi <= right)
+    assert sum(short) > len(dev)
+    u = np.concatenate(reads)
+    assert u.min() >= 0.0 and u.max() <= 1.0
+    assert fire_count(out) == fire_count(fast) > 0
+    for j in range(len(dev)):
+        assert out.times[j].size == fast.times[j].size
+        assert np.max(np.abs(out.times[j] - fast.times[j]), initial=0.0) <= 1e-13
+    for j in (3, 7):
+        t_s, _ = iftem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg, horizon)
+        assert t_s.size == out.times[j].size > 0
+        assert np.max(np.abs(t_s - out.times[j])) <= 1e-10
+
+
+def test_iftem_round_fires_a_piece_in_a_few_passes(hat_gen, small_grid, small_window,
+                                                   monkeypatch):
+    # a round solves every fire of every device on its knot piece: one read
+    # at the piece ends, at most three Newton passes and the finishing scan,
+    # which finds no fire left to bracket
+    sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(12))
+    dev = DeviceSet.uniform(0.0, 12.0, 0.125, 0.5)
+    at, newton, reads, bracketed = _LeakyPiece.at, tem_encode._bracketed_newton, [], []
+
+    def counted(self, rows, t):
+        reads.append(rows.size)
+        return at(self, rows, t)
+
+    def spied(g, lo, hi, start):
+        bracketed.append(lo.size)
+        return newton(g, lo, hi, start)
+
+    monkeypatch.setattr(_LeakyPiece, "at", counted)
+    monkeypatch.setattr(tem_encode, "_bracketed_newton", spied)
+    out = encode_iftem_devices(sig, dev, if_cfg(alpha=0.5), (0.0, 12.0))
+    # the horizon crosses the 12 unit pieces between integer knots
+    assert fire_count(out) > 5 * 12 * len(dev)
+    assert len(reads) <= 12 * (1 + 3 + 1)
+    assert sum(bracketed) == 0
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 4.0])
+def test_iftem_devices_match_scalar_off_the_lattice(order, alpha):
+    # a horizon that starts inside a knot piece, without a leak and with a
+    # moderate and a strong one
+    sig = _order_signal(order, 50 + order)
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    cfg, horizon = if_cfg(alpha=alpha), (0.3, 12.0)
+    out = encode_iftem_devices(sig, dev, cfg, horizon)
     for j in (3, 7):
         t_s, _ = iftem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg, horizon)
         assert t_s.size == out.times[j].size > 0
@@ -671,7 +738,7 @@ def test_events_csv(tmp_path, hat_gen, small_grid, small_window):
     out.write_events_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "device_id,fire_index,time,recovered_value"
-    assert len(lines) == 1 + out.fire_count()
+    assert len(lines) == 1 + fire_count(out)
     for line in lines[1:]:
         dev_id, idx, t, v = line.split(",")
         assert np.isfinite(float(t)) and np.isfinite(float(v))
