@@ -22,8 +22,8 @@ atom is the cell-averaged kernel slice sum_k G[l, k] dual(. - k).
 Analysis coefficients of a signal in V are scaled cell integrals G c
 (exact, because T f = f there), and synthesis applies the per-axis
 T_plus(N), whose tensor product tends to the inverse of A_t (x) A_s.  The
-grid only renders atoms, and signals for norms at exponents other than
-p = q = 2 (`VSignal.norm`).
+grid only renders signals for norms at exponents other than p = q = 2
+(`VSignal.norm`).
 
 The contraction gate is a *measured* quantity: the operator norm of
 I - A_t (x) A_s restricted to the coefficient window.  When the window
@@ -38,19 +38,13 @@ comfortably small.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractionError, InputError
-from .generator import bspline_eval, spline_cell_integrals
+from .generator import spline_cell_integrals
 from .kernel_space import VSignal, window_for_grid
-from .mixed_norm import (
-    CoefSeq,
-    Grid,
-    GridFunction,
-    mixed_sequence_norm,
-)
+from .mixed_norm import CoefSeq, Grid, mixed_sequence_norm
 
 # Whole units added to each side of the signal range before the lattice is
 # laid.  A lattice that stops at the signal edge truncates the dual tails in
@@ -97,11 +91,6 @@ class _AxisFrame:
     def index(self, ks):
         """Positions of the spline indices `ks` in `self.ks`."""
         return np.asarray(ks) - self.ks[0]
-
-    def basis(self, xs):
-        """(B, Bd): B-spline and dual at points `xs` against `self.ks`."""
-        x = np.asarray(xs, dtype=float)[:, None] - self.ks[None, :]
-        return bspline_eval(self.order, x), self.dual_axis.eval(x)
 
     def powers(self, n_max):
         """[I, A, A^2, ..., A^n_max]."""
@@ -203,8 +192,8 @@ class FrameFamily:
     Built from a generator-backed separable kernel on a grid.  Atoms are
     formed on demand for any truncation order N >= 0; `n_list` is sorted
     and its largest entry is the default order.  All members are per-axis
-    coefficient matrices; atoms at a lattice point are outer products of
-    per-axis grid renders.
+    coefficient matrices; an atom at a lattice point is the outer product
+    of its per-axis coefficients, so no member is grid-sized.
     """
 
     kernel: object
@@ -238,16 +227,6 @@ class FrameFamily:
         fam._win_s = ax_s.index(window.k2s)
         return fam
 
-    @cached_property
-    def _bases(self):
-        """(B_t, Bd_t, B_s, Bd_s): per-axis renders on the signal grid.
-
-        Only atom renders and `synthesize` read them, so they are built on
-        first use; analysis and reconstruction stay in coefficient space.
-        """
-        ax_t, ax_s = self._axes
-        return ax_t.basis(self.grid.xs) + ax_s.basis(self.grid.ys)
-
     def _order(self, N):
         return self.n_list[-1] if N is None else N
 
@@ -269,28 +248,6 @@ class FrameFamily:
         S_t = ax_t.t_plus(N) @ ax_t.Gd.T
         S_s = ax_s.t_plus(N) @ ax_s.Gd.T
         return self._synthesis_scale() * (S_t @ coefficients @ S_s.T)
-
-    def atom_values(self, l1_index, l2_index, N=None):
-        """Synthesis atom at a lattice index pair, rendered on the grid."""
-        ax_t, ax_s = self._axes
-        N = self._order(N)
-        B_t, _, B_s, _ = self._bases
-        a_t = B_t @ (ax_t.t_plus(N) @ ax_t.Gd[l1_index])
-        a_s = B_s @ (ax_s.t_plus(N) @ ax_s.Gd[l2_index])
-        return self._synthesis_scale() * np.outer(a_t, a_s)
-
-    def dual_atom_values(self, l1_index, l2_index):
-        """Dual atom at a lattice index pair, rendered on the grid."""
-        ax_t, ax_s = self._axes
-        p, q = self.params.p, self.params.q
-        scale = self.delta ** (1.0 / p - 1.0) * self.delta ** (1.0 / q - 1.0)
-        _, Bd_t, _, Bd_s = self._bases
-        return scale * np.outer(Bd_t @ ax_t.G[l1_index], Bd_s @ ax_s.G[l2_index])
-
-    def synthesize(self, coefficients, N=None):
-        """Grid render of sum_lambda c_lambda * atom_lambda."""
-        B_t, _, B_s, _ = self._bases
-        return GridFunction(self.grid, B_t @ self.synthesis_coefficients(coefficients, N) @ B_s.T)
 
 
 @dataclass

@@ -30,7 +30,6 @@ from .generator import (band_columns, bspline_eval, spline_basis, spline_cell_in
                         spline_leaky_integrals)
 from .kernel_space import VSignal, window_for_grid
 from .mixed_norm import CoefSeq, MixedNormParams
-from .tem_encode import density_report
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +57,9 @@ class MeasurementOperator:
     B-splines and T the dual's b-gather T[n, k] = b_(n - k)
     (`DualAxis.toeplitz`), so M_j A_j and M_j y_j fold through the banded
     products P_j^T A_j and P_j^T y_j, and no fires x n1 matrix is formed.
-    `rows(ts)` gives the banded rows (k0, values) of P and of A for the
-    fires of a block of devices with fire times ts; `_BLOCK` devices are
-    folded at a time.  The update column of device j is
+    `rows(t, first, last)` gives the banded rows (k0, values) of P and A
+    for one slice of the flat fire times, `_BLOCK` devices, with each
+    device's first and last fire marked.  The update column of device j is
     M_j y_j - (M_j A_j) c_j, with c_j = C slice_s[j] the time-axis
     coefficients of the iterate's slice at the device; the columns then
     spread across space through `space` (devices x n2).
@@ -75,16 +74,18 @@ class MeasurementOperator:
         N, T = ns.size, kernel.dual.axis_t.toeplitz(ns, window.k1s)
         self.My, self.MA = np.zeros((n1, J)), np.zeros((J, n1, n1))
         for j0 in range(0, J, _BLOCK):
-            ts = out.times[j0: j0 + _BLOCK]
-            nb = len(ts)
-            (p0, P), (a0, A) = rows(ts)
+            o = out.offsets[j0: j0 + _BLOCK + 1]
+            nb, fires = o.size - 1, slice(o[0], o[-1])
+            dev = np.repeat(np.arange(nb), np.diff(o))      # the block's device of each fire
+            first, last = np.diff(dev, prepend=-1) != 0, np.diff(dev, append=nb) != 0
+            (p0, P), (a0, A) = rows(out.t[fires], first, last)
             p_cols, P = band_columns(p0, P, ns[0], N)
             a_cols, A = band_columns(a0, A, window.k1_first, n1)     # off the window: 0
-            p_rows = np.repeat(np.arange(nb), [t.size for t in ts])[:, None] * N + p_cols
+            p_rows = dev[:, None] * N + p_cols
             flat = p_rows[:, :, None] * n1 + a_cols[:, None, :]
             G = np.bincount(flat.ravel(), (P[:, :, None] * A[:, None, :]).ravel(),
                             minlength=nb * N * n1).reshape(nb, N, n1)
-            y = np.concatenate(out.values[j0: j0 + nb])
+            y = out.v[fires]
             g = np.bincount(p_rows.ravel(), (P * y[:, None]).ravel(),
                             minlength=nb * N).reshape(nb, N)
             w = weight[j0: j0 + nb]
@@ -116,11 +117,10 @@ def ctem_operator(out, kernel, devices, window):
         raise InputError("the crossing operator requires crossing-mode output")
     order, axis_s = kernel.generator.order_t, kernel.dual.axis_s
 
-    def rows(ts):
-        cuts = [np.concatenate([[out.t_start], 0.5 * (t[:-1] + t[1:]), [out.t_end]])
-                if t.size else t for t in ts]
-        lo, hi = np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
-        return spline_leaky_integrals(order, lo, hi, 0.0), spline_basis(order, np.concatenate(ts))
+    def rows(t, first, last):
+        cut = np.concatenate([[out.t_start], 0.5 * (t[:-1] + t[1:]), [out.t_end]])
+        lo, hi = np.where(first, out.t_start, cut[:-1]), np.where(last, out.t_end, cut[1:])
+        return spline_leaky_integrals(order, lo, hi, 0.0), spline_basis(order, t)
 
     # a repeated cut makes an empty piece, whose integrals are exactly 0
     cuts = devices.cuts()
@@ -147,9 +147,8 @@ def iftem_operator(out, kernel, devices, window):
         raise InputError("the integrate-and-fire operator requires integrate-and-fire output")
     order = kernel.generator.order_t
 
-    def rows(ts):
-        t = np.concatenate(ts)
-        a = np.concatenate([np.concatenate([[out.t_start], tj])[:-1] for tj in ts])
+    def rows(t, first, last):
+        a = np.where(first, out.t_start, np.concatenate([[out.t_start], t[:-1]]))
         return (spline_basis(order, 0.5 * (a + t)),
                 spline_leaky_integrals(order, a, t, out.config.alpha))
 
@@ -298,8 +297,7 @@ def ctem_iterate(out, kernel, devices, grid, f_true=None, n_max=40, tol=1e-8,
     """Crossing-sample iteration f_{n+1} = f_n + T S (f - f_n) over `ctem_operator`."""
     if window is None:
         window = f_true.window if f_true is not None else window_for_grid(grid, kernel.generator)
-    max_gap = density_report(out, out.config.delta_target)[0]
-    predicted = estimate_r1(kernel, max_gap, devices.delta_prime)
+    predicted = estimate_r1(kernel, out.max_gap, devices.delta_prime)
     op = ctem_operator(out, kernel, devices, window)
     return _run_iteration(op, f_true, grid, params, n_max, tol, predicted)
 
@@ -309,7 +307,6 @@ def iftem_iterate(out, kernel, devices, grid, f_true=None, n_max=40, tol=1e-8,
     """Integrate-and-fire iteration f_{n+1} = f_n + R (f - f_n) over `iftem_operator`."""
     if window is None:
         window = f_true.window if f_true is not None else window_for_grid(grid, kernel.generator)
-    max_gap = density_report(out, out.config.delta_target)[0]
-    predicted = estimate_r2(kernel, max_gap, devices.delta_prime, out.config.alpha)
+    predicted = estimate_r2(kernel, out.max_gap, devices.delta_prime, out.config.alpha)
     op = iftem_operator(out, kernel, devices, window)
     return _run_iteration(op, f_true, grid, params, n_max, tol, predicted)

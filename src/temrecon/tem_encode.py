@@ -32,6 +32,7 @@ plain bisection (the integrate-and-fire one on Gauss quadrature).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -193,48 +194,58 @@ class TemConfig:
 
 @dataclass
 class TemOutput:
-    """Per-device firing times and the decoder-recoverable per-fire quantities.
-
-    The encoders fill `values[j]` with `TemConfig.recovered_values` of
-    `times[j]`: per fire, the signal value there (crossing) or the
-    leak-weighted integral over the interval it ends (integrate-and-fire),
-    from times alone.
+    """Every device's fire times `t` and decoder-recoverable values `v`,
+    device-major in one flat layout: device j's fires are the slice
+    offsets[j]:offsets[j + 1], and `times[j]`, `values[j]` read-only views
+    of it.  The encoders fill `v` with `TemConfig.recovered_values` of the
+    times: per fire, the signal value there (crossing) or the leak-weighted
+    integral over the interval it ends (integrate-and-fire), from times alone.
     """
 
     config: TemConfig
     devices: DeviceSet
     t_start: float
     t_end: float
-    times: list
-    values: list
+    t: np.ndarray
+    v: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        self.t.flags.writeable = self.v.flags.writeable = False
+        self.times, self.values = (tuple(np.split(a, self.offsets[1:-1])) for a in (self.t, self.v))
+
+    @classmethod
+    def from_lists(cls, config, devices, t_start, t_end, times, values):
+        """The output whose device j fires at times[j] with values[j]."""
+        t, v = (np.concatenate([np.zeros(0), *xs]) for xs in (times, values))
+        return cls(config, devices, t_start, t_end, t, v, np.cumsum([0, *map(len, times)]))
+
+    @cached_property
+    def max_gap(self):
+        """The longest stretch a device goes without a fire: the inner gaps,
+        the lead-ins from t_start, the stubs to t_end, or t_end - t_start."""
+        t, o = self.t, self.offsets
+        has = o[1:] > o[:-1]
+        last = o[1:][has] - 1
+        gaps = np.concatenate([np.diff(t), t[o[:-1][has]] - self.t_start, self.t_end - t[last],
+                               np.full(np.count_nonzero(~has), self.t_end - self.t_start)])
+        gaps[last[:-1]] = 0.0       # the next device's first fire less this one's last
+        return float(gaps.max())
 
     def write_events_csv(self, path):
-        """One row per fire; each device's rows come from one format template."""
+        """One row per fire, from one format template per device: no string spans every fire."""
         with open(path, "w") as fh:
             fh.write("device_id,fire_index,time,recovered_value\n")
             for j, (t, v) in enumerate(zip(self.times, self.values)):
                 row = [j, 0, 0.0, 0.0] * t.size
-                row[1::4], row[2::4] = range(t.size), t.tolist()
-                row[3::4] = np.asarray(v).tolist()
+                row[1::4], row[2::4], row[3::4] = range(t.size), t.tolist(), v.tolist()
                 fh.write("%d,%d,%.17g,%.17g\n" * t.size % tuple(row))
 
 
 def density_report(out, delta):
-    """(max gap, fire count, ok flag): ok iff every gap is at most delta.
-
-    Every device's gaps, the lead-in from t_start and the stub to t_end
-    included (t_end - t_start without fires), in one pass over all fires.
-    """
-    sizes = np.array([t.size for t in out.times])
-    flat = np.concatenate(out.times)
-    has = sizes > 0
-    last = (np.cumsum(sizes) - 1)[has]
-    gaps = np.concatenate([np.diff(flat), flat[last - sizes[has] + 1] - out.t_start,
-                           out.t_end - flat[last],
-                           np.full(np.count_nonzero(~has), out.t_end - out.t_start)])
-    gaps[last[:-1]] = 0.0       # the next device's first fire less this one's last
-    max_gap = float(gaps.max())
-    return max_gap, flat.size, flat.size > 0 and max_gap <= delta + 1e-12
+    """(max gap, fire count, ok flag): ok iff there are fires and every gap,
+    `TemOutput.max_gap`, is at most delta."""
+    return out.max_gap, out.t.size, out.t.size > 0 and out.max_gap <= delta + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +555,12 @@ class _Fires:
 
     def output(self, cfg, devices, t0, t_end):
         """TemOutput; one `TemConfig.recovered_values` call on the filled
-        columns gives the values, and each device reads its own row."""
+        columns gives the values, and a mask of the filled entries the layout."""
         times = self.times[:, : self.counts.max(initial=0)]
         values = cfg.recovered_values(times, t0)
-        return TemOutput(cfg, devices, t0, t_end, *(
-            [m[j, :n].copy() for j, n in enumerate(self.counts)] for m in (times, values)))
+        filled = np.arange(times.shape[1]) < self.counts[:, None]
+        return TemOutput(cfg, devices, t0, t_end, times[filled], values[filled],
+                         np.append(0, np.cumsum(self.counts)))
 
 
 def encode_ctem_devices(vsig, devices, cfg, horizon):

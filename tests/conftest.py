@@ -17,7 +17,7 @@ from temrecon import (
     window_for_grid,
 )
 from temrecon.frames import measured_r0, neumann_coefficients
-from temrecon.generator import amalgam_norm_1d, bspline_autocorr
+from temrecon.generator import amalgam_norm_1d, bspline_autocorr, bspline_eval
 from temrecon.kernel_space import SplineFactor1D
 from temrecon.mixed_norm import CoefSeq, GridFunction
 from temrecon.reconstruct import iftem_operator
@@ -117,6 +117,18 @@ def fire_count(out):
     return int(sum(t.size for t in out.times))
 
 
+def reference_events_csv(out):
+    """events.csv bytes from one format template per device over the
+    per-device lists: the referee for `TemOutput.write_events_csv`."""
+    text = ["device_id,fire_index,time,recovered_value\n"]
+    for j, (t, v) in enumerate(zip(out.times, out.values)):
+        row = [j, 0, 0.0, 0.0] * t.size
+        row[1::4], row[2::4] = range(t.size), list(t)
+        row[3::4] = list(v)
+        text.append("%d,%d,%.17g,%.17g\n" * t.size % tuple(row))
+    return "".join(text).encode()
+
+
 def grid_function(grid, fun):
     """fun(x, y) sampled on every grid point, as a GridFunction."""
     return GridFunction(grid, np.asarray(fun(grid.xs[:, None], grid.ys[None, :]), dtype=float))
@@ -125,6 +137,44 @@ def grid_function(grid, fun):
 def family_lattices(family):
     """The (time, space) lattices that a frame family's atoms sit on."""
     return tuple(axis.lattice for axis in family._axes)
+
+
+def axis_basis(axis, xs):
+    """(B, Bd): the B-spline and its dual at points `xs` against the spline
+    indices of one axis frame."""
+    x = np.asarray(xs, dtype=float)[:, None] - axis.ks[None, :]
+    return bspline_eval(axis.order, x), axis.dual_axis.eval(x)
+
+
+def _family_bases(family):
+    ax_t, ax_s = family._axes
+    return axis_basis(ax_t, family.grid.xs) + axis_basis(ax_s, family.grid.ys)
+
+
+def atom_values(family, l1_index, l2_index, N=None):
+    """A frame family's synthesis atom at a lattice index pair, rendered on its grid."""
+    ax_t, ax_s = family._axes
+    N = family._order(N)
+    B_t, _, B_s, _ = _family_bases(family)
+    a_t = B_t @ (ax_t.t_plus(N) @ ax_t.Gd[l1_index])
+    a_s = B_s @ (ax_s.t_plus(N) @ ax_s.Gd[l2_index])
+    return family._synthesis_scale() * np.outer(a_t, a_s)
+
+
+def dual_atom_values(family, l1_index, l2_index):
+    """A frame family's dual atom at a lattice index pair, rendered on its grid."""
+    ax_t, ax_s = family._axes
+    p, q = family.params.p, family.params.q
+    scale = family.delta ** (1.0 / p - 1.0) * family.delta ** (1.0 / q - 1.0)
+    _, Bd_t, _, Bd_s = _family_bases(family)
+    return scale * np.outer(Bd_t @ ax_t.G[l1_index], Bd_s @ ax_s.G[l2_index])
+
+
+def frame_synthesize(family, coefficients, N=None):
+    """Grid render of sum_lambda c_lambda * atom_lambda."""
+    B_t, _, B_s, _ = _family_bases(family)
+    return GridFunction(family.grid,
+                        B_t @ family.synthesis_coefficients(coefficients, N) @ B_s.T)
 
 
 def random_vsignal(window, gen, grid, rng, sup=0.8):
@@ -177,7 +227,7 @@ def plain_integrator_oracle(fslice, cfg, horizon):
 def dense_biorth_integrals(order, axis):
     """<dual, beta(. - j)> with every shift evaluated at every quadrature node:
     the referee for the banded `generator._biorth_integrals_1d`."""
-    from temrecon.generator import bspline_eval, gauss_panel_rule
+    from temrecon.generator import gauss_panel_rule
 
     reach = axis.reach
     r = int(np.ceil(reach + order / 2.0))

@@ -28,7 +28,8 @@ from temrecon.generator import DualAxis
 from temrecon.kernel_space import Kernel, SplineFactor1D
 from temrecon.mixed_norm import Grid, composite_weights, mixed_function_norm
 
-from conftest import family_lattices, neumann_plus, random_vsignal
+from conftest import (atom_values, axis_basis, dual_atom_values, family_lattices, frame_synthesize,
+                      neumann_plus, random_vsignal)
 
 PR = MixedNormParams(2.0, 2.0)
 
@@ -98,7 +99,7 @@ def grid_matrices(ax, xs, w):
     kernel), P = B Gd^T and Q = G Bd^T (cell integrals of kernel slices);
     `render(X)` = B X Bd^T for any coefficient matrix X.
     """
-    B, Bd = ax.basis(xs)
+    B, Bd = axis_basis(ax, xs)
 
     def render(X):
         return B @ X @ Bd.T
@@ -346,8 +347,8 @@ def test_atom_translation_symmetry(family):
     steps_per_unit = round(1.0 / family.grid.h_x)
     shift_cells = round(1.0 / family.delta)
     i1, i2 = (lat.size // 2 for lat in family_lattices(family))
-    a0 = family.atom_values(i1, i2)
-    a1 = family.atom_values(i1 + shift_cells, i2)
+    a0 = atom_values(family, i1, i2)
+    a1 = atom_values(family, i1 + shift_cells, i2)
     probe = np.s_[family.grid.n_x // 3: family.grid.n_x // 3 + 50, family.grid.n_y // 2]
     shifted = a1[family.grid.n_x // 3 + steps_per_unit:
                  family.grid.n_x // 3 + steps_per_unit + 50, family.grid.n_y // 2]
@@ -359,7 +360,7 @@ def test_dual_atom_norm_bound(family, hat_kernel, small_grid):
 
     pc = PR.conjugate()
     i1, i2 = (lat.size // 2 for lat in family_lattices(family))
-    vals = family.dual_atom_values(i1, i2)
+    vals = dual_atom_values(family, i1, i2)
     nrm = mixed_function_norm(GridFunction(small_grid, vals), pc)
     W = hat_kernel.w_norm()
     om = hat_kernel.omega_w_norm(float(np.sqrt(2.0)) * family.delta)
@@ -469,19 +470,16 @@ def test_grid_bases_built_on_first_use(hat_kernel, hat_gen, small_grid, small_wi
                             window=small_window)
     sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(8))
     frame_report(fam, [sig])
-    # analysis and reconstruction hold no grid-sized array
+    # analysis and reconstruction hold no grid-sized array, on the family
+    # or on its axis frames: grid renders are the tests' own helpers
     assert not any(isinstance(v, np.ndarray) and small_grid.xs.size in v.shape
-                   for v in vars(fam).values())
-    ax_t, ax_s = fam._axes
-    B_t, Bd_t = ax_t.basis(small_grid.xs)
-    B_s, Bd_s = ax_s.basis(small_grid.ys)
-    scale = fam._synthesis_scale()
-    eager = scale * np.outer(B_t @ (ax_t.t_plus(4) @ ax_t.Gd[10]),
-                             B_s @ (ax_s.t_plus(4) @ ax_s.Gd[12]))
-    assert np.array_equal(fam.atom_values(10, 12), eager)
-    dual_scale = fam.delta ** (1.0 / PR.p - 1.0) * fam.delta ** (1.0 / PR.q - 1.0)
-    eager_dual = dual_scale * np.outer(Bd_t @ ax_t.G[10], Bd_s @ ax_s.G[12])
-    assert np.array_equal(fam.dual_atom_values(10, 12), eager_dual)
+                   for obj in (fam,) + fam._axes for v in vars(obj).values())
+    # the rendered atom is the synthesis of a unit coefficient
+    unit = np.zeros(tuple(lat.size for lat in family_lattices(fam)))
+    unit[10, 12] = 1.0
+    atom = atom_values(fam, 10, 12)
+    err = np.max(np.abs(frame_synthesize(fam, unit).values - atom))
+    assert err <= 1e-13 * np.max(np.abs(atom))
 
 
 def test_order_zero_is_honoured(hat_kernel, hat_gen, small_grid, small_window):
@@ -495,10 +493,12 @@ def test_order_zero_is_honoured(hat_kernel, hat_gen, small_grid, small_window):
     assert rep0 == frame_report(fam0, [sig])
     assert rep0["N"] == 0 and frame_report(fam, [sig])["N"] == 2
     assert rep0["recon_error"] > frame_report(fam, [sig])["recon_error"]
-    assert np.array_equal(fam.atom_values(10, 12, N=0), fam0.atom_values(10, 12))
+    assert np.array_equal(atom_values(fam, 10, 12, N=0), atom_values(fam0, 10, 12))
     coords = fam.analysis_coefficients(sig)
-    assert np.array_equal(fam.synthesize(coords, N=0).values, fam0.synthesize(coords).values)
-    assert not np.allclose(fam.synthesize(coords, N=0).values, fam.synthesize(coords).values)
+    assert np.array_equal(frame_synthesize(fam, coords, N=0).values,
+                          frame_synthesize(fam0, coords).values)
+    assert not np.allclose(frame_synthesize(fam, coords, N=0).values,
+                           frame_synthesize(fam, coords).values)
 
 
 def test_order3_reconstruction_converges():

@@ -1,11 +1,14 @@
 """Traced memory bounds: the error monitor and the config checks hold no
-array whose size grows with the grid or with devices x probes."""
+array whose size grows with the grid or with devices x probes, and the
+events writer holds no string that spans every fire."""
 
 import tracemalloc
 
 import numpy as np
 
-from temrecon import ExperimentConfig, Generator, MixedNormParams, window_for_grid
+from temrecon import (DeviceSet, ExperimentConfig, Generator, MixedNormParams, TemConfig,
+                      window_for_grid)
+from temrecon.tem_encode import TemOutput
 
 from conftest import random_vsignal
 
@@ -32,3 +35,14 @@ def test_norm_streams_the_render():
 def test_config_checks_coverage_without_a_device_probe_array():
     # 257 devices x 2049 probes would be 4.2 MB per array
     assert traced_peak_mb(lambda: ExperimentConfig(mode="integrate-and-fire")) < 1.0
+
+
+def test_events_csv_writes_one_device_at_a_time(tmp_path):
+    # the size of the leaky desk output, 257 devices x 262 fires; one format
+    # template over every row traces about 12.5 MB
+    rng = np.random.default_rng(0)
+    times = np.sort(rng.uniform(0.0, 32.0, (257, 262)), axis=1)
+    out = TemOutput.from_lists(TemConfig("crossing", 1.0, 2.0, 0.25),
+                               DeviceSet.uniform(0.0, 32.0, 0.125, 0.0625), 0.0, 32.0,
+                               times, rng.uniform(-1.0, 1.0, times.shape))
+    assert traced_peak_mb(lambda: out.write_events_csv(tmp_path / "events.csv")) < 1.0

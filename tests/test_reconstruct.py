@@ -56,15 +56,15 @@ def test_apply_s_constant_full_coverage(small_grid):
     cfg = crossing_cfg()
     c = 0.4
     times = np.arange(0.1, 12.0, 0.1)
-    out = TemOutput(cfg, dev, 0.0, 12.0, [times], [np.full(times.size, c)])
+    out = TemOutput.from_lists(cfg, dev, 0.0, 12.0, [times], [np.full(times.size, c)])
     s = apply_S(out, dev, small_grid)
     assert np.max(np.abs(s.values - c)) == 0.0
 
 
 def test_apply_s_zero(small_grid):
     dev = DeviceSet(np.array([6.0]), 12.0, (0.0, 12.0))
-    out = TemOutput(crossing_cfg(), dev, 0.0, 12.0,
-                    [np.arange(0.1, 12.0, 0.1)], [np.zeros(119)])
+    out = TemOutput.from_lists(crossing_cfg(), dev, 0.0, 12.0,
+                               [np.arange(0.1, 12.0, 0.1)], [np.zeros(119)])
     assert np.max(np.abs(apply_S(out, dev, small_grid).values)) == 0.0
 
 
@@ -129,18 +129,19 @@ def _crossing_case(gen, grid, window, silent_device=None, crowded=False):
     f_n = random_vsignal(window, gen, grid, rng, sup=0.5)
     dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
     out = encode_ctem_devices(sig, dev, crossing_cfg(), (0.0, 12.0))
+    times, values = list(out.times), list(out.values)
     if silent_device is not None:
-        out.times[silent_device] = np.zeros(0)
-        out.values[silent_device] = np.zeros(0)
+        times[silent_device] = values[silent_device] = np.zeros(0)
     if crowded:
-        t, v = out.times[5], out.values[5]
+        t, v = times[5], values[5]
         i = int(np.argmax(np.diff(t)))
         xs = grid.xs
         x = xs[np.searchsorted(xs, 0.5 * (t[i] + t[i + 1]))]
         extra = x + (xs[1] - xs[0]) * np.array([0.2, 0.45, 0.7])
         assert t[i] < extra[0] and extra[-1] < t[i + 1]
-        out.times[5] = np.concatenate([t[: i + 1], extra, t[i + 1:]])
-        out.values[5] = np.concatenate([v[: i + 1], [0.3, -0.4, 0.5], v[i + 1:]])
+        times[5] = np.concatenate([t[: i + 1], extra, t[i + 1:]])
+        values[5] = np.concatenate([v[: i + 1], [0.3, -0.4, 0.5], v[i + 1:]])
+    out = TemOutput.from_lists(out.config, dev, out.t_start, out.t_end, times, values)
     resid = [out.values[j] - f_n.eval_slice(dev.positions[j], out.times[j])
              for j in range(len(dev))]
     return dev, out, f_n, resid
@@ -283,8 +284,8 @@ def test_iteration_linearity(hat_kernel, hat_gen, small_grid, small_window):
     a = -0.6
     rec1, _ = ctem_iterate(out, hat_kernel, dev, small_grid, f_true=sig, n_max=6)
     # the encoding map is nonlinear, but the recovered values scale linearly
-    scaled = TemOutput(out.config, out.devices, out.t_start, out.t_end, out.times,
-                       [a * v for v in out.values])
+    scaled = TemOutput.from_lists(out.config, out.devices, out.t_start, out.t_end, out.times,
+                                  [a * v for v in out.values])
     rec2, _ = ctem_iterate(scaled, hat_kernel, dev, small_grid, f_true=sig.scaled(a), n_max=6)
     assert np.max(np.abs(rec2.coeffs.entries - a * rec1.coeffs.entries)) <= 1e-10
 
@@ -339,11 +340,11 @@ def test_apply_r_zero_and_single_fire(hat_kernel, hat_gen, small_grid, small_win
         cfg = if_cfg()
         t = np.array([5.9])
         silent = [np.zeros(0)] * (len(dev) - 1)
-        out = TemOutput(cfg, dev, 5.7, 12.0, [t] + silent, [np.array([0.0])] + silent)
+        out = TemOutput.from_lists(cfg, dev, 5.7, 12.0, [t] + silent, [np.array([0.0])] + silent)
         zero = apply_R(out, hat_kernel, dev, small_window)
         assert np.max(np.abs(zero.coeffs.entries)) == 0.0
         I = 0.37
-        out = TemOutput(cfg, dev, 5.7, 12.0, [t] + silent, [np.array([I])] + silent)
+        out = TemOutput.from_lists(cfg, dev, 5.7, 12.0, [t] + silent, [np.array([I])] + silent)
         sig = apply_R(out, hat_kernel, dev, small_window)
         # from a zero iterate one step is R applied to the recovered integrals
         step = iftem_operator(out, hat_kernel, dev, small_window).step(
@@ -372,7 +373,9 @@ def test_iftem_operator_step_matches_gauss_intervals(small_grid, order, alpha):
     f_n = random_vsignal(w, gen, small_grid, rng, sup=0.5)
     dev = DeviceSet.uniform(0.0, 12.0, 0.75, 0.5)
     out = encode_iftem_devices(sig, dev, if_cfg(alpha=alpha), (0.0, 12.0))
-    out.times[3], out.values[3] = np.zeros(0), np.zeros(0)        # a silent device
+    times, values = list(out.times), list(out.values)
+    times[3] = values[3] = np.zeros(0)                              # a silent device
+    out = TemOutput.from_lists(out.config, dev, out.t_start, out.t_end, times, values)
     dual, l1 = kernel.dual, dev.u_l1_norms()
     cols = np.zeros((w.n1, len(dev)))
     for j, t in enumerate(out.times):

@@ -34,7 +34,7 @@ from temrecon.tem_encode import (
 )
 
 from conftest import (dense_cover_counts, device_gaps, fire_count, plain_integrator_oracle,
-                      random_vsignal)
+                      random_vsignal, reference_events_csv)
 
 
 def crossing_cfg(**kw):
@@ -261,10 +261,10 @@ def test_iftem_alpha0_matches_plain_integrator(hat_gen, small_grid, small_window
 def test_density_report_cases():
     dev = DeviceSet(np.array([4.0]), 8.0, (0.0, 8.0))
     cfg = crossing_cfg()
-    out = TemOutput(cfg, dev, 0.0, 0.125, [np.array([0.125])], [np.array([0.0])])
+    out = TemOutput.from_lists(cfg, dev, 0.0, 0.125, [np.array([0.125])], [np.array([0.0])])
     mg, n, ok = density_report(out, 0.25)
     assert ok and n == 1 and mg <= 0.25
-    empty = TemOutput(cfg, dev, 0.0, 8.0, [np.array([])], [np.array([])])
+    empty = TemOutput.from_lists(cfg, dev, 0.0, 8.0, [np.array([])], [np.array([])])
     mg, n, ok = density_report(empty, 0.25)
     assert not ok and n == 0
 
@@ -278,10 +278,46 @@ def test_density_report_cases():
 def test_density_report_matches_the_per_device_gaps(times):
     dev = DeviceSet(np.arange(5.0), 1.0, (0.0, 4.0))
     times = [np.array(t) for t in times]
-    out = TemOutput(crossing_cfg(), dev, 0.5, 3.4, times, times)
+    out = TemOutput.from_lists(crossing_cfg(), dev, 0.5, 3.4, times, times)
     want = max(float(device_gaps(out, j).max()) for j in range(len(dev)))
     assert density_report(out, 2.8) == (want, fire_count(out), want <= 2.8)
     assert density_report(out, want)[2]
+
+
+# fire counts per device: a silent first, middle and last device, and none firing
+SILENT_CASES = {"first": [0, 3, 5, 1], "middle": [4, 0, 2, 6], "last": [2, 1, 3, 0],
+                "all": [0, 0, 0, 0]}
+
+
+def _from_lists(case):
+    """(times, values, output) of four devices on [0.5, 3.4] with random fires."""
+    rng = np.random.default_rng(sorted(SILENT_CASES).index(case))
+    times = [np.sort(rng.uniform(0.5, 3.4, n)) for n in SILENT_CASES[case]]
+    values = [rng.normal(size=n) for n in SILENT_CASES[case]]
+    dev = DeviceSet(np.arange(4.0), 1.0, (0.0, 3.0))
+    return times, values, TemOutput.from_lists(crossing_cfg(), dev, 0.5, 3.4, times, values)
+
+
+@pytest.mark.parametrize("case", SILENT_CASES)
+def test_from_lists_round_trips(case):
+    times, values, out = _from_lists(case)
+    assert out.offsets.tolist() == np.cumsum([0] + SILENT_CASES[case]).tolist()
+    assert np.array_equal(out.t, np.concatenate(times)) and np.array_equal(out.v, np.concatenate(values))
+    for j in range(4):
+        assert np.array_equal(out.times[j], times[j]) and np.array_equal(out.values[j], values[j])
+    # the per-device views cannot go stale: neither they nor the flat arrays take writes
+    with pytest.raises(TypeError):
+        out.times[0] = times[0]
+    with pytest.raises(ValueError):
+        out.values[1][...] = 0.0
+    assert out.max_gap == max(float(device_gaps(out, j).max()) for j in range(4))
+
+
+@pytest.mark.parametrize("case", SILENT_CASES)
+def test_events_csv_matches_the_per_device_template(tmp_path, case):
+    out = _from_lists(case)[2]
+    out.write_events_csv(tmp_path / "events.csv")
+    assert (tmp_path / "events.csv").read_bytes() == reference_events_csv(out)
 
 
 def test_gaps_and_monotone_times(hat_gen, small_grid, small_window):
