@@ -87,6 +87,7 @@ class _AxisFrame:
         self.G = spline_cell_integrals(self.order, edges[:-1], edges[1:], self.ks)
         self.Gd = self.G @ self.dual_axis.toeplitz(self.ks, self.ks)
         self.A = self.Gd.T @ self.G / delta
+        self._synthesis = {}
 
     def index(self, ks):
         """Positions of the spline indices `ks` in `self.ks`."""
@@ -102,6 +103,12 @@ class _AxisFrame:
     def t_plus(self, N):
         """Coefficient matrix of the truncated Neumann inverse T_plus(N)."""
         return sum(g * Am for g, Am in zip(neumann_coefficients(N), self.powers(N)))
+
+    def synthesis(self, N):
+        """T_plus(N) Gd^T, which maps lattice coefficients to spline ones; formed once per N."""
+        if N not in self._synthesis:
+            self._synthesis[N] = self.t_plus(N) @ self.Gd.T
+        return self._synthesis[N]
 
 
 @dataclass(frozen=True)
@@ -245,9 +252,7 @@ class FrameFamily:
         """Spline coefficients over (ks_t, ks_s) of sum_lambda c_lambda * atom_lambda."""
         ax_t, ax_s = self._axes
         N = self._order(N)
-        S_t = ax_t.t_plus(N) @ ax_t.Gd.T
-        S_s = ax_s.t_plus(N) @ ax_s.Gd.T
-        return self._synthesis_scale() * (S_t @ coefficients @ S_s.T)
+        return self._synthesis_scale() * (ax_t.synthesis(N) @ coefficients @ ax_s.synthesis(N).T)
 
 
 @dataclass

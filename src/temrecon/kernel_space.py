@@ -58,41 +58,35 @@ class KappaTable:
     s = n h, |n| <= R resolution + pad, with h = 1 / resolution and
     R = ceil(reach) + 1, handed out one block of columns at a time.
 
-    The dual is evaluated once, on the lattice n h widened by the range of
-    the shifts k; the columns of shift k are the slice of that array at
-    n - k resolution.  For a power-of-two resolution n h - k equals
-    (n - k resolution) h exactly, so every block is `eval_outer` on the
-    same points bit for bit.
+    kappa(x_i, s) = sum_m B[i, m] dual(s - k_hi + m) with B[i, m] =
+    beta(x_i - k_hi + m), over the shifts k_hi, k_hi - 1, ..., k_lo.  The
+    dual is evaluated once, on the lattice n h widened by the range of the
+    shifts; the dual row of shift k_hi - m is the window of that array at
+    m resolution, so a block is one product B @ D with D a strided view.
+    For a power-of-two resolution n h - k equals (n - k resolution) h
+    exactly, so every block of two or more columns is `eval_outer` on the
+    same points bit for bit (BLAS takes one column as a matrix-vector
+    product, which may round differently).
     """
 
     def __init__(self, factor, resolution, pad_steps=0):
         self.R = int(np.ceil(factor.reach)) + 1
+        self.resolution = resolution
         h = 1.0 / resolution
         xs = np.arange(-pad_steps, resolution + pad_steps + 1) * h
         n_first = -self.R * resolution - pad_steps
         self.n_rows = xs.size
         self.n_cols = 2 * (self.R * resolution + pad_steps) + 1
-        r = factor.order / 2.0
-        k_lo = int(np.floor(xs[0] - r))
-        k_hi = int(np.ceil(xs[-1] + r))
-        lattice = np.arange(n_first - k_hi * resolution, n_first + self.n_cols - k_lo * resolution)
+        ks = factor.shifts(xs)
+        self.beta = bspline_eval(factor.order, xs[:, None] - ks)
+        lattice = np.arange(n_first - ks[0] * resolution, n_first + self.n_cols - ks[-1] * resolution)
         self.dual = factor.dual_axis.eval(lattice * h)
-        # (first row, B-spline values on its run of rows, dual offset) per
-        # shift k, ascending: beta(x - k) is positive on one run of rows and
-        # elsewhere would only add zeros
-        self.terms = []
-        for k in range(k_lo, k_hi + 1):
-            bu = bspline_eval(factor.order, xs - k)
-            rows = np.flatnonzero(bu)
-            if rows.size:
-                self.terms.append((rows[0], bu[rows[0]: rows[-1] + 1], (k_hi - k) * resolution))
 
-    def columns(self, c0, width):
-        """The `width` columns from column c0, all rows, as a new array."""
-        out = np.zeros((self.n_rows, width))
-        for i0, bu, start in self.terms:
-            out[i0: i0 + bu.size] += np.outer(bu, self.dual[start + c0: start + c0 + width])
-        return out
+    def columns(self, c0, width, rows=slice(None)):
+        """The `width` columns from column c0 of `rows`, as a new array."""
+        windows = np.lib.stride_tricks.sliding_window_view(self.dual, width)
+        n = self.beta.shape[1] * self.resolution
+        return self.beta[rows] @ windows[c0: c0 + n: self.resolution]
 
 
 class SplineFactor1D:
@@ -108,29 +102,23 @@ class SplineFactor1D:
         # |u - v| beyond this radius guarantees kappa = 0
         self.reach = order / 2.0 + dual_axis.reach
 
+    def shifts(self, us):
+        """Every shift k, descending, at which beta(u - k) can be nonzero for a u in `us`."""
+        r = self.order / 2.0
+        return np.arange(int(np.ceil(us.max() + r)), int(np.floor(us.min() - r)) - 1, -1)
+
     def eval_outer(self, us, vs):
-        """Matrix kappa(us[i], vs[j]) via the finite k-sum."""
+        """Matrix kappa(us[i], vs[j]): the k-sum as one product, shifts as in `KappaTable`."""
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
-        r = self.order / 2.0
-        k_lo = int(np.floor(us.min() - r))
-        k_hi = int(np.ceil(us.max() + r))
-        out = np.zeros((us.size, vs.size))
-        for k in range(k_lo, k_hi + 1):
-            bu = bspline_eval(self.order, us - k)
-            if not np.any(bu):
-                continue
-            out += np.outer(bu, self.dual_axis.eval(vs - k))
-        return out
+        ks = self.shifts(us)
+        return bspline_eval(self.order, us[:, None] - ks) @ self.dual_axis.eval(vs - ks[:, None])
 
     def eval_pairs(self, us, vs):
         """kappa at broadcast point arrays."""
         us, vs = np.broadcast_arrays(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
-        r = self.order / 2.0
         out = np.zeros(us.shape)
-        k_lo = int(np.floor(us.min() - r))
-        k_hi = int(np.ceil(us.max() + r))
-        for k in range(k_lo, k_hi + 1):
+        for k in self.shifts(us)[::-1]:
             out += bspline_eval(self.order, us - k) * self.dual_axis.eval(vs - k)
         return out
 
@@ -182,10 +170,12 @@ class SplineFactor1D:
         at the box corners and axis extremes instead (correct to second
         order there).
 
-        The table is padded by p; the W0 norm reads its core, which equals
-        the unpadded table bit for bit (the extra shifts k add nothing
-        there).  The offset box is a product, so its sup splits by axis:
-        the window max and min over 2 p + 1 rows, then over 2 p + 1 columns
+        The table is padded by p; the W0 norm is taken first, from its core
+        (one product over the core rows and columns), which equals the
+        unpadded table bit for bit (the extra shifts k add nothing there),
+        and the core is released before the modulus field is built.  The
+        offset box is a product, so its sup splits by axis: the window max
+        and min over 2 p + 1 rows, then over 2 p + 1 columns
         (`_window_extreme`, about log2(2 p + 1) passes each), and mod =
         max(hi - base, base - lo).  Rounded subtraction is monotone in each
         operand, so this equals the max of |shifted - base| over all offset
@@ -202,14 +192,14 @@ class SplineFactor1D:
         table = KappaTable(self, resolution, pad)
         nx = table.n_rows - 2 * pad
         ns = table.n_cols - 2 * pad
+        core = table.columns(pad, ns, slice(pad, pad + nx))
+        w0 = self._w0_from_field(core, resolution)
+        if radius == 0:
+            return w0, 0.0
         if not on_grid:
-            core = table.columns(0, ns)
-            w0 = self._w0_from_field(core, resolution)
-            if radius == 0:
-                return w0, 0.0
             return w0, self._box_modulus_w0_direct(core, radius, resolution)
+        del core
         span = 2 * pad + 1
-        core = np.empty((nx, ns))
         mod = np.empty((nx, ns))
         for c0 in range(0, ns, MODULUS_TILE):
             w = min(MODULUS_TILE, ns - c0)
@@ -227,9 +217,8 @@ class SplineFactor1D:
             np.subtract(base, lo, out=lo)
             box = np.empty(nx * width)
             np.maximum(hi, lo, out=box[:n])
-            core[:, c0: c0 + w] = tile.reshape(-1, width)[pad: pad + nx, pad: pad + w]
             mod[:, c0: c0 + w] = box.reshape(nx, width)[:, :w]
-        return self._w0_from_field(core, resolution), self._w0_from_field(mod, resolution)
+        return w0, self._w0_from_field(mod, resolution)
 
     def _box_modulus_w0_direct(self, base, radius, resolution):
         h = 1.0 / resolution

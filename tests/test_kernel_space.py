@@ -186,7 +186,7 @@ def modulus_reference(order, radius, resolution):
     return box_modulus_w0_reference(spline_factor(order), radius, resolution)
 
 
-@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
 def test_box_modulus_matches_all_pairs_reference(order):
     # the doubling window passes must equal one pass per offset bit for bit
     factor = spline_factor(order)
@@ -266,7 +266,7 @@ def test_w0_column_fold_matches_per_slice_sums():
                     field, resolution)
 
 
-@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4])
 def test_box_modulus_tiles_change_no_bit(order, monkeypatch):
     # a tile that divides the output width, one that leaves a partial last
     # tile (the width 2 R resolution + 1 is odd) and one wider than it

@@ -1,13 +1,15 @@
 """Traced memory bounds: the error monitor and the config checks hold no
-array whose size grows with the grid or with devices x probes, and the
-events writer holds no string that spans every fire."""
+array whose size grows with the grid or with devices x probes, the
+events writer holds no string that spans every fire, and the kernel
+statistics never hold the core of the padded table beside the modulus
+field."""
 
 import tracemalloc
 
 import numpy as np
 
 from temrecon import (DeviceSet, ExperimentConfig, Generator, MixedNormParams, TemConfig,
-                      window_for_grid)
+                      build_shift_invariant_kernel, dual_generator, window_for_grid)
 from temrecon.tem_encode import TemOutput
 
 from conftest import random_vsignal
@@ -46,3 +48,11 @@ def test_events_csv_writes_one_device_at_a_time(tmp_path):
                                DeviceSet.uniform(0.0, 32.0, 0.125, 0.0625), 0.0, 32.0,
                                times, rng.uniform(-1.0, 1.0, times.shape))
     assert traced_peak_mb(lambda: out.write_events_csv(tmp_path / "events.csv")) < 1.0
+
+
+def test_box_modulus_releases_the_core_before_the_modulus_field():
+    # order 2 at radius 0.53 (33 lattice steps): the core and the modulus
+    # field are 1.86 MB each, and holding both traces about 5.9 MB
+    gen = Generator(2, 2)
+    factor = build_shift_invariant_kernel(gen, dual_generator(gen)).factor_t
+    assert traced_peak_mb(lambda: factor.w0_and_box_modulus(0.53)) < 4.5
