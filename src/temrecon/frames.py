@@ -212,7 +212,6 @@ class FrameFamily:
     r0_measured: float
     r0_branch1: float
     r0_branch2: float
-    omega_joint: float
 
     @classmethod
     def build(cls, kernel, grid, delta, params, n_list=(2, 4, 8), window=None):
@@ -226,8 +225,7 @@ class FrameFamily:
         if not (r0 < 1.0):
             raise ContractionError(f"measured contraction r0 = {r0:.6g} >= 1")
         b1, b2 = formula_r0_branches(kernel, delta)
-        fam = cls(kernel, grid, delta, params, tuple(sorted(n_list)), window,
-                  r0, b1, b2, kernel.omega_w_norm(math.sqrt(2.0) * delta))
+        fam = cls(kernel, grid, delta, params, tuple(sorted(n_list)), window, r0, b1, b2)
         fam._axes = kdelta.axis_frames
         ax_t, ax_s = fam._axes
         fam._win_t = ax_t.index(window.k1s)
@@ -268,7 +266,8 @@ def frame_bounds_check(f, family, slack=0.05):
     """Analysis-to-signal norm ratio against the [1 -+ omega] band.
 
     Returns a zero-signal flag instead of a ratio for f = 0; the band half
-    width is the cached modulus-norm estimate at the joint lattice radius.
+    width is the modulus-norm estimate at the joint lattice radius
+    sqrt(2) delta, which the family holds as `r0_branch2`.
     """
     return _band_report(f, family, f.norm(family.grid, family.params), slack)
 
@@ -279,7 +278,7 @@ def _band_report(f, family, denom, slack=0.05):
         return FrameBandReport(float("nan"), 0.0, 0.0, False, True)
     coords = family.analysis_coefficients(f)
     num = mixed_sequence_norm(CoefSeq(coords, 0, 0), family.params)
-    om = family.omega_joint
+    om = family.r0_branch2
     lo, hi = 1.0 - om - slack, 1.0 + om + slack
     ratio = num / denom
     return FrameBandReport(ratio, lo, hi, bool(lo <= ratio <= hi), False)

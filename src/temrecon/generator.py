@@ -493,9 +493,10 @@ def dual_generator(gen):
 
 def tensor_biorth_residual(axis_t, axis_s):
     """Largest |<dual, phi(. - k)> - delta_k| over the integer shifts k of the
-    tensor pair, from the per-axis quadratures `_biorth_integrals_1d`."""
+    tensor pair, from the per-axis quadratures `_biorth_integrals_1d` (one
+    for an axis both sides share)."""
     _, it = _biorth_integrals_1d(axis_t)
-    _, is_ = _biorth_integrals_1d(axis_s)
+    is_ = it if axis_s is axis_t else _biorth_integrals_1d(axis_s)[1]
     prod = np.outer(it, is_)
     target = np.zeros_like(prod)
     target[it.size // 2, is_.size // 2] = 1.0

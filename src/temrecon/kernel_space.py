@@ -9,8 +9,10 @@ built from a tensor B-spline generator and its dual.  Separability makes
 the nested sup/integral kernel norm factor exactly into per-axis norms,
 reduces the projector to analysis/synthesis matrix products, and keeps
 every quadrature one-dimensional.  Kernels are immutable after
-construction; all evaluation is pure and cache reads are safe after the
-lazily built statistics have been populated.
+construction.  Each norm-statistic call samples one table per distinct
+factor and keeps nothing keyed by radius: the product of the factor W0
+norms, the same from any table, is the one number a call leaves behind,
+and `w_norm` reads it.
 
 Norm conventions.  The W0 norm of a two-argument kernel is
 max(sup_u int |k(u, v)| dv, sup_v int |k(u, v)| du); the full kernel norm
@@ -125,15 +127,15 @@ class SplineFactor1D:
     # -- W0-norm machinery ---------------------------------------------------
 
     @staticmethod
-    def _w0_from_field(field, resolution):
+    def _w0_from_field(core, resolution):
         """W0 norm of a diagonally shift-invariant field sampled as in `KappaTable`.
 
-        `field` rows cover x in [0, 1]; columns cover s in [-R, R].  Row
-        direction: sup over one period of the row integrals.  Column
-        direction: integrals over the real line fold into sums of one-period
-        integrals of shifted columns.
+        `core` holds the absolute values of the field (the caller takes
+        them, in place where it owns the array); rows cover x in [0, 1],
+        columns s in [-R, R].  Row direction: sup over one period of the row
+        integrals.  Column direction: integrals over the real line fold into
+        sums of one-period integrals of shifted columns.
         """
-        core = np.abs(field)
         n_rows, n_cols = core.shape
         w_s = composite_weights(n_cols, 1.0 / resolution)
         sup_row = float(np.max(core @ w_s))
@@ -153,10 +155,6 @@ class SplineFactor1D:
             folds[:extra] = np.ascontiguousarray(longer.T).sum(axis=1)
         return max(sup_row, float(folds.max()))
 
-    def w0_norm(self, resolution=DEFAULT_STATS_RESOLUTION):
-        """W0 norm of kappa, read from the unpadded table."""
-        return self.w0_and_box_modulus(0.0, resolution)[0]
-
     def w0_and_box_modulus(self, radius, resolution=DEFAULT_STATS_RESOLUTION):
         """(W0 norm of kappa, W0 norm of its box modulus at `radius`) from one table.
 
@@ -173,7 +171,8 @@ class SplineFactor1D:
         The table is padded by p; the W0 norm is taken first, from its core
         (one product over the core rows and columns), which equals the
         unpadded table bit for bit (the extra shifts k add nothing there),
-        and the core is released before the modulus field is built.  The
+        and the modulus field is then written over the core, so one
+        core-sized array is all a call allocates beside its tiles.  The
         offset box is a product, so its sup splits by axis: the window max
         and min over 2 p + 1 rows, then over 2 p + 1 columns
         (`_window_extreme`, about log2(2 p + 1) passes each), and mod =
@@ -193,14 +192,14 @@ class SplineFactor1D:
         nx = table.n_rows - 2 * pad
         ns = table.n_cols - 2 * pad
         core = table.columns(pad, ns, slice(pad, pad + nx))
-        w0 = self._w0_from_field(core, resolution)
+        if not on_grid and radius > 0:
+            return (self._w0_from_field(np.abs(core), resolution),
+                    self._box_modulus_w0_direct(core, radius, resolution))
+        w0 = self._w0_from_field(np.abs(core, out=core), resolution)
         if radius == 0:
             return w0, 0.0
-        if not on_grid:
-            return w0, self._box_modulus_w0_direct(core, radius, resolution)
-        del core
         span = 2 * pad + 1
-        mod = np.empty((nx, ns))
+        mod = core  # every column tile below overwrites its block
         for c0 in range(0, ns, MODULUS_TILE):
             w = min(MODULUS_TILE, ns - c0)
             width = w + 2 * pad
@@ -257,9 +256,10 @@ def _window_extreme(op, x, span, stride):
 class Kernel:
     """Separable kernel K(x, y; s, t) = kappa_t(x, s) * kappa_s(y, t).
 
-    Caches the per-axis W0 norms and a table of modulus-of-continuity norms
-    keyed by radius.  The modulus table is kept monotone in the radius (the
-    true modulus is), so sweeps over radii are consistent by construction.
+    Holds no statistic keyed by radius: every `omega_w_norm` call samples
+    each distinct factor once, and the kernel keeps only the product of the
+    factor W0 norms per resolution, a by-product of that call which no
+    radius changes.
     """
 
     def __init__(self, factor_t, factor_s, generator=None, dual=None):
@@ -267,8 +267,7 @@ class Kernel:
         self.factor_s = factor_s
         self.generator = generator
         self.dual = dual
-        self._w0 = {}
-        self._omega_raw = {}
+        self._w_norm = {}  # resolution -> product of the factor W0 norms
         self._analysis = {}  # (grid, window key) -> apply_T's (W_t, W_s)
         self._resolved = set()  # (grid, window key) pairs that passed the check
 
@@ -278,24 +277,25 @@ class Kernel:
         out = self.factor_t.eval_pairs(x, s) * self.factor_s.eval_pairs(y, t)
         return float(out.ravel()[0]) if out.size == 1 else out
 
-    def _factor_w0(self, axis, resolution):
-        if axis == "s" and self.factor_s is self.factor_t:
-            axis = "t"
-        key = (axis, resolution)
-        if key not in self._w0:
-            factor = self.factor_t if axis == "t" else self.factor_s
-            self._w0[key] = factor.w0_norm(resolution)
-        return self._w0[key]
-
-    def _factor_modulus(self, axis, radius, resolution):
-        """The factor's box modulus norm; its W0 norm, from the same table, fills the cache."""
-        factor = self.factor_t if axis == "t" else self.factor_s
-        self._w0[(axis, resolution)], mu = factor.w0_and_box_modulus(radius, resolution)
-        return mu
+    def _factor_statistics(self, radius, resolution):
+        """((k_t, mu_t), (k_s, mu_s)): each distinct factor's W0 norm and box
+        modulus norm at `radius` from one table; records k_t * k_s."""
+        t = self.factor_t.w0_and_box_modulus(radius, resolution)
+        s = (t if self.factor_s is self.factor_t
+             else self.factor_s.w0_and_box_modulus(radius, resolution))
+        self._w_norm[resolution] = t[0] * s[0]
+        return t, s
 
     def w_norm(self, resolution=DEFAULT_STATS_RESOLUTION):
-        """Nested W0-over-W0 estimate; factors exactly for separable kernels."""
-        return self._factor_w0("t", resolution) * self._factor_w0("s", resolution)
+        """Nested W0-over-W0 estimate; factors exactly for separable kernels.
+
+        The W0 norm from the core of a padded table is the unpadded one bit
+        for bit, so the product an `omega_w_norm` call recorded at this
+        resolution is read as is; without one it comes from radius 0.
+        """
+        if resolution not in self._w_norm:
+            self._factor_statistics(0.0, resolution)
+        return self._w_norm[resolution]
 
     def omega_w_norm(self, radius, resolution=DEFAULT_STATS_RESOLUTION):
         """Estimate of the kernel-norm of the modulus of continuity at `radius`.
@@ -303,22 +303,13 @@ class Kernel:
         Upper-bound route: the modulus of a product of axis factors is bounded
         by mu_t*|k_s| + |k_t|*mu_s + mu_t*mu_s with per-axis box moduli mu, and
         the kernel norm of each tensor term is the product of the factor W0
-        norms.  Each distinct factor samples kappa once for both its modulus
-        and its W0 norm, which fills the `w_norm` cache; only the numbers are
-        kept.  Cached values keep the table monotone non-decreasing in the
-        radius.
+        norms.  Each call samples each distinct factor once, for both its
+        modulus and its W0 norm, so the value depends on the arguments
+        alone, never on earlier calls.  It does not fall as the radius grows
+        because the lattice box of the modulus only grows.
         """
-        key = (radius, resolution)
-        if key not in self._omega_raw:
-            mu_t = self._factor_modulus("t", radius, resolution)
-            mu_s = (mu_t if self.factor_s is self.factor_t
-                    else self._factor_modulus("s", radius, resolution))
-            k_t = self._factor_w0("t", resolution)
-            k_s = self._factor_w0("s", resolution)
-            self._omega_raw[key] = mu_t * k_s + k_t * mu_s + mu_t * mu_s
-        raw = self._omega_raw[key]
-        below = [v for (r, rr), v in self._omega_raw.items() if rr == resolution and r <= radius]
-        return max([raw] + below)
+        (k_t, mu_t), (k_s, mu_s) = self._factor_statistics(radius, resolution)
+        return mu_t * k_s + k_t * mu_s + mu_t * mu_s
 
 
 def build_shift_invariant_kernel(gen, dual):

@@ -21,7 +21,7 @@ bounds are wildly pessimistic and experiments deliberately sweep past them.
 """
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,7 +196,6 @@ class ReconstructionReport:
     tol: float
     blind: bool
     wall_time: float
-    params: MixedNormParams = field(default=None)
 
     def log_error_fit(self):
         """(slope, r_squared) of a line through log10(errors) vs iteration index."""
@@ -238,14 +237,14 @@ class ReconstructionReport:
         }
 
 
-def _finish_report(errors, e_ref, tol, predicted, blind, t0, diverged, params):
+def _finish_report(errors, e_ref, tol, predicted, blind, t0, diverged):
     ratios = [errors[i + 1] / errors[i] if errors[i] > 0 else float("nan")
               for i in range(len(errors) - 1)]
     finite = [r for r in ratios if np.isfinite(r) and r > 0]
     r_hat = float(np.exp(np.mean(np.log(finite)))) if finite else float("nan")
     converged = bool(errors and errors[-1] <= tol * e_ref)
     return ReconstructionReport(errors, ratios, r_hat, predicted, converged, diverged,
-                                len(errors) - 1, tol, blind, _time.time() - t0, params)
+                                len(errors) - 1, tol, blind, _time.time() - t0)
 
 
 def _run_iteration(op, f_true, grid, params, n_max, tol, predicted):
@@ -288,7 +287,7 @@ def _run_iteration(op, f_true, grid, params, n_max, tol, predicted):
             diverged = True
             break
     report = _finish_report(errors, e_ref if e_ref else 1.0, tol, predicted, blind, t0,
-                            diverged, params)
+                            diverged)
     return f_n, report
 
 

@@ -262,7 +262,7 @@ def generic_w_norm(eval4, s_reach, resolution=8):
     for i, x in enumerate(xs):
         for j, s in enumerate(ss):
             field = eval4(x, xs[:, None], s, ss[None, :])
-            inner[i, j] = SplineFactor1D._w0_from_field(field, resolution)
+            inner[i, j] = SplineFactor1D._w0_from_field(np.abs(field), resolution)
     return SplineFactor1D._w0_from_field(inner, resolution)
 
 

@@ -133,8 +133,8 @@ def box_modulus_w0_reference(factor, radius, resolution):
 
 
 def modulus_fields(factor, radius, resolution, monkeypatch):
-    """(core, box modulus) fields of `w0_and_box_modulus`, caught on their way
-    to `_w0_from_field`."""
+    """(|core|, box modulus) fields of `w0_and_box_modulus`, caught on their
+    way to `_w0_from_field`."""
     fields = []
     w0_from_field = SplineFactor1D._w0_from_field
 
@@ -175,10 +175,42 @@ def test_w0_norm_reads_the_padded_core(order):
     factor = spline_factor(order)
     for resolution in (32, 64):
         field, _ = per_k_table(factor, resolution, 0)
-        w0 = factor._w0_from_field(field, resolution)
-        assert factor.w0_norm(resolution) == w0
-        for radius in (0.05, 0.3536, 0.53):
+        w0 = factor._w0_from_field(np.abs(field), resolution)
+        for radius in (0.0, 0.05, 0.3536, 0.53):
             assert factor.w0_and_box_modulus(radius, resolution)[0] == w0
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_omega_does_not_fall_as_the_radius_grows(order):
+    # the lattice box only grows with the radius, across the switch from the
+    # direct off-lattice modulus at MODULUS_MIN_STEPS / resolution too
+    factor = spline_factor(order)
+    for resolution in (32, 64):
+        switch = MODULUS_MIN_STEPS / resolution
+        radii = sorted({0.05, 0.4} | {switch * f for f in (0.9, 0.99, 1.0, 1.01, 1.1)})
+        vals = [Kernel(factor, factor).omega_w_norm(r, resolution) for r in radii]
+        assert all(a <= b for a, b in zip(vals, vals[1:])), (radii, vals)
+
+
+def test_omega_is_independent_of_call_order():
+    factor = spline_factor(3)
+    fresh = {r: Kernel(factor, factor).omega_w_norm(r) for r in (0.1, 0.5)}
+    kernel = Kernel(factor, factor)
+    assert kernel.omega_w_norm(0.5) == fresh[0.5]
+    assert kernel.omega_w_norm(0.1) == fresh[0.1]
+    assert kernel.omega_w_norm(0.5) == fresh[0.5]
+
+
+def test_w_norm_is_unchanged_by_omega_calls():
+    factor = spline_factor(3)
+    kernel = Kernel(factor, factor)
+    w = kernel.w_norm()
+    for radius in (0.5, 0.05, 0.0, 0.3536):
+        kernel.omega_w_norm(radius)
+        assert kernel.w_norm() == w
+    asked_first = Kernel(factor, factor)
+    asked_first.omega_w_norm(0.53)
+    assert asked_first.w_norm() == w
 
 
 @functools.cache
@@ -212,7 +244,7 @@ def test_box_modulus_is_the_sup_over_every_offset_pair(order, monkeypatch):
             shifted = field[pad + o1: pad + o1 + nx, pad + o2: pad + o2 + ns]
             np.maximum(want, np.abs(shifted - base), out=want)
     core, mod = modulus_fields(factor, radius, resolution, monkeypatch)
-    assert np.array_equal(core, base) and np.array_equal(mod, want)
+    assert np.array_equal(core, np.abs(base)) and np.array_equal(mod, want)
 
 
 def test_window_extreme_matches_naive_sliding_extreme():
@@ -237,13 +269,13 @@ def test_hat_box_modulus_dominates_off_lattice_shifts(hat_kernel, monkeypatch):
     rng = np.random.default_rng(13)
     for radius in (0.3536, 0.559):
         box = int(np.floor(radius * resolution)) * h
-        core, mod = modulus_fields(factor, radius, resolution, monkeypatch)
-        half = (core.shape[1] - 1) // 2
-        i = rng.integers(0, core.shape[0], 4000)
-        n = rng.integers(0, core.shape[1], 4000)
+        _, mod = modulus_fields(factor, radius, resolution, monkeypatch)
+        half = (mod.shape[1] - 1) // 2
+        i = rng.integers(0, mod.shape[0], 4000)
+        n = rng.integers(0, mod.shape[1], 4000)
         du, dv = rng.uniform(-box, box, (2, 4000))
         x, s = i * h, (n - half) * h
-        moved = np.abs(factor.eval_pairs(x + du, s + dv) - core[i, n])
+        moved = np.abs(factor.eval_pairs(x + du, s + dv) - factor.eval_pairs(x, s))
         assert np.all(moved <= mod[i, n] + 1e-12)
 
 
@@ -262,7 +294,7 @@ def test_w0_column_fold_matches_per_slice_sums():
                        11 * resolution + resolution - 1, 40 * resolution + 3):
             for _ in range(4):
                 field = rng.standard_normal((resolution + 1, n_cols)) * rng.uniform(0.1, 100.0)
-                assert SplineFactor1D._w0_from_field(field, resolution) == reference(
+                assert SplineFactor1D._w0_from_field(np.abs(field), resolution) == reference(
                     field, resolution)
 
 
