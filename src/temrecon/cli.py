@@ -147,12 +147,6 @@ class ExperimentConfig:
                              "raise theta or delta_target, or shrink the window")
         for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max)):
             _lattice(lo - PAD, hi + PAD, self.frame_delta)  # as `FrameFamily.build` lays it
-        try:  # the padded grid of `FrameFamily.build`
-            Grid.from_spacing(grid.x_min - PAD, grid.x_max + PAD, grid.y_min - PAD,
-                              grid.y_max + PAD, grid.h_x)
-        except InputError:
-            raise InputError(f"grid_step={self.grid_step} does not divide the range padded "
-                             f"by {PAD} units per side, as the frame lattice needs") from None
 
     def _check_numbers(self):
         """Type and finiteness of every numeric field, before any arithmetic.

@@ -215,9 +215,10 @@ class FrameFamily:
 
     @classmethod
     def build(cls, kernel, grid, delta, params, n_list=(2, 4, 8), window=None):
-        """Assemble the family; its lattice covers `grid` padded by PAD units per side."""
-        ext = Grid.from_spacing(grid.x_min - PAD, grid.x_max + PAD,
-                                grid.y_min - PAD, grid.y_max + PAD, grid.h_x)
+        """Assemble the family; its lattice covers `grid` padded by PAD units
+        per side.  `build_Kdelta` reads only the range of the grid it gets, so
+        the padded one has one interval per axis, whatever the grid step."""
+        ext = Grid(grid.x_min - PAD, grid.x_max + PAD, grid.y_min - PAD, grid.y_max + PAD, 1, 1)
         kdelta = build_Kdelta(kernel, delta, ext)
         if window is None:
             window = window_for_grid(grid, kernel.generator)

@@ -580,16 +580,8 @@ def reproducing_bound(kernel, x, y, params, grid):
     """
     vt = np.abs(kernel.factor_t.eval_outer(np.array([float(x)]), grid.xs)[0])
     vs = np.abs(kernel.factor_s.eval_outer(np.array([float(y)]), grid.ys)[0])
-    pc, qc = params.p_conj, params.q_conj
-    if pc == np.inf:
-        nt = vt.max()
-    else:
-        nt = (vt**pc @ grid.weights_x) ** (1.0 / pc)
-    if qc == np.inf:
-        ns = vs.max()
-    else:
-        ns = (vs**qc @ grid.weights_y) ** (1.0 / qc)
-    return float(nt * ns)
+    return float(_axis_norm(vt, grid.weights_x, params.p_conj)
+                 * _axis_norm(vs, grid.weights_y, params.q_conj))
 
 
 def reproducing_residual(kernel, probes, spacing=1.0 / 32.0):

@@ -22,7 +22,9 @@ orders a bracketed Newton iteration locates one fire per round.  The
 integrate-and-fire encoder fires a whole piece per round too, by Newton on
 the chain of its fires, whose Jacobian is lower bidiagonal; its running
 integral is exact, the piece polynomial against the leak-weighted moments
-of `generator.LeakMoments`.  Both check the amplitude bound on the exact
+of `generator.LeakMoments`.  Both walk the horizon one knot piece at a
+time, every device at once, locate a fire left to a scan by one bracketed
+Newton step (`_first_fire`), and check the amplitude bound on the exact
 max |f| of every piece.  All four encoders take the recovered values from
 the gaps by one rule, `TemConfig.recovered_values`.  The fast paths are
 validated against the scalar `ctem_encode` / `iftem_encode` reference
@@ -144,7 +146,6 @@ class TemConfig:
     delta_target: float
     alpha: float = 0.0
     theta: float = None
-    lambda_slope: float = None
 
     def __post_init__(self):
         if self.mode not in ("crossing", "integrate-and-fire"):
@@ -157,13 +158,16 @@ class TemConfig:
             raise InputError("firing parameter alpha must be nonnegative")
         if self.theta is not None and not self.theta > 0:
             raise InputError(f"threshold theta must be positive, got {self.theta}")
-        if self.lambda_slope is None:
-            object.__setattr__(self, "lambda_slope", 2.0 * self.b_level / self.delta_target)
         if self.theta is None:
             object.__setattr__(
                 self, "theta",
                 (self.b_level - self.c_bound) * self.kappa_alpha(self.delta_target),
             )
+
+    @property
+    def lambda_slope(self):
+        """2 b / delta_target: the ramp from -b passes c_bound before delta_target."""
+        return 2.0 * self.b_level / self.delta_target
 
     def fire_slots(self, duration):
         """Fires one device can make over `duration`, plus two: the length of
@@ -335,23 +339,24 @@ def _gauss_segment(f, a, b_hi, alpha, t_ref, bias):
     return total
 
 
-def iftem_encode(f, cfg, horizon, grid_step=None):
+def iftem_encode(f, cfg, horizon):
     """Integrate-and-fire encoder for a single time slice (scalar reference).
 
     Advances the biased leaky integral with a per-step Gauss rule on a
-    uniform evaluation grid and fires when it reaches theta; the fire time
-    is refined by bisection to 1e-12 (the integral is strictly increasing
-    near threshold because the derived theta keeps (f + b) dominant over the
-    leak).  Per-interval integrals are recovered from times alone as
-    theta - b * kappa_alpha(gap).  Returns (times, integrals).
+    uniform evaluation grid, at step delta_target / 8 or the least gap
+    theta / (b + c_bound) where that is shorter, and fires when it reaches
+    theta; the fire time is refined by bisection to 1e-12 (the integral is
+    strictly increasing near threshold because the derived theta keeps
+    (f + b) dominant over the leak).  Per-interval integrals are recovered
+    from times alone as theta - b * kappa_alpha(gap).  Returns (times,
+    integrals).
     """
     if cfg.mode != "integrate-and-fire":
         raise InputError("config mode must be 'integrate-and-fire'")
     t0, t_end = float(horizon[0]), float(horizon[1])
-    h = grid_step if grid_step is not None else cfg.delta_target / 8.0
     b, alpha, theta = cfg.b_level, cfg.alpha, cfg.theta
     min_gap = theta / (cfg.b_level + cfg.c_bound)
-    h = min(h, max(min_gap, BISECTION_TOL), 0.5)  # at most one fire per step
+    h = min(cfg.delta_target / 8.0, max(min_gap, BISECTION_TOL), 0.5)  # one fire a step
     n_steps = int(math.ceil((t_end - t0) / h))
     times = []
     y = 0.0
@@ -511,6 +516,19 @@ def _bracketed_newton(g_and_slope, lo, hi, start):
     return root
 
 
+def _first_fire(g_and_slope, t, g):
+    """The first root per row of a function that falls through zero between
+    reads: g[i, k] at t[i, k], increasing in k, with g <= 0 at some read
+    after the first.  The first such read and the one before it bracket the
+    root, which `_bracketed_newton` locates from the secant across the
+    bracket (from its left end where g does not read positive there)."""
+    i, j = np.argmax(g[:, 1:] <= 0.0, axis=1), np.arange(t.shape[0])
+    a, z, g_a, g_z = t[j, i], t[j, i + 1], g[j, i], g[j, i + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = np.where(g_a > 0.0, a + g_a / (g_a - g_z) * (z - a), a)
+    return _bracketed_newton(g_and_slope, a, z, start)
+
+
 def _piece_fires(c, edge, lo, hi, tp, b, lam, n_fires):
     """The first `n_fires` candidate order-2 fires of each row, (rows, n_fires),
     on its piece f = c0 + c1 u, u = t - edge, from t_prev = tp on [lo, hi].
@@ -566,22 +584,27 @@ class _Fires:
 def encode_ctem_devices(vsig, devices, cfg, horizon):
     """Crossing-encode every device of a set in lockstep; returns TemOutput.
 
-    A round gathers every active device's current knot piece once and reads
-    g = f + b - lambda (t - t_prev) on the segment from the device's
-    position to the piece end, or to t_prev + delta_target or the horizon
-    end where they come first: at its ends and at the roots of f' - lambda
-    inside it (`_real_roots`, once per encode).  g is monotone between
-    reads, so where all are positive the device moves to its next piece,
-    and otherwise the first read with g <= 0 and the one before it bracket
-    the first crossing exactly.  At order 2 a round fires the whole piece
-    (`_piece_fires`), up to the piece end and the horizon end, with room
-    for every fire the gap lower bound (b - c_bound) / (lambda + max |c1|)
-    allows on a unit piece, so a device takes one round per piece.  Above
-    order 2, `_bracketed_newton` locates one fire per round from the
-    secant start.  A gap longer than delta_target, where
-    t_prev + delta_target lies inside the piece and the horizon, raises
-    `EncodingInvariantError`: the amplitude bound, checked once per encode
-    on the slice table, rules it out.  Values come from the times alone.
+    The devices walk the horizon one knot piece at a time, as in
+    `encode_iftem_devices`, and each gets rounds on a piece until it fires
+    no more there.  A round gathers the piece of its devices once and reads
+    g = f + b - lambda (t - t_prev) on the segment from max(t_prev, piece
+    start) to the piece end, or to t_prev + delta_target or the horizon end
+    where they come first: at its ends and at the roots of f' - lambda
+    inside it (`_real_roots`, once per encode).  The first piece starts at
+    the horizon start, and the table's last piece has no end.  g is
+    monotone between reads, so where all are positive the device has no
+    fire left on the piece, and otherwise the first read with g <= 0 and
+    the one before it bracket the first crossing exactly.  At order 2 a
+    round fires the whole piece (`_piece_fires`), up to the piece end and
+    the horizon end, with room for every fire the gap lower bound
+    (b - c_bound) / (lambda + max |c1|) allows on a unit piece, so a piece
+    takes one round.  Above order 2 a round locates one fire per device
+    (`_first_fire`).  A device stays on the piece for another round only
+    when its candidates all fit, which above order 2 means after every
+    fire.  A gap longer than delta_target, where t_prev + delta_target
+    lies inside the piece and the horizon, raises `EncodingInvariantError`:
+    the amplitude bound, checked once per encode on the slice table, rules
+    it out.  Values come from the times alone.
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
@@ -600,64 +623,52 @@ def encode_ctem_devices(vsig, devices, cfg, horizon):
     J = len(devices)
     fires = _Fires(J, cfg.fire_slots(t_end - t0))
     t_prev = np.full(J, t0)
-    pos = t_prev.copy()             # the last fire, or the last point read with g > 0
-    piece = table.locate(pos)[0]
-    idx = np.arange(J)              # the active devices
-    while idx.size:
-        tp, lo, s = t_prev[idx], pos[idx], piece[idx]
-        c = table.pieces(idx, s)
+    first = table.locate(np.array([t0]))[0][0]
+    for s in range(first, table.last + 1):
         edge = table.origin + s
-        cap = np.minimum(tp + delta, t_end)
-        end = np.where(s < table.last, edge + 1.0, np.inf)     # the last piece has no end
-        hi = np.minimum(end, cap)
-        inner = np.clip(edge[:, None] + crit[idx, s], lo[:, None], hi[:, None])
-        reads = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)     # increasing
-        g = _horner(c[:, None], reads - edge[:, None]) + b - lam * (reads - tp[:, None])
-        dip = g[:, 1:] <= 0.0                       # lo itself aside
-        walk = ~dip.any(axis=1)
-        stop = walk & (hi == cap)
-        # no crossing by the window end: legal only when the horizon truncated the window
-        late = np.any(tp[stop] + delta <= t_end + BISECTION_TOL)
-        keep, fire = ~stop, ~walk
-        rows, tp, c, edge, end = idx[fire], tp[fire], c[fire], edge[fire], end[fire]
-        if table.order == 2:
-            times = _piece_fires(c, edge, lo[fire], hi[fire], tp, b, lam, n_fires)
-            ok = times[:, 1:] <= np.minimum(end, t_end)[:, None]
-            ok &= times[:, :-1] < t_end - BISECTION_TOL     # a fire at the horizon end stops
-            n = 1 + np.logical_and.accumulate(ok, axis=1).sum(axis=1)
-            # a kept gap, or the one after the last kept fire, whose ramp
-            # reaches delta_target inside the piece and the horizon
-            ramp = times[:, :-1] + delta
-            late |= np.any((times[:, 1:] > ramp) & (np.arange(1, n_fires) <= n[:, None])
-                           & (np.minimum(ramp, t_end) <= end[:, None])
-                           & (ramp <= t_end + BISECTION_TOL))
-        else:
-            at = np.flatnonzero(fire)
-            hit = 1 + np.argmax(dip[at], axis=1)
-            a, z, g_a, g_z = reads[at, hit - 1], reads[at, hit], g[at, hit - 1], g[at, hit]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                start = np.where(g_a > 0.0, a + g_a / (g_a - g_z) * (z - a), a)
+        start = edge if s > first else t0               # the first piece from t0
+        end = edge + 1.0 if s < table.last else np.inf  # the last table piece has no end
+        idx = np.arange(J)          # the devices with a round on the piece
+        while idx.size:
+            tp = t_prev[idx]
+            c = table.pieces(idx, s)
+            cap = np.minimum(tp + delta, t_end)
+            lo, hi = np.maximum(tp, start), np.minimum(end, cap)
+            inner = np.clip(edge + crit[idx, s], lo[:, None], hi[:, None])
+            reads = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)     # increasing
+            g = _horner(c[:, None], reads - edge) + b - lam * (reads - tp[:, None])
+            fire = np.any(g[:, 1:] <= 0.0, axis=1)     # lo itself aside
+            # no crossing by the window end: legal only when the horizon truncated the window
+            late = np.any(tp[~fire & (hi == cap)] + delta <= t_end + BISECTION_TOL)
+            rows, tp, c = idx[fire], tp[fire], c[fire]
+            if table.order == 2:
+                times = _piece_fires(c, edge, lo[fire], hi[fire], tp, b, lam, n_fires)
+                ok = times[:, 1:] <= min(end, t_end)
+                ok &= times[:, :-1] < t_end - BISECTION_TOL     # a fire at the horizon end stops
+                n = 1 + np.logical_and.accumulate(ok, axis=1).sum(axis=1)
+                # a kept gap, or the one after the last kept fire, whose ramp
+                # reaches delta_target inside the piece and the horizon
+                ramp = times[:, :-1] + delta
+                late |= np.any((times[:, 1:] > ramp) & (np.arange(1, n_fires) <= n[:, None])
+                               & (np.minimum(ramp, t_end) <= end)
+                               & (ramp <= t_end + BISECTION_TOL))
+            else:
+                def crossing(sub, t):
+                    f, df = _horner(c[sub], t - edge, slope=True)
+                    return f + b - lam * (t - tp[sub]), df - lam
 
-            def crossing(sub, t):
-                f, df = _horner(c[sub], t - edge[sub], slope=True)
-                return f + b - lam * (t - tp[sub]), df - lam
-
-            times = _bracketed_newton(crossing, a, z, start)[:, None]
-            n = np.ones(rows.size, dtype=int)
-        if late:
-            raise EncodingInvariantError(
-                "no crossing found within delta_target despite amplitude bound"
-            )
-        fires.add(rows, times, n)
-        t_prev[rows] = pos[rows] = last = times[np.arange(rows.size), n - 1]
-        # a device whose candidates all fit (one, above order 2) stays on its piece
-        full = n == times.shape[1]
-        walk[fire] = ~full
-        keep[fire] = (last < t_end - BISECTION_TOL) & (full | (end < t_end))
-        on = idx[walk & keep]                       # onto the next piece, from its left edge
-        piece[on] += 1
-        pos[on] = table.origin + piece[on]
-        idx = idx[keep]
+                times = _first_fire(crossing, reads[fire], g[fire])[:, None]
+                n = np.ones(rows.size, dtype=int)
+            if late:
+                raise EncodingInvariantError(
+                    "no crossing found within delta_target despite amplitude bound"
+                )
+            fires.add(rows, times, n)
+            t_prev[rows] = last = times[np.arange(rows.size), n - 1]
+            # a device whose candidates all fit (one, above order 2) stays on the piece
+            idx = rows[(n == times.shape[1]) & (last < t_end - BISECTION_TOL)]
+        if end >= t_end:
+            break
     return fires.output(cfg, devices, t0, t_end)
 
 
@@ -785,9 +796,8 @@ def _chain_fires(piece, a, z, y0, theta, alpha, n):
 
 def _finish_piece(piece, s, y_s, z, theta, alpha, h, fires):
     """Add to `fires` every device's fires on [s, z] from y(s) = y_s, one per
-    round, and return y at z.  A round reads y at steps h from s; the first
-    read that reaches theta and the one before it bracket the fire, which
-    `_bracketed_newton` locates from the secant across the bracket."""
+    round, and return y at z.  A round reads y at steps h from s, and
+    `_first_fire` locates the fire from the first read that reaches theta."""
     y_z, s, y_s, live = np.empty(s.size), s.copy(), y_s.copy(), np.arange(s.size)
     while True:
         steps = np.arange(max(math.ceil((z - s[live].min()) / h), 1) + 1)
@@ -796,14 +806,11 @@ def _finish_piece(piece, s, y_s, z, theta, alpha, h, fires):
         E, _ = piece.at(live, pts)
         base = E[:, 0] - y_s[live]
         y = E - np.exp(-alpha * (pts - pts[:, :1])) * base[:, None]
-        hit = y[:, 1:] >= theta
-        fire = hit.any(axis=1)
+        fire = np.any(y[:, 1:] >= theta, axis=1)
         y_z[live[~fire]] = y[~fire, -1]
         if not fire.any():
             return y_z
         live, pts, y, base = live[fire], pts[fire], y[fire], base[fire]
-        i, j = np.argmax(hit[fire], axis=1), np.arange(live.size)
-        lo, hi, y_lo, y_hi = pts[j, i], pts[j, i + 1], y[j, i], y[j, i + 1]
         start = s[live]
 
         def level(q, t):
@@ -811,7 +818,7 @@ def _finish_piece(piece, s, y_s, z, theta, alpha, h, fires):
             yt = Et[:, 0] - np.exp(-alpha * (t - start[q])) * base[q]
             return theta - yt, alpha * yt - fb[:, 0]
 
-        t_fire = _bracketed_newton(level, lo, hi, lo + (theta - y_lo) / (y_hi - y_lo) * (hi - lo))
+        t_fire = _first_fire(level, pts, theta - y)
         fires.add(live, t_fire[:, None], np.ones(live.size, dtype=int))
         s[live], y_s[live] = t_fire, 0.0
 
@@ -838,7 +845,7 @@ def encode_iftem_devices(vsig, devices, cfg, horizon):
     fires, so each fire is the one root after the last; where a given
     theta breaks that bound no chain runs.  Every device then finishes
     the piece in `_finish_piece` from its last chain fire, or from the
-    piece start: a scan reads y at min_gap steps, and `_bracketed_newton`
+    piece start: a scan reads y at min_gap steps, and `_first_fire`
     locates any fire the chain left (a row that did not stop within
     CHAIN_PASSES, or whose candidates ran out), one per round.  The last
     read is y at the piece end, carried to the next piece.  y at a fire

@@ -339,7 +339,6 @@ def test_high_order_sweep_exits_0(tmp_path, command, order, extent):
     {"x_max": 4, "y_max": 4},
     {"generator_order_t": 5, "generator_order_s": 5, "x_max": 8, "y_max": 8},
     {"frame_delta": 0.3},
-    {"grid_step": 0.3, "x_max": 12, "y_max": 12},
     {"generator_order_t": 14},
     {"generator_order_s": 14, "x_max": 40, "y_max": 40},
     {"device_spacing": 0.0},
@@ -359,6 +358,19 @@ def test_malformed_config_exit_code_table(tmp_path, capsys, bad):
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_step_off_the_padded_range_exits_0(tmp_path):
+    # step 0.3 divides [0, 12] but not the range padded by frames.PAD units
+    # per side, which the frame lattice covers: the frame build reads only
+    # that range, so both commands run
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid_step": 0.3, "x_max": 12, "y_max": 12}))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["converged"]
+    assert main(["frames", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "frame_report.json").read_text())["recon_error"] <= 1e-9
 
 
 def test_config_accepts_the_highest_order():

@@ -623,6 +623,25 @@ def test_iftem_devices_match_scalar_off_the_lattice(order, alpha):
         assert np.max(np.abs(t_s - out.times[j])) <= 1e-10
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("horizon, past_last", [((3.3, 8.7), False), ((0.3, 11.7), True)],
+                         ids=["inside-pieces", "past-the-last-piece"])
+def test_crossing_devices_match_scalar_off_the_lattice(order, horizon, past_last):
+    # a horizon that starts and ends inside knot pieces, and one that runs
+    # past the start of the table's last piece, which has no end
+    sig = _order_signal(order, 60 + order)
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    table = _SliceTable(sig, dev)
+    assert (horizon[1] > table.origin + table.last) == past_last
+    cfg = crossing_cfg()
+    out = encode_ctem_devices(sig, dev, cfg, horizon)
+    for j in (3, 7):
+        t_s, v_s = ctem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg, horizon)
+        assert t_s.size == out.times[j].size > 0
+        assert np.max(np.abs(t_s - out.times[j])) <= 1e-12
+        assert np.max(np.abs(v_s - out.values[j])) <= 1e-10
+
+
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_slice_table_matches_bspline_design(order):
     gen = Generator(order, 2)
