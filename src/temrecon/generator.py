@@ -125,16 +125,17 @@ def piece_polynomials(order):
 
 
 def taylor_shift(c, u):
-    """Coefficients of p(u + w) in w, given those of p(v) in v on the last axis.
+    """Coefficients of p(u + w) in w, given those of p(v) in v on the first axis.
 
-    Repeated synthetic division, order^2 / 2 array operations; u
-    broadcasts against c[..., 0].  Returns a new array.
+    Repeated synthetic division, order^2 / 2 array operations, each on one
+    contiguous block when the other axes are; u broadcasts against c[0].
+    Returns a new array.
     """
     c = np.array(c, dtype=float)
-    n = c.shape[-1]
+    n = c.shape[0]
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            c[..., j] += u * c[..., j + 1]
+            c[j] += u * c[j + 1]
     return c
 
 
@@ -213,24 +214,27 @@ def spline_leaky_integrals(order, a, b, alpha):
     those rows, Taylor-shifted to the part's start, against the
     `LeakMoments` of the part, carried to b[i] by the leak.  An interval of
     length h meets at most order + ceil(h) B-splines, the columns of R.
+    Each step is one contiguous op over the intervals (interval-major), and
+    the powers sum in turn, `((p0 + p1) + p2) + ...`.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    Q = piece_polynomials(order)
+    QT = piece_polynomials(order).T[:, :, None]      # [d, l]: u^d in row l
     first = np.floor(a + order / 2.0)          # the last spline at a (`spline_basis`)
     edge = first - order / 2.0
     longest = float(np.max(b - a, initial=0.0))
     n_pieces = int(np.ceil(longest)) + 1
     moments = LeakMoments(alpha, order, alpha * min(longest, 1.0))
-    R = np.zeros((a.size, n_pieces + order - 1))
+    R = np.zeros((n_pieces + order - 1, a.size))
     for p in range(n_pieces):
         lo = np.maximum(a, edge + p)
         hi = np.minimum(b, edge + p + 1.0)
-        M = moments(np.maximum(hi - lo, 0.0))
-        M *= np.exp(-alpha * (b - hi))[:, None]
-        rows = taylor_shift(np.broadcast_to(Q, (a.size, order, order)), (lo - edge - p)[:, None])
+        M = moments(np.maximum(hi - lo, 0.0)).T
+        M *= np.exp(-alpha * (b - hi))
+        C = taylor_shift(np.broadcast_to(QT, (order, order, a.size)), lo - edge - p)
+        C *= M[:, None, :]
         # spline first + p - l is row l of Q on this piece: column p + order - 1 - l
-        R[:, p: p + order] += (rows * M[:, None, :]).sum(axis=2)[:, ::-1]
-    return first.astype(int) - (order - 1), R
+        R[p: p + order] += C.sum(axis=0)[::-1]
+    return first.astype(int) - (order - 1), R.T
 
 
 def band_columns(k0, vals, lo, n):

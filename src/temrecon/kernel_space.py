@@ -447,11 +447,12 @@ class VSignal:
         read off the cached grid Gram matrices without rendering.  Any other
         (p, q) streams the render: with P = B_t C formed once, the rows
         P[rows] B_s^T of one tile of `NORM_TILE` grid rows at a time are
-        checked finite and reduced to their inner q-norms, and the outer
-        p-norm runs once over the assembled row norms.  Each tile holds the
-        same values as those rows of the whole render, and the reductions
-        run along rows in the same order, so the result equals
-        `mixed_function_norm(self.render(grid), params)` bit for bit
+        checked finite and reduced to their inner q-norms (at q = inf
+        max(max, -min), max |.| exactly, whose finiteness is the tile's),
+        and the outer p-norm runs once over them.
+        Each tile holds the same values as those rows of the whole render,
+        and the reductions run along rows in the same order, so the result
+        equals `mixed_function_norm(self.render(grid), params)` bit for bit
         without the grid ever being whole in memory.
         """
         if params.p == 2.0 and params.q == 2.0:
@@ -463,10 +464,15 @@ class VSignal:
         w_y = grid.weights_y
         inner = np.empty(P.shape[0])
         for r0 in range(0, P.shape[0], NORM_TILE):
-            tile = P[r0: r0 + NORM_TILE] @ B_s.T
-            if not np.all(np.isfinite(tile)):
+            tile, rows = P[r0: r0 + NORM_TILE] @ B_s.T, slice(r0, r0 + NORM_TILE)
+            if params.q == np.inf:      # NaN and either infinity carry through max and min
+                inner[rows] = np.maximum(tile.max(axis=1), -tile.min(axis=1))
+                finite = np.all(np.isfinite(inner[rows]))
+            else:
+                finite = np.all(np.isfinite(tile))
+                inner[rows] = _axis_norm(np.abs(tile, out=tile), w_y, params.q)
+            if not finite:
                 raise InputError("grid function contains non-finite values")
-            inner[r0: r0 + NORM_TILE] = _axis_norm(np.abs(tile, out=tile), w_y, params.q)
         return float(_axis_norm(inner[None, :], grid.weights_x, params.p)[0])
 
     def eval_pairs(self, xs, ys):

@@ -9,27 +9,16 @@ recoverable from past firing times alone, so a decoder needs no side
 channel, and both guarantee a maximum inter-fire gap of `delta_target`
 whenever the signal respects its amplitude bound.
 
-Encoding a device is inherently sequential (each test function depends on
-the previous fire), but devices are independent; the `encode_*_devices`
-fast paths advance all devices of a set in lockstep.  Every slice lies in
-the shift-invariant B-spline space, so it is a fixed polynomial on each
-unit knot piece (integer knots for even orders, half-integer for odd),
-read from a table of per-piece power-basis coefficients built once per
-encode.  The crossing encoder brackets each first crossing by reading the
-test function at its critical points on a piece; at order 2 the gaps on
-a piece are geometric and a round fires the whole piece, and at higher
-orders a bracketed Newton iteration locates one fire per round.  The
-integrate-and-fire encoder fires a whole piece per round too, by Newton on
-the chain of its fires, whose Jacobian is lower bidiagonal; its running
-integral is exact, the piece polynomial against the leak-weighted moments
-of `generator.LeakMoments`.  Both walk the horizon one knot piece at a
-time, every device at once, locate a fire left to a scan by one bracketed
-Newton step (`_first_fire`), and check the amplitude bound on the exact
-max |f| of every piece.  All four encoders take the recovered values from
-the gaps by one rule, `TemConfig.recovered_values`.  The fast paths are
-validated against the scalar `ctem_encode` / `iftem_encode` reference
-implementations, which bracket each fire by a scan at a step and refine by
-plain bisection (the integrate-and-fire one on Gauss quadrature).
+Every slice is a fixed polynomial on each unit knot piece, read from a
+table built once per encode.  The `encode_*_devices` fast paths solve the
+fires of all devices as chains of unknowns over the horizon by Newton
+(multiple shooting, one interval a fire), started from the inverse of the
+fire density; a device without the certificate that its roots are the
+first fires falls back to one bracketed fire a round.  All four encoders
+take the recovered values from the gaps by one rule,
+`TemConfig.recovered_values`.  The scalar `ctem_encode` / `iftem_encode`
+references referee the fast paths: they bracket each fire by a scan at a
+step and refine by bisection (integrate-and-fire on Gauss quadrature).
 """
 
 import math
@@ -395,14 +384,6 @@ def iftem_encode(f, cfg, horizon):
 # device-set encoders (vectorized across devices)
 # ---------------------------------------------------------------------------
 
-def _slice_matrix(vsig, devices):
-    """Per-device time-axis coefficients, stacked as a (devices, n_k1) matrix."""
-    w = vsig.window
-    bs = bspline_eval(vsig.generator.order_s,
-                      devices.positions[:, None] - w.k2s[None, :])
-    return bs @ vsig.coeffs.entries.T
-
-
 class _SliceTable:
     """Device slices as polynomials on the unit pieces between their knots.
 
@@ -411,14 +392,16 @@ class _SliceTable:
     orders and on the half-integers for odd ones.  `poly[j, s, d]` is the
     coefficient of u^d on piece s of device j, where u is the distance from
     the piece's left edge `origin + s`.  The first and the last piece are
-    zero, and every point outside the window reads from them, as
+    zero, and every piece past either end reads from them, as
     `bspline_eval` reads zero there.  Evaluation is a gather plus Horner;
     the slope runs alongside in the same loop.
     """
 
     def __init__(self, vsig, devices):
         order = vsig.generator.order_t
-        coefs = _slice_matrix(vsig, devices)
+        # per-device time-axis coefficients, (devices, n_k1)
+        coefs = bspline_eval(vsig.generator.order_s, devices.positions[:, None]
+                             - vsig.window.k2s[None, :]) @ vsig.coeffs.entries.T
         n_k = coefs.shape[1]
         Q = piece_polynomials(order)
         # B-spline k covers pieces k .. k + order - 1 (counted from the
@@ -431,22 +414,19 @@ class _SliceTable:
         self.last = n_k + order
 
     def locate(self, t):
-        """(piece index, offset from the piece's left edge) of each point."""
-        s = (t - self.origin).astype(np.intp)
-        s = np.minimum(np.maximum(s, 0, out=s), self.last, out=s)
+        """(piece index, offset from the piece's left edge) of each point;
+        the index counts pieces past either end of the table too."""
+        s = np.floor(t - self.origin).astype(np.intp)
         return s, t - (self.origin + s)
 
     def pieces(self, rows, s):
         """Coefficients of piece s[...] of device rows[...], broadcast together."""
-        flat = self.poly.reshape(-1, self.order)
-        return np.take(flat, s + rows * self.poly.shape[1], axis=0)
+        s = np.minimum(np.maximum(s, 0), self.last)
+        return np.take(self.poly.reshape(-1, self.order), s + rows * self.poly.shape[1], axis=0)
 
     def __call__(self, rows, t, slope=False):
-        """f[i, ...] = slice of device rows[i] at t[i, ...] (or t broadcast).
-
-        `t` is (rows, points) per row, or (points,) shared by every row.
-        With `slope`, returns (values, time derivatives).
-        """
+        """f[i, ...] = slice of device rows[i] at t[i, ...], (rows, points),
+        or at t (points,) shared; with `slope`, (values, time derivatives)."""
         s, u = self.locate(t)
         return _horner(self.pieces(rows[:, None], s), u, slope)
 
@@ -462,20 +442,6 @@ def _horner(c, u, slope=False):
         v = v * u
         v += c[..., d]      # in place: one temporary fewer on large calls
     return (v, dv) if slope else v
-
-
-def _check_slice_amplitude(vals, cfg, rows, ts):
-    """`PreconditionError` naming the device and time of the largest sample
-    when it exceeds the amplitude bound; `ts` broadcasts against `vals`."""
-    mag = np.abs(vals)
-    i = int(np.argmax(mag))
-    if mag.flat[i] > cfg.c_bound + 1e-12:
-        r, k = np.unravel_index(i, vals.shape)
-        t = np.broadcast_to(ts, vals.shape)[r, k]
-        raise PreconditionError(
-            f"{cfg.mode} encoder: signal amplitude {mag.flat[i]:.6g} exceeds "
-            f"c_bound={cfg.c_bound} on device {int(rows[r])} at t={t:.6g}"
-        )
 
 
 def _bracketed_newton(g_and_slope, lo, hi, start):
@@ -529,33 +495,6 @@ def _first_fire(g_and_slope, t, g):
     return _bracketed_newton(g_and_slope, a, z, start)
 
 
-def _piece_fires(c, edge, lo, hi, tp, b, lam, n_fires):
-    """The first `n_fires` candidate order-2 fires of each row, (rows, n_fires),
-    on its piece f = c0 + c1 u, u = t - edge, from t_prev = tp on [lo, hi].
-
-    On a falling piece (c1 < lambda) the first fire t_1 is the root of the
-    linear g = f + b - lambda (t - t_prev), clamped to [lo, hi].  The ramp
-    restarts at each fire, so the next gap is
-    h_1 = (f(t_1) + b) / (lambda - c1) and, as f(t_2) + b = lambda h_1, each
-    later one A = lambda / (lambda - c1) times the last: fire k is
-    t_1 + h_1 (A^k - 1) / (A - 1).  A flat or rising piece fires once, at
-    lo, where rounding flipped a sign at an end.
-    """
-    c0, c1 = c[:, 0], c[:, 1]
-    falling = c1 < lam
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = edge + (c0 + b - lam * (edge - tp)) / (lam - c1)
-        t1 = np.where(falling, np.minimum(np.maximum(root, lo), hi), lo)
-        h1 = (c0 + b + c1 * (t1 - edge)) / (lam - c1)
-        x = (c1 / (lam - c1))[:, None]              # A - 1
-        k = np.arange(n_fires)
-        # (A^k - 1) / (A - 1) without cancellation near A = 1
-        span = np.where(x == 0.0, k, np.expm1(k * np.log1p(x)) / x)
-        times = t1[:, None] + h1[:, None] * span
-    times[~falling, 1:] = np.inf
-    return times
-
-
 class _Fires:
     """The fires of every device so far, in a (devices, slots) matrix."""
 
@@ -581,95 +520,190 @@ class _Fires:
                          np.append(0, np.cumsum(self.counts)))
 
 
-def encode_ctem_devices(vsig, devices, cfg, horizon):
-    """Crossing-encode every device of a set in lockstep; returns TemOutput.
+CHAIN_CANDIDATES = 6144   # candidate fires a chain round solves over all its devices
+CHAIN_PASSES = 12         # Newton passes a round takes before its open rows fall back
+CHAIN_TOL = 1e-8          # the largest kept step at which a row's chain stops
+FIRE_LATTICE = 4          # steps a knot piece of the fire-density lattice
 
-    The devices walk the horizon one knot piece at a time, as in
-    `encode_iftem_devices`, and each gets rounds on a piece until it fires
-    no more there.  A round gathers the piece of its devices once and reads
-    g = f + b - lambda (t - t_prev) on the segment from max(t_prev, piece
-    start) to the piece end, or to t_prev + delta_target or the horizon end
-    where they come first: at its ends and at the roots of f' - lambda
-    inside it (`_real_roots`, once per encode).  The first piece starts at
-    the horizon start, and the table's last piece has no end.  g is
-    monotone between reads, so where all are positive the device has no
-    fire left on the piece, and otherwise the first read with g <= 0 and
-    the one before it bracket the first crossing exactly.  At order 2 a
-    round fires the whole piece (`_piece_fires`), up to the piece end and
-    the horizon end, with room for every fire the gap lower bound
-    (b - c_bound) / (lambda + max |c1|) allows on a unit piece, so a piece
-    takes one round.  Above order 2 a round locates one fire per device
-    (`_first_fire`).  A device stays on the piece for another round only
-    when its candidates all fit, which above order 2 means after every
-    fire.  A gap longer than delta_target, where t_prev + delta_target
-    lies inside the piece and the horizon, raises `EncodingInvariantError`:
-    the amplitude bound, checked once per encode on the slice table, rules
-    it out.  Values come from the times alone.
+
+def _density_start(table, rate, rows, t_last, horizon, n, span):
+    """n candidate fires after t_last[i], (rows, n): where the integral K of
+    the fire density rate(f, f') from t_last[i] reaches 1, 2, ..., n.  K
+    runs over `span` knot pieces from t_last's, FIRE_LATTICE steps a piece,
+    each the three-point rule over its ends and a neighbour in its piece
+    (so kinks at knots fall between rules); the slice is read at the
+    horizon's ends off it.  A candidate is one Newton step from the chord on
+    the cubic Hermite of K and rho across its step, or past the lattice on
+    the last density."""
+    m, h = FIRE_LATTICE, 1.0 / FIRE_LATTICE
+    piece, u = table.locate(t_last)
+    s = piece[:, None] + np.arange(span)
+    f, df = _horner(table.pieces(rows[:, None], s)[..., None, :], h * np.arange(m + 1), slope=True)
+    t = (table.origin + s)[..., None] + h * np.arange(m + 1)        # (rows, span, m + 1)
+    if t[:, 0, 0].min() < horizon[0] or t[:, -1, -1].max() > horizon[1]:
+        for v, e in zip((f, df), table(rows, np.array(horizon), slope=True)):
+            v[:] = np.where(t < horizon[0], e[:, :1, None], np.where(t > horizon[1], e[:, 1:, None], v))
+    with np.errstate(all="ignore"):     # a failing density gives a poor start, not an error
+        rho = rate(f, df)
+        dK = 8.0 * rho[..., :-1] + 5.0 * rho[..., 1:]
+        dK[..., 1:] -= rho[..., :-2]
+        dK[..., 0] += 3.0 * (rho[..., 1] - rho[..., 0]) - rho[..., 2]
+        K = np.zeros((rows.size, span * m + 1))
+        np.cumsum(np.where(dK > 0.0, dK, 0.0).reshape(rows.size, -1) * (h / 12.0), axis=1, out=K[:, 1:])
+        # the rows laid end to end, so that one sorted search serves them all
+        K += (K[:, -1].max(initial=0.0) + n + 1.0) * np.arange(rows.size)[:, None]
+        r, rho_end = np.arange(rows.size)[:, None], rho[:, -1, -1:]
+        K, rho, base = K.ravel(), rho.ravel(), K.shape[1] * r
+
+        def hermite(q, x):      # (K, K') on step q of each row at x from its start
+            K0, K1 = K[base + q], K[base + q + 1]
+            i = span * (m + 1) * r + q + q // m
+            r0, r1, s = rho[i], rho[i + 1], x / h
+            return (K0 + (K1 - K0) * s * s * (3.0 - 2.0 * s) + h * s * (1.0 - s) * (r0 * (1.0 - s) - r1 * s),
+                    6.0 * s * (1.0 - s) * (K1 - K0) / h + r0 * (1.0 - s) * (1.0 - 3.0 * s)
+                    + r1 * s * (3.0 * s - 2.0))
+
+        q = np.minimum((u * m).astype(np.intp), m - 1)[:, None]
+        level = hermite(q, u[:, None] - q * h)[0] + np.arange(1.0, n + 1)
+        q = np.clip(np.searchsorted(K, level.ravel()).reshape(level.shape) - 1 - base, 0, span * m - 1)
+        x = h * (level - K[base + q]) / (K[base + q + 1] - K[base + q])
+        H, dH = hermite(q, x)
+        end = K[base + span * m]        # past the lattice, K runs on at its last density
+        T = np.where(level > end, table.origin + s[:, -1:] + 1.0 + (level - end) / rho_end,
+                     table.origin + s[:, :1] + h * q + x - (H - level) / dH)
+    return np.fmin(np.fmax(T, t_last[:, None]), horizon[1])
+
+
+def _newton_chain(residual, rows, t_last, T, t_end):
+    """(times, counts): Newton on each row's chain of candidate
+    fires T after t_last.  `residual(rows, [t_last, T])` returns residuals
+    r_k rising through zero at the fires, slopes d_k, and a_k =
+    -(dr_k/dt_(k-1)) / d_k for k >= 2: the Jacobian is lower bidiagonal, so
+    a step solves delta_k = a_k delta_(k-1) - r_k / d_k by `cumprod` and
+    `cumsum`.  Candidates up to t_end, each after a fire before t_end -
+    BISECTION_TOL, are kept, the others read NaN; a row stops once its
+    largest kept step is at most CHAIN_TOL with d_k > 0 at each; one that
+    does not within CHAIN_PASSES counts -1."""
+    times, counts, start = np.full(T.shape, np.nan), np.full(rows.size, -1), t_last[:, None]
+    for _ in range(CHAIN_PASSES):
+        r, d, a = residual(rows, np.concatenate([start, T], axis=1))
+        with np.errstate(all="ignore"):     # a non-finite step keeps no candidate
+            P = np.cumprod(np.concatenate([np.ones((rows.size, 1)), a], axis=1), axis=1)
+            step = -P * np.cumsum(r / (d * P), axis=1)
+            T_next = T + step
+        prev = np.concatenate([start, T_next[:, :-1]], axis=1)
+        kept = np.logical_and.accumulate((T_next <= t_end) & (prev < t_end - BISECTION_TOL), axis=1)
+        done = ((np.where(kept, np.abs(step), 0.0).max(axis=1) <= CHAIN_TOL)
+                & np.all((d > 0.0) | ~kept, axis=1) & (counts < 0))
+        times = np.where(done[:, None], np.where(kept, T_next, np.nan), times)
+        counts = np.where(done, kept.sum(axis=1), counts)
+        if np.all(counts >= 0):
+            break
+        T = np.fmin(np.fmax(T_next, start), t_end)
+    return times, counts
+
+
+def _chain_fires(table, cfg, residual, rate, certified, t0, t_end, fires):
+    """Add to `fires` the fires of the `certified` devices by rounds of
+    `_newton_chain` from their last fires, of at most CHAIN_CANDIDATES
+    candidates, as many a device (one, where the devices outnumber them),
+    started by `_density_start`; return the devices left to a fallback
+    (the others too) and their last fires.  Every device takes part in
+    every round and every pass, one that has stopped from t_end, so array
+    shapes follow the device count alone: shapes that varied with the
+    signal filled the allocators' caches of small blocks operation after
+    operation, and raised a process's peak memory.  A device that keeps
+    fewer candidates than it got has met the horizon: a fire at t_end ends
+    it, or else its residual must read negative there.  One that fails
+    that, or does not stop, falls back.  For crossing, a gap over
+    delta_target ending inside the horizon raises `EncodingInvariantError`."""
+    delta = cfg.delta_target if cfg.mode == "crossing" else np.inf
+    rows = np.flatnonzero(certified)
+    t_last, go = np.full(rows.size, t0), np.ones(rows.size, dtype=bool)
+    slow, slow_t = [np.flatnonzero(~certified)], [np.full(certified.size - rows.size, t0)]
+    n = max(CHAIN_CANDIDATES // max(rows.size, 1), 1)
+    while np.any(go):
+        span = min(math.ceil(n / rate(np.zeros(1), np.zeros(1))[0]), math.ceil(t_end - t_last.min())) + 2
+        T = _density_start(table, rate, rows, t_last, (t0, t_end), n, span)
+        times, cnt = _newton_chain(residual, rows, t_last, T, t_end)
+        ok = cnt >= 0
+        last = np.where(cnt > 0, times[np.arange(rows.size), cnt - 1], t_last)
+        prev = np.concatenate([t_last[:, None], times[:, :-1]], axis=1)
+        late = np.any((times - prev > delta) & (prev + delta <= t_end + BISECTION_TOL))
+        fires.add(rows, times, np.maximum(cnt, 0))
+        open_ = go & ok & (last < t_end - BISECTION_TOL)
+        more = open_ & (cnt == n)
+        end, past = open_ & ~more, np.zeros(rows.size, dtype=bool)
+        if np.any(end):     # read at every device, so that the shapes stay fixed
+            past = residual(rows, np.stack([last, np.full(rows.size, t_end)], axis=1))[0][:, 0] < 0.0
+        if late or np.any(end & past & (last + delta <= t_end + BISECTION_TOL)):
+            raise EncodingInvariantError("no crossing found within delta_target despite amplitude bound")
+        back = go & (~ok | (end & ~past))
+        slow, slow_t = slow + [rows[back]], slow_t + [last[back]]
+        go, t_last = more, np.where(more, last, t_end)
+    return np.concatenate(slow), np.concatenate(slow_t)
+
+
+def encode_ctem_devices(vsig, devices, cfg, horizon):
+    """Crossing-encode every device of a set at once; returns TemOutput.
+
+    Each device's fires are one chain (`_chain_fires`) with residuals r_k
+    = lambda (t_k - t_(k-1)) - f(t_k) - b from the horizon start, and fire
+    density lambda / gap, exact where f is linear across a gap.  Where f' <
+    lambda over the horizon (`_extreme_reads`), g = f + b - lambda (t -
+    t_prev) falls after every fire, so the roots are the first crossings;
+    any other device, or one its chain leaves, fires one fire a round
+    (`_crossing_fallback`).  A gap over delta_target ending inside the
+    horizon raises `EncodingInvariantError`; the amplitude bound, checked
+    on the slice table, rules it out.
     """
     if cfg.mode != "crossing":
         raise InputError("config mode must be 'crossing'")
     t0, t_end = float(horizon[0]), float(horizon[1])
-    b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
+    b, lam, J = cfg.b_level, cfg.lambda_slope, len(devices)
     table = _SliceTable(vsig, devices)
     _check_table_amplitude(table, cfg, t0, t_end)
-    # g's critical points on every piece, (devices, pieces, order - 2)
-    # offsets in increasing order, +inf where a piece has fewer
-    slope = table.poly[..., 1:] * np.arange(1.0, table.order)
-    slope[..., 0] -= lam
-    crit = _real_roots(slope.reshape(-1, table.order - 1)).reshape(slope.shape[:2] + (-1,))
-    crit = np.sort(np.where(np.isnan(crit), np.inf, crit), axis=2)
-    # the fires a unit order-2 piece can hold, from the gap lower bound
-    n_fires = 1 + math.ceil((lam + np.abs(table.poly[..., 1]).max()) / (b - cfg.c_bound))
-    J = len(devices)
-    fires = _Fires(J, cfg.fire_slots(t_end - t0))
-    t_prev = np.full(J, t0)
-    first = table.locate(np.array([t0]))[0][0]
-    for s in range(first, table.last + 1):
-        edge = table.origin + s
-        start = edge if s > first else t0               # the first piece from t0
-        end = edge + 1.0 if s < table.last else np.inf  # the last table piece has no end
-        idx = np.arange(J)          # the devices with a round on the piece
-        while idx.size:
-            tp = t_prev[idx]
-            c = table.pieces(idx, s)
-            cap = np.minimum(tp + delta, t_end)
-            lo, hi = np.maximum(tp, start), np.minimum(end, cap)
-            inner = np.clip(edge + crit[idx, s], lo[:, None], hi[:, None])
-            reads = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)     # increasing
-            g = _horner(c[:, None], reads - edge) + b - lam * (reads - tp[:, None])
-            fire = np.any(g[:, 1:] <= 0.0, axis=1)     # lo itself aside
-            # no crossing by the window end: legal only when the horizon truncated the window
-            late = np.any(tp[~fire & (hi == cap)] + delta <= t_end + BISECTION_TOL)
-            rows, tp, c = idx[fire], tp[fire], c[fire]
-            if table.order == 2:
-                times = _piece_fires(c, edge, lo[fire], hi[fire], tp, b, lam, n_fires)
-                ok = times[:, 1:] <= min(end, t_end)
-                ok &= times[:, :-1] < t_end - BISECTION_TOL     # a fire at the horizon end stops
-                n = 1 + np.logical_and.accumulate(ok, axis=1).sum(axis=1)
-                # a kept gap, or the one after the last kept fire, whose ramp
-                # reaches delta_target inside the piece and the horizon
-                ramp = times[:, :-1] + delta
-                late |= np.any((times[:, 1:] > ramp) & (np.arange(1, n_fires) <= n[:, None])
-                               & (np.minimum(ramp, t_end) <= end)
-                               & (ramp <= t_end + BISECTION_TOL))
-            else:
-                def crossing(sub, t):
-                    f, df = _horner(c[sub], t - edge, slope=True)
-                    return f + b - lam * (t - tp[sub]), df - lam
+    rows, ends = np.arange(J), np.full((2, J), [[t0], [t_end]])
+    certified = table(rows, _extreme_reads(table, rows, *ends, deriv=1), slope=True)[1].max(axis=1) < lam
 
-                times = _first_fire(crossing, reads[fire], g[fire])[:, None]
-                n = np.ones(rows.size, dtype=int)
-            if late:
-                raise EncodingInvariantError(
-                    "no crossing found within delta_target despite amplitude bound"
-                )
-            fires.add(rows, times, n)
-            t_prev[rows] = last = times[np.arange(rows.size), n - 1]
-            # a device whose candidates all fit (one, above order 2) stays on the piece
-            idx = rows[(n == times.shape[1]) & (last < t_end - BISECTION_TOL)]
-        if end >= t_end:
-            break
+    def residual(rows, t):
+        f, df = table(rows, t[:, 1:], slope=True)
+        d = lam - df
+        return lam * np.diff(t) - f - b, d, lam / d[:, 1:]
+
+    def rate(f, df):    # 1 / gap, exact where f is linear across the gap
+        x = df / lam
+        return lam * np.divide(-x, np.log1p(-x), out=np.ones_like(x), where=x != 0.0) / (f + b)
+
+    fires = _Fires(J, cfg.fire_slots(t_end - t0))
+    _crossing_fallback(table, cfg, *_chain_fires(table, cfg, residual, rate, certified, t0, t_end, fires),
+                       t_end, fires)
     return fires.output(cfg, devices, t0, t_end)
+
+
+def _crossing_fallback(table, cfg, rows, t_prev, t_end, fires):
+    """Add to `fires` the fires of device rows[i] after t_prev[i], one a
+    round: g = f + b - lambda (t - t_prev) is read at its `_extreme_reads`
+    to t_prev + delta_target or t_end, so it is monotone between reads, and
+    `_first_fire` locates the first crossing where one reads g <= 0."""
+    b, lam, delta = cfg.b_level, cfg.lambda_slope, cfg.delta_target
+    k = np.flatnonzero(t_prev < t_end - BISECTION_TOL)
+    while k.size:
+        tp = t_prev[k]
+        reads = _extreme_reads(table, rows[k], tp, np.minimum(tp + delta, t_end), lam=lam)
+        g = table(rows[k], reads) + b - lam * (reads - tp[:, None])
+        fire = np.any(g[:, 1:] <= 0.0, axis=1)     # t_prev itself aside
+        if np.any(tp[~fire] + delta <= t_end + BISECTION_TOL):
+            raise EncodingInvariantError("no crossing found within delta_target despite amplitude bound")
+        k, tp = k[fire], tp[fire]
+
+        def crossing(sub, t):
+            f, df = table(rows[k[sub]], t[:, None], slope=True)
+            return f[:, 0] + b - lam * (t - tp[sub]), df[:, 0] - lam
+
+        t_prev[k] = t_fire = _first_fire(crossing, reads[fire], g[fire])
+        fires.add(rows[k], t_fire[:, None], np.ones(k.size, dtype=int))
+        k = k[t_fire < t_end - BISECTION_TOL]
 
 
 def _real_roots(c):
@@ -694,188 +728,132 @@ def _real_roots(c):
     return out
 
 
+def _extreme_reads(table, rows, lo, hi, deriv=0, lam=0.0):
+    """Times, increasing per row, where the deriv-th time derivative of
+    device rows[i]'s slice, less lam t, may take its extremes on [lo[i],
+    hi[i]]: the piece edges and the real roots of its slope (`_real_roots`)
+    clipped into it, and hi[i].  Every piece is read at a time located in
+    it, so the reads hold the exact extremes at every order."""
+    first, last = table.locate(lo)[0], table.locate(hi)[0]
+    s = first[:, None] + np.arange((last - first).max() + 1)
+    c = table.pieces(rows[:, None], s)
+    for _ in range(deriv + 1):
+        c = c[..., 1:] * np.arange(1.0, c.shape[-1])
+    c[..., :1] -= lam
+    r = _real_roots(c.reshape(s.size, -1)).reshape(s.shape + (-1,))
+    u = np.concatenate([np.zeros(s.shape + (1,)), np.sort(np.clip(np.nan_to_num(r, nan=1.0), 0.0, 1.0))],
+                       axis=2)
+    t = np.clip(table.origin + s[..., None] + u, lo[:, None, None], hi[:, None, None])
+    return np.append(t.reshape(rows.size, -1), hi[:, None], axis=1)
+
+
 def _check_table_amplitude(table, cfg, lo, hi):
-    """Amplitude precondition of every slice over [lo, hi], from the table.
-
-    A piece polynomial takes its extremes at its ends or where its slope
-    vanishes, so each piece meeting [lo, hi] is read at its two ends and at
-    the real roots of f' inside it (`_real_roots`), and the slices at lo
-    and hi: the exact max |f| at every order.  Order-2 pieces are linear
-    and read at their ends alone.
-    """
-    (first, last), _ = table.locate(np.array([lo, hi]))
-    s = np.arange(first, last + 1)
-    c = table.poly[:, s]                                    # (devices, pieces, order)
-    every = np.arange(c.shape[0])
-    slope = c[..., 1:] * np.arange(1.0, table.order)
-    r = _real_roots(slope.reshape(-1, table.order - 1)).reshape(c.shape[:2] + (-1,))
-    u = np.concatenate([np.broadcast_to([0.0, 1.0], c.shape[:2] + (2,)),
-                        np.where((r > 0.0) & (r < 1.0), r, 0.0)], axis=2)
-    ts = np.concatenate([(table.origin + s[:, None] + u).reshape(every.size, -1),
-                         np.broadcast_to([lo, hi], (every.size, 2))], axis=1)
-    vals = np.concatenate([_horner(c[..., None, :], u).reshape(every.size, -1),
-                           table(every, np.array([lo, hi]))], axis=1)
-    vals[(ts < lo) | (ts > hi)] = 0.0
-    _check_slice_amplitude(vals, cfg, every, ts)
+    """`PreconditionError` naming the device and time of the largest |f| on
+    [lo, hi] where it exceeds the amplitude bound, from `_extreme_reads`."""
+    rows = np.arange(table.poly.shape[0])
+    t = _extreme_reads(table, rows, np.full(rows.size, lo), np.full(rows.size, hi))
+    mag = np.abs(table(rows, t))
+    r, k = np.unravel_index(np.argmax(mag), mag.shape)
+    if mag[r, k] > cfg.c_bound + 1e-12:
+        raise PreconditionError(f"{cfg.mode} encoder: signal amplitude {mag[r, k]:.6g} exceeds "
+                                f"c_bound={cfg.c_bound} on device {r} at t={t[r, k]:.6g}")
 
 
-class _LeakyPiece:
-    """Leaky running integrals of every device slice on one knot piece.
+class _LeakyTable:
+    """Leaky running integrals of every biased device slice.  E(t) =
+    int_e^t exp(-alpha (t - u)) (f(u) + bias) du from the left edge e of
+    t's piece is the piece polynomial against the `LeakMoments` of t - e,
+    and `full[j, s]` is E at the end of piece s.  y from 0 at a is E(t) -
+    exp(-alpha (t - a)) E(a) plus exp(-alpha (t - e')) `full` of the piece
+    each knot e' between a and t ends."""
 
-    E(t) = int_e^t exp(-alpha (t - u)) (f(u) + bias) du from the piece's
-    left edge e is the biased piece polynomial against the `LeakMoments` of
-    t - e.  y from s, with y(s) = y0, is E(t) - exp(-alpha (t - s)) (E(s) -
-    y0), so one evaluation at a batch of points serves every interval
-    between them.
-    """
+    def __init__(self, table, alpha, bias):
+        self.table, self.alpha, self.bias = table, alpha, bias
+        self.moments = LeakMoments(alpha, table.order, alpha)    # t - e is at most 1
+        M = self.moments(np.ones(1))[0]
+        self.full = (table.poly @ M + bias * M[0]).ravel()
 
-    def __init__(self, table, edge, moments, bias):
-        self.coefs = table.poly[:, table.locate(np.array([edge]))[0][0]].copy()
-        self.coefs[:, 0] += bias
-        self.edge, self.moments = edge, moments
-
-    def at(self, rows, t):
-        """(E(t), f(t) + bias) at points t, (rows, points), of device rows."""
-        c, u = self.coefs[rows], t - self.edge
-        return np.einsum("rd,rpd->rp", c, self.moments(u)), _horner(c[:, None], u)
-
-
-CHAIN_PASSES = 12     # Newton passes a row takes on a piece before `_finish_piece` takes over
-CHAIN_TOL = 1e-8      # the largest kept step at which a row's chain stops
-
-
-def _chain_fires(piece, a, z, y0, theta, alpha, n):
-    """(times, counts): the fires of every device on the segment [a, z] of
-    a piece, from y(a) = y0, by Newton on a chain of n candidates (see
-    `encode_iftem_devices`); a device whose chain does not stop keeps none."""
-    J, L = y0.size, z - a
-    E, fb = piece.at(np.arange(J), np.broadcast_to([a, z], (J, 2)))
-    base, fb_a, slope = E[:, 0] - y0, fb[:, :1], (fb[:, 1:] - fb[:, :1]) / L
-
-    def gap(x, r):      # the gap over which a constant rate r lifts y from 0 to x
-        return -np.log1p(-alpha * x / r) / alpha if alpha else x / r
-
-    # r: the chord's rate at each gap's middle, at first its mean; r_eff:
-    # the constant rate whose leaky integral over the gap is the chord's,
-    # r + alpha r' h^2 / 12 to first order in alpha h
-    r = r_eff = fb_a + 0.5 * slope * L
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):
-            h = gap(theta, r_eff) - np.where(np.arange(n) == 0, gap(y0[:, None], r_eff), 0.0)
-            Q = np.cumsum(r * h, axis=1)        # the chord's integral from a to each candidate
-            disc = fb_a * fb_a + 2.0 * slope * Q
-            tau = np.where(disc >= 0.0, 2.0 * Q / (fb_a + np.sqrt(disc)), L)
-            h = np.diff(tau, prepend=0.0)
-            r = fb_a + slope * (tau - 0.5 * h)
-            r_eff = r + slope * alpha * h * h / 12.0
-    T = np.clip(a + tau, a, z)
-    times, counts = np.zeros((J, n)), np.zeros(J, dtype=int)
-    idx = np.arange(J)
-    for _ in range(CHAIN_PASSES):
-        E, fb = piece.at(idx, T)
-        decay = np.exp(-alpha * np.diff(T, prepend=a))
-        y = E - decay * np.concatenate([base[idx, None], E[:, :-1]], axis=1)
-        d = fb - alpha * y
-        with np.errstate(all="ignore"):     # a non-finite step keeps no candidate
-            lead = decay[:, 1:] * fb[:, :-1] / d[:, 1:]         # a_k, and c_k = -r_k / d_k
-            P = np.cumprod(np.concatenate([np.ones((idx.size, 1)), lead], axis=1), axis=1)
-            step = P * np.cumsum((theta - y) / (d * P), axis=1)     # delta = P cumsum(c / P)
-            T_next = T + step
-            kept = np.logical_and.accumulate(T_next <= z, axis=1)
-        cnt = kept.sum(axis=1)
-        done = ((np.where(kept, np.abs(step), 0.0).max(axis=1) <= CHAIN_TOL)
-                & np.all((d > 0.0) | ~kept, axis=1))
-        times[idx[done], : T.shape[1]] = T_next[done]
-        counts[idx[done]] = cnt[done]
-        idx, cnt = idx[~done], cnt[~done]
-        if idx.size == 0:
-            break
-        T = np.clip(T_next[~done, : cnt.max() + 1], a, z)     # trim the columns no row reaches
-    return times, counts
+    def rises(self, rows, t, from_first=False):
+        """(y, f + bias): y[:, k] over [t[:, k], t[:, k + 1]], or over
+        [t[:, 0], t[:, k + 1]] `from_first`, from y = 0, at points t
+        (rows, points) of device rows; f + bias at every point."""
+        tab, a = self.table, slice(0, 1 if from_first else -1)
+        s, u = tab.locate(t)
+        c, M = tab.pieces(rows[:, None], s), self.moments(u)
+        E = np.einsum("rpd,rpd->rp", c, M) + self.bias * M[..., 0]
+        y = E[:, 1:] - np.exp(-self.alpha * (t[:, 1:] - t[:, a])) * E[:, a]
+        knots = s[:, 1:] - s[:, a]
+        for m in range(int(knots.max(initial=0))):
+            piece = s[:, a] + m
+            F = self.full[rows[:, None] * tab.poly.shape[1] + np.minimum(np.maximum(piece, 0), tab.last)]
+            y += np.where(m < knots, np.exp(-self.alpha * (t[:, 1:] - (tab.origin + piece + 1))) * F, 0.0)
+        return y, _horner(c, u) + self.bias
 
 
-def _finish_piece(piece, s, y_s, z, theta, alpha, h, fires):
-    """Add to `fires` every device's fires on [s, z] from y(s) = y_s, one per
-    round, and return y at z.  A round reads y at steps h from s, and
-    `_first_fire` locates the fire from the first read that reaches theta."""
-    y_z, s, y_s, live = np.empty(s.size), s.copy(), y_s.copy(), np.arange(s.size)
-    while True:
-        steps = np.arange(max(math.ceil((z - s[live].min()) / h), 1) + 1)
-        pts = np.minimum(s[live, None] + h * steps, z)
-        pts[:, -1] = z
-        E, _ = piece.at(live, pts)
-        base = E[:, 0] - y_s[live]
-        y = E - np.exp(-alpha * (pts - pts[:, :1])) * base[:, None]
+def _iftem_fallback(leaky, cfg, rows, t_prev, t_end, fires):
+    """Add to `fires` the fires of device rows[i] after t_prev[i], one a
+    round: y is read at min_gap steps over a unit from the scan start, and
+    `_first_fire` locates the fire from the first read that reaches theta;
+    a row without one carries y to the last read."""
+    theta, alpha = cfg.theta, cfg.alpha
+    h = theta / (cfg.b_level + cfg.c_bound)
+    steps = h * np.arange(math.ceil(1.0 / h) + 1)
+    s, y_s = t_prev.copy(), np.zeros(rows.size)
+    k = np.flatnonzero(s < t_end)
+    while k.size:
+        pts = np.minimum(s[k, None] + steps, np.minimum(s[k] + 1.0, t_end)[:, None])
+        y = y_s[k, None] * np.exp(-alpha * (pts - pts[:, :1]))
+        y[:, 1:] += leaky.rises(rows[k], pts, from_first=True)[0]
         fire = np.any(y[:, 1:] >= theta, axis=1)
-        y_z[live[~fire]] = y[~fire, -1]
-        if not fire.any():
-            return y_z
-        live, pts, y, base = live[fire], pts[fire], y[fire], base[fire]
-        start = s[live]
+        s[k[~fire]], y_s[k[~fire]] = pts[~fire, -1], y[~fire, -1]
+        q = k[fire]
 
-        def level(q, t):
-            Et, fb = piece.at(live[q], t[:, None])
-            yt = Et[:, 0] - np.exp(-alpha * (t - start[q])) * base[q]
-            return theta - yt, alpha * yt - fb[:, 0]
+        def level(sub, t):
+            rise, fb = leaky.rises(rows[q[sub]], np.stack([s[q[sub]], t], axis=1))
+            yt = y_s[q[sub]] * np.exp(-alpha * (t - s[q[sub]])) + rise[:, 0]
+            return theta - yt, alpha * yt - fb[:, 1]
 
-        t_fire = _first_fire(level, pts, theta - y)
-        fires.add(live, t_fire[:, None], np.ones(live.size, dtype=int))
-        s[live], y_s[live] = t_fire, 0.0
+        s[q] = t_fire = _first_fire(level, pts[fire], theta - y[fire])
+        y_s[q] = 0.0
+        fires.add(rows[q], t_fire[:, None], np.ones(q.size, dtype=int))
+        k = k[s[k] < t_end]
 
 
 def encode_iftem_devices(vsig, devices, cfg, horizon):
     """Integrate-and-fire-encode every device of a set; returns TemOutput.
 
-    The devices advance in lockstep one knot piece at a time, and a round
-    solves every fire each device makes on the piece at once
-    (`_chain_fires`): Newton on a chain of n = ceil(piece / min_gap) + 2
-    candidates t_k, whose residuals r_k = y(t_k) - theta run y from
-    t_(k-1), or from the piece start with y carried in for k = 1; one
-    `_LeakyPiece` evaluation gives them all.  The Jacobian is lower
-    bidiagonal, dr_k/dt_k = f(t_k) + b - alpha y(t_k) and dr_k/dt_(k-1) =
-    -exp(-alpha (t_k - t_(k-1))) (f(t_(k-1)) + b), so a Newton step is the
-    recurrence delta_k = a_k delta_(k-1) + c_k, solved for all rows by
-    `cumprod`/`cumsum`.  The start inverts the integral of the chord of
-    f + b across the piece at the fire levels: theta apart at alpha = 0,
-    and otherwise the constant-rate leaky gaps, at the chord's mean rate
-    and then at each gap's own, leak-corrected.  A row stops once its
-    largest step over the candidates kept, those up to the piece end, is
-    at most CHAIN_TOL, with dr_k/dt_k > 0 at each.  Where b - c_bound -
-    alpha theta > 0, as with the derived theta, y rises strictly between
-    fires, so each fire is the one root after the last; where a given
-    theta breaks that bound no chain runs.  Every device then finishes
-    the piece in `_finish_piece` from its last chain fire, or from the
-    piece start: a scan reads y at min_gap steps, and `_first_fire`
-    locates any fire the chain left (a row that did not stop within
-    CHAIN_PASSES, or whose candidates ran out), one per round.  The last
-    read is y at the piece end, carried to the next piece.  y at a fire
-    is theta.
+    Each device's fires are one chain (`_chain_fires`) with residuals r_k =
+    y(t_k) - theta, y run from 0 at t_(k-1) (the horizon start) on the
+    exact integrals of `_LeakyTable`, and fire density 1 / h(r), h(r) =
+    -log(1 - alpha theta / r) / alpha the gap of a constant rate r, at r =
+    f + b plus a first-order leak term in f'.  Where b - c_bound - alpha
+    theta > 0, as with the derived theta, y rises while y <= theta, so the
+    roots are the first fires; where a given theta breaks that bound, and
+    for a device its chain leaves, devices fire one fire a round
+    (`_iftem_fallback`).
     """
     if cfg.mode != "integrate-and-fire":
         raise InputError("config mode must be 'integrate-and-fire'")
     t0, t_end = float(horizon[0]), float(horizon[1])
-    b, alpha, theta = cfg.b_level, cfg.alpha, cfg.theta
-    min_gap = theta / (cfg.b_level + cfg.c_bound)
+    b, alpha, theta, J = cfg.b_level, cfg.alpha, cfg.theta, len(devices)
     table = _SliceTable(vsig, devices)
     _check_table_amplitude(table, cfg, t0, t_end)
-    J = len(devices)
-    rows = np.arange(J)
-    fires = _Fires(J, cfg.fire_slots(t_end - t0))
-    moments = LeakMoments(alpha, table.order, alpha)    # t - e is at most 1 on a piece
-    chain = b - cfg.c_bound - alpha * theta > 0.0       # y' > 0 while y <= theta
+    leaky = _LeakyTable(table, alpha, b)
 
-    a, y = t0, np.zeros(J)          # the segment start and y there
-    while a < t_end:
-        edge = table.origin + math.floor(a - table.origin)
-        z = min(edge + 1.0, t_end)
-        piece = _LeakyPiece(table, edge, moments, b)
-        # the rest of the piece from the chain's last fire, where y is 0, or from a
-        s, y_s = np.full(J, a), y.copy()
-        if chain:
-            times, n_fired = _chain_fires(piece, a, z, y, theta, alpha,
-                                          math.ceil((z - a) / min_gap) + 2)
-            fires.add(rows, times, n_fired)
-            on = np.flatnonzero(n_fired)
-            s[on], y_s[on] = times[on, n_fired[on] - 1], 0.0
-        y, a = _finish_piece(piece, s, y_s, z, theta, alpha, min_gap, fires), z
+    def residual(rows, t):
+        y, fb = leaky.rises(rows, t)
+        d = fb[:, 1:] - alpha * y
+        return y - theta, d, np.exp(-alpha * np.diff(t[:, 1:])) * fb[:, 1:-1] / d[:, 1:]
+
+    def rate(f, df):
+        r = f + b
+        if alpha == 0.0:
+            return r / theta
+        h = np.log1p(-alpha * theta / r) / -alpha
+        return -alpha / np.log1p(-alpha * theta / (r + alpha * df * h * h / 12.0))
+
+    fires = _Fires(J, cfg.fire_slots(t_end - t0))
+    certified = np.full(J, b - cfg.c_bound - alpha * theta > 0.0)     # y' > 0 while y <= theta
+    _iftem_fallback(leaky, cfg, *_chain_fires(table, cfg, residual, rate, certified, t0, t_end, fires),
+                    t_end, fires)
     return fires.output(cfg, devices, t0, t_end)

@@ -17,7 +17,8 @@ from temrecon import (
     window_for_grid,
 )
 from temrecon.frames import measured_r0, neumann_coefficients
-from temrecon.generator import amalgam_norm_1d, bspline_autocorr, bspline_eval
+from temrecon.generator import (LeakMoments, amalgam_norm_1d, bspline_autocorr, bspline_eval,
+                                piece_polynomials)
 from temrecon.kernel_space import SplineFactor1D
 from temrecon.mixed_norm import CoefSeq, GridFunction
 from temrecon.reconstruct import iftem_operator
@@ -105,6 +106,31 @@ def subpanel_rule(a, b, panels=64, points=8):
     gx, gw = np.polynomial.legendre.leggauss(points)
     nodes = lo + half * (gx + 1.0)
     return nodes.reshape(a.size, -1), np.broadcast_to(half * gw, nodes.shape).reshape(a.size, -1)
+
+
+def leaky_integrals_reference(order, a, b, alpha):
+    """`generator.spline_leaky_integrals` on (intervals, order, order)
+    coefficients, a copy of the interval-minor rule that the interval-major
+    one replaced: the referee its rows equal bit for bit below order 8."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    Q = piece_polynomials(order)
+    first = np.floor(a + order / 2.0)
+    edge = first - order / 2.0
+    longest = float(np.max(b - a, initial=0.0))
+    n_pieces = int(np.ceil(longest)) + 1
+    moments = LeakMoments(alpha, order, alpha * min(longest, 1.0))
+    R = np.zeros((a.size, n_pieces + order - 1))
+    for p in range(n_pieces):
+        lo = np.maximum(a, edge + p)
+        hi = np.minimum(b, edge + p + 1.0)
+        M = moments(np.maximum(hi - lo, 0.0))
+        M *= np.exp(-alpha * (b - hi))[:, None]
+        rows, u = np.array(np.broadcast_to(Q, (a.size, order, order))), (lo - edge - p)[:, None]
+        for i in range(order - 1):      # Taylor shift along the last axis
+            for j in range(order - 2, i - 1, -1):
+                rows[..., j] += u * rows[..., j + 1]
+        R[:, p: p + order] += (rows * M[:, None, :]).sum(axis=2)[:, ::-1]
+    return first.astype(int) - (order - 1), R
 
 
 def device_gaps(out, j):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,39 @@ def test_grid_step_off_the_padded_range_exits_0(tmp_path):
     assert json.loads((out / "summary.json").read_text())["converged"]
     assert main(["frames", "--config", str(path), "--out-dir", str(out)]) == 0
     assert json.loads((out / "frame_report.json").read_text())["recon_error"] <= 1e-9
+
+
+def _sweep_configs(n=10):
+    """n seeded small-window configs: both machines, generator orders 2 to
+    5 (on [0, 14]^2 at order 5, which needs it for an interior window), and
+    drawn exponents, leak and given threshold, some past the chain bound."""
+    rng = np.random.default_rng(2028)
+    configs = []
+    for i in range(n):
+        orders = [int(o) for o in rng.integers(2, 6, 2)]
+        extent = 14.0 if max(orders) == 5 else 8.0
+        cfg = {"mode": ("crossing", "integrate-and-fire")[i % 2], "generator_order_t": orders[0],
+               "generator_order_s": orders[1], "x_max": extent, "y_max": extent, "n_max": 10,
+               "p": float(rng.choice([1.0, 1.5, 2.0, 3.0, np.inf])),
+               "q": float(rng.choice([1.0, 2.0, 4.0, np.inf]))}
+        if i % 2:
+            cfg["alpha"] = float(np.round(rng.uniform(0.0, 6.0), 2))
+            if rng.random() < 0.5:
+                cfg["theta"] = float(np.round(rng.uniform(0.05, 0.6), 3))
+        configs.append(cfg)
+    return configs
+
+
+@pytest.mark.parametrize("cfg", _sweep_configs(), ids=json.dumps)
+def test_seeded_config_sweep_exits_with_a_documented_code(tmp_path, cfg):
+    # every run ends in 0, or 2 (config), 3 (precondition) or 4 (not
+    # converged), and no numpy warning escapes it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in ("reconstruct", "frames"):
+            assert main([command, "--config", str(path), "--out-dir", str(tmp_path / command)]) in (0, 2, 3, 4)
 
 
 def test_config_accepts_the_highest_order():

@@ -26,6 +26,7 @@ from conftest import (
     dense_biorth_integrals,
     generator_info,
     knot_split_rule,
+    leaky_integrals_reference,
     modulus_1d,
     modulus_amalgam_1d,
     modulus_of_continuity,
@@ -327,16 +328,39 @@ def test_leak_moments_match_subpanel_gauss(order):
     assert np.max(np.abs(LeakMoments(0.0, order, 0.0)(h) - exact)) <= 1e-16
 
 
+@pytest.mark.parametrize("order", range(2, 14))
+def test_leaky_rows_equal_the_interval_minor_rule(order):
+    # every order up to MAX_ORDER: below 8 powers numpy sums the last axis
+    # in turn, as the interval-major rule does, so the rows are equal; from
+    # 8 on it sums pairwise, and entries move by a few ulps of the row's
+    # largest; intervals inside one piece, over several and empty, some
+    # starting on knots
+    rng = np.random.default_rng(40 + order)
+    a = rng.uniform(-10.0, 10.0, 400)
+    a[:100] = np.round(2.0 * a[:100]) / 2.0
+    length = np.concatenate([rng.uniform(0.0, 0.25, 250), rng.uniform(0.25, 2.5, 150)])
+    length[:5] = 0.0
+    for alpha in (0.0, 0.5, 4.0):
+        k0, R = spline_leaky_integrals(order, a, a + length, alpha)
+        k0_ref, R_ref = leaky_integrals_reference(order, a, a + length, alpha)
+        assert np.array_equal(k0, k0_ref)
+        if order < 8:
+            assert np.array_equal(R, R_ref)
+        else:
+            scale = np.abs(R_ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(R - R_ref) <= 8.0 * np.finfo(float).eps * scale)
+
+
 def test_taylor_shift_recenters_polynomials():
     rng = np.random.default_rng(5)
     c = rng.uniform(-1.0, 1.0, (40, 4))
     u = rng.uniform(0.0, 1.0, 40)
     w = rng.uniform(0.0, 1.0, 40)
-    shifted = taylor_shift(c, u)
+    shifted = taylor_shift(c.T, u).T
     want = np.polynomial.polynomial.polyval(u + w, c.T, tensor=False)
     got = np.polynomial.polynomial.polyval(w, shifted.T, tensor=False)
     assert np.max(np.abs(got - want)) <= 1e-14
-    assert np.array_equal(taylor_shift(c, 0.0), c)
+    assert np.array_equal(taylor_shift(c.T, 0.0), c.T)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 4.0, 40.0])

@@ -380,6 +380,49 @@ def test_tiled_norm_raises_on_overflowing_render():
                 sig.norm(grid, MixedNormParams(p, q))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_tiled_norm_raises_on_a_non_finite_tile(value, monkeypatch):
+    # one grid row of the third tile reads NaN throughout, or overflows to
+    # value at some points and stays finite at others: at q = inf max and
+    # min carry NaN and either infinity into the row norm, as |.| and the
+    # sums do at finite q
+    grid = Grid.from_spacing(0.0, 12.0, 0.0, 9.0, 1.0 / 32.0)
+    gen = Generator(2, 2)
+    window = window_for_grid(grid, gen)
+    rng = np.random.default_rng(11)
+    B_t = rng.uniform(0.5, 1.0, (grid.shape[0], window.n1))
+    B_s = rng.uniform(0.5, 1.0, (grid.shape[1], window.n2))
+    C = rng.uniform(0.5, 1.0, (window.n1, window.n2))
+    row = B_t[2 * kernel_space.NORM_TILE + 2]
+    row[:] = 0.0
+    row[0] = np.nan if np.isnan(value) else 1.0
+    C[0, :2] = 1.5e308 * np.sign(value) if np.isinf(value) else 1.0
+    monkeypatch.setattr(kernel_space, "synthesis_matrices", lambda *args: (B_t, B_s))
+    sig = VSignal(CoefSeq(C, window.k1_first, window.k2_first), gen)
+    with np.errstate(over="ignore"):
+        tile = (row @ C) @ B_s.T
+    assert np.all(np.isnan(tile)) if np.isnan(value) else 0 < np.sum(tile == value) < tile.size
+    with np.errstate(over="ignore"):
+        for p, q in TILED_PQ:
+            with pytest.raises(InputError, match="non-finite"):
+                sig.norm(grid, MixedNormParams(p, q))
+
+
+def test_tiled_norm_of_a_finite_render_may_overflow_at_finite_q():
+    # every render value is finite, but their powers overflow at q = 2 and
+    # 1.5: the norm reads inf, as the render's does, and raises nothing
+    grid = Grid.from_spacing(0.0, 12.0, 0.0, 9.0, 1.0 / 32.0)
+    gen = Generator(2, 2)
+    window = window_for_grid(grid, gen)
+    sig = VSignal(CoefSeq(np.full((window.n1, window.n2), 1e200), window.k1_first,
+                          window.k2_first), gen)
+    render = sig.render(grid)
+    with np.errstate(over="ignore"):
+        for p, q in [(1.0, 2.0), (3.0, 1.5), (np.inf, 2.0)]:
+            pr = MixedNormParams(p, q)
+            assert sig.norm(grid, pr) == mixed_function_norm(render, pr) == np.inf
+
+
 def test_projector_biorthogonal_delta(hat_kernel, small_grid, small_window, hat_gen):
     k0 = (small_window.k1_first + 2, small_window.k2_first + 1)
     f = grid_function(

@@ -1,15 +1,18 @@
 """Traced memory bounds: the error monitor and the config checks hold no
 array whose size grows with the grid or with devices x probes, the
-events writer holds no string that spans every fire, and the kernel
+events writer holds no string that spans every fire, the kernel
 statistics never hold the core of the padded table beside the modulus
-field."""
+field, and an encoder's chain rounds hold a bounded number of
+candidates."""
 
 import tracemalloc
 
 import numpy as np
 
 from temrecon import (DeviceSet, ExperimentConfig, Generator, MixedNormParams, TemConfig,
-                      build_shift_invariant_kernel, dual_generator, window_for_grid)
+                      build_shift_invariant_kernel, dual_generator, encode_iftem_devices,
+                      window_for_grid)
+from temrecon.cli import _build_stack, synth_random_vsignal
 from temrecon.tem_encode import TemOutput
 
 from conftest import random_vsignal
@@ -56,3 +59,14 @@ def test_box_modulus_releases_the_core_before_the_modulus_field():
     gen = Generator(2, 2)
     factor = build_shift_invariant_kernel(gen, dual_generator(gen)).factor_t
     assert traced_peak_mb(lambda: factor.w0_and_box_modulus(0.53)) < 4.5
+
+
+def test_encoder_chain_rounds_stay_bounded():
+    # the leaky workload, 257 devices and 67k fires: a round holds at most
+    # CHAIN_CANDIDATES candidates, where one chain over every candidate of
+    # the horizon at once traces well over 5 MB
+    cfg = ExperimentConfig(mode="integrate-and-fire", alpha=0.5, p=1.0, q=np.inf)
+    gen, _, _, grid, window = _build_stack(cfg)
+    sig = synth_random_vsignal(window, gen, grid, np.random.default_rng(3), 0.8 * cfg.c_bound)
+    devices, tem = cfg.devices(), cfg.tem_config()
+    assert traced_peak_mb(lambda: encode_iftem_devices(sig, devices, tem, (cfg.x_min, cfg.x_max))) < 3.0

@@ -21,12 +21,12 @@ from temrecon import (
     window_for_grid,
 )
 from temrecon import tem_encode
-from temrecon.generator import bspline_eval
+from temrecon.generator import LeakMoments, bspline_eval
 from temrecon.mixed_norm import CoefSeq
+from temrecon.cli import _encode
 from temrecon.tem_encode import (
     TemOutput,
     _check_table_amplitude,
-    _LeakyPiece,
     _SliceTable,
     ctem_encode,
     density_report,
@@ -436,24 +436,40 @@ def test_crossing_fires_at_the_first_crossing_of_a_dip(order, dip, t0, first):
     assert device_gaps(out, 0).max() <= cfg.delta_target
 
 
-def test_order2_crossing_takes_one_round_per_piece(hat_gen, small_grid, small_window,
-                                                 monkeypatch):
-    # a round gathers each active device's piece once; at order 2 it fires
-    # the whole piece, so the rounds follow the pieces, not the fires
+def _spy_chain(monkeypatch):
+    """[(rows, candidates, Newton passes)] of every chain round, and [(rows,
+    whether each start lies inside its bracket)] of every bracketed Newton
+    solve, of the encodes that follow."""
+    chain, newton, rounds, bracketed = tem_encode._newton_chain, tem_encode._bracketed_newton, [], []
+
+    def counted(residual, rows, t_last, T, t_end):
+        passes = []
+        out = chain(lambda *a: passes.append(1) or residual(*a), rows, t_last, T, t_end)
+        rounds.append(T.shape + (len(passes),))
+        return out
+
+    def checked(g, lo, hi, start):
+        bracketed.append((lo.size, bool(np.all((lo <= start) & (start <= hi)))))
+        return newton(g, lo, hi, start)
+
+    monkeypatch.setattr(tem_encode, "_newton_chain", counted)
+    monkeypatch.setattr(tem_encode, "_bracketed_newton", checked)
+    return rounds, bracketed
+
+
+def test_crossing_chain_takes_a_few_passes_a_round(hat_gen, small_grid, small_window,
+                                                  monkeypatch):
+    # a round solves up to CHAIN_CANDIDATES fires at once, and its start
+    # lies close enough for two or three Newton passes: the passes follow
+    # the rounds, not the fires, and no fire is left to the fallback
     sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(11))
     dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
-    pieces, calls = _SliceTable.pieces, []
-
-    def counted(self, rows, s):
-        calls.append(rows.size)
-        return pieces(self, rows, s)
-
-    monkeypatch.setattr(_SliceTable, "pieces", counted)
+    rounds, bracketed = _spy_chain(monkeypatch)
     out = encode_ctem_devices(sig, dev, crossing_cfg(), (0.0, 12.0))
-    # the horizon crosses the 12 unit pieces between integer knots, each
-    # holding several fires of every device
     assert fire_count(out) > 5 * 12 * len(dev)
-    assert len(calls) <= 12 + 2
+    assert len(rounds) <= 2 and all(passes <= 3 for _, _, passes in rounds)
+    assert all(rows * n <= tem_encode.CHAIN_CANDIDATES for rows, n, _ in rounds)
+    assert bracketed == []
 
 
 # with the amplitude check off: a slice above b_level, on which the ramp
@@ -502,74 +518,56 @@ def _order_signal(order, seed):
 @pytest.mark.parametrize("order", [2, 3])
 @pytest.mark.parametrize("fault", ["off-bracket", "not-finite"])
 def test_fires_hold_when_a_chain_pass_is_unusable(order, fault, monkeypatch):
-    # inside the chain f + b reads with its sign flipped, so every Newton
-    # pass steps away from the roots until the pass cap, or reads NaN, so
-    # no candidate is kept: either way the chain keeps no fire, and the
-    # scan and bracketed Newton of `_finish_piece` find the same fires
+    # inside the chain every residual slope reads with its sign flipped, so
+    # every Newton pass steps away from the roots until the pass cap, or
+    # reads NaN, so no candidate is kept: either way no chain keeps a fire,
+    # and every device of both machines falls back from the horizon start
+    # to the unfaulted fires, one bracketed fire a round
     sig = _order_signal(order, 30 + order)
     dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
-    cfg = if_cfg(alpha=0.5)
-    fast = encode_iftem_devices(sig, dev, cfg, (0.0, 12.0))
-    chain, results = tem_encode._chain_fires, []
+    chain, kept = tem_encode._newton_chain, []
 
-    def faulty(piece, *args):
-        at = piece.at
-
+    def faulty(residual, *args):
         def broken(rows, t):
-            E, fb = at(rows, t)
-            return E, np.full_like(fb, np.nan) if fault == "not-finite" else -fb
+            r, d, a = residual(rows, t)
+            return r, np.full_like(d, np.nan) if fault == "not-finite" else -d, a
 
-        piece.at = broken
-        try:
-            results.append(chain(piece, *args))
-        finally:
-            del piece.at
-        return results[-1]
+        times, counts = chain(broken, *args)
+        kept.append(np.maximum(counts, 0).sum())
+        return times, counts
 
-    newton, starts_inside = tem_encode._bracketed_newton, []
-
-    def checked(g, lo, hi, start):
-        # the start must lie inside each bracket
-        starts_inside.append(np.all((lo <= start) & (start <= hi)))
-        return newton(g, lo, hi, start)
-
-    monkeypatch.setattr(tem_encode, "_chain_fires", faulty)
-    monkeypatch.setattr(tem_encode, "_bracketed_newton", checked)
-    slow = encode_iftem_devices(sig, dev, cfg, (0.0, 12.0))
-    assert results and all(counts.sum() == 0 for _, counts in results)
-    assert starts_inside and all(starts_inside)
-    assert fire_count(slow) == fire_count(fast) > 0
-    for j in range(len(dev)):
-        assert slow.times[j].size == fast.times[j].size
-        assert np.max(np.abs(slow.times[j] - fast.times[j]), initial=0.0) <= 1e-13
-        assert np.max(np.abs(slow.values[j] - fast.values[j]), initial=0.0) <= 1e-12
+    for encode, cfg in ((encode_ctem_devices, crossing_cfg()), (encode_iftem_devices, if_cfg(alpha=0.5))):
+        fast = encode(sig, dev, cfg, (0.0, 12.0))
+        with monkeypatch.context() as m:
+            m.setattr(tem_encode, "_newton_chain", faulty)
+            _, bracketed = _spy_chain(m)
+            slow = encode(sig, dev, cfg, (0.0, 12.0))
+        assert kept and all(k == 0 for k in kept)
+        assert sum(n for n, _ in bracketed) >= fire_count(fast) > 0
+        assert all(inside for _, inside in bracketed)
+        for j in range(len(dev)):
+            assert slow.times[j].size == fast.times[j].size
+            assert np.max(np.abs(slow.times[j] - fast.times[j]), initial=0.0) <= 1e-13
+            assert np.max(np.abs(slow.values[j] - fast.values[j]), initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("order", [2, 3])
 def test_fires_hold_when_the_chain_runs_out_of_candidates(order, monkeypatch):
-    # with three candidates a piece on a horizon off the knot lattice, the
-    # chain's fires stop short of most piece ends, and `_finish_piece` fires
-    # the rest of each piece from the last kept one.  Every running
-    # integral is read on its own knot piece.
+    # with three candidates a device a round, on a horizon off the knot
+    # lattice, the chain goes round after round from each device's last
+    # fire, to the fires of the unfaulted chain.  Every leak moment is read
+    # over at most one knot piece.
     sig = _order_signal(order, 40 + order)
     dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
     cfg, horizon = if_cfg(alpha=0.5), (0.3, 12.0)
     fast = encode_iftem_devices(sig, dev, cfg, horizon)
-    chain, at, short, reads = tem_encode._chain_fires, _LeakyPiece.at, [], []
-
-    def three(*args):
-        times, counts = chain(*args[:-1], 3)
-        short.append(np.count_nonzero(counts == 3))
-        return times, counts
-
-    def spy(self, rows, t):
-        reads.append((t - self.edge).ravel())
-        return at(self, rows, t)
-
-    monkeypatch.setattr(tem_encode, "_chain_fires", three)
-    monkeypatch.setattr(_LeakyPiece, "at", spy)
+    moments, reads = LeakMoments.__call__, []
+    monkeypatch.setattr(LeakMoments, "__call__", lambda self, h: reads.append(np.ravel(h)) or moments(self, h))
+    monkeypatch.setattr(tem_encode, "CHAIN_CANDIDATES", 3 * len(dev))
+    rounds, bracketed = _spy_chain(monkeypatch)
     out = encode_iftem_devices(sig, dev, cfg, horizon)
-    assert sum(short) > len(dev)
+    assert rounds[0][:2] == (len(dev), 3) and all(r * n <= 3 * len(dev) for r, n, _ in rounds)
+    assert len(rounds) >= fire_count(out) / (3 * len(dev)) and bracketed == []
     u = np.concatenate(reads)
     assert u.min() >= 0.0 and u.max() <= 1.0
     assert fire_count(out) == fire_count(fast) > 0
@@ -582,30 +580,57 @@ def test_fires_hold_when_the_chain_runs_out_of_candidates(order, monkeypatch):
         assert np.max(np.abs(t_s - out.times[j])) <= 1e-10
 
 
-def test_iftem_round_fires_a_piece_in_a_few_passes(hat_gen, small_grid, small_window,
-                                                   monkeypatch):
-    # a round solves every fire of every device on its knot piece: one read
-    # at the piece ends, at most three Newton passes and the finishing scan,
-    # which finds no fire left to bracket
+@pytest.mark.parametrize("mode", ["crossing", "integrate-and-fire"])
+def test_fires_hold_when_the_devices_outnumber_the_candidates(mode, monkeypatch):
+    # fewer candidates a round than devices: each round solves one fire a
+    # device, to the fires of the unfaulted chain and the scalar referee
+    sig = _order_signal(3, 45)
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    encode, scalar, cfg = ((encode_ctem_devices, ctem_encode, crossing_cfg()) if mode == "crossing"
+                           else (encode_iftem_devices, iftem_encode, if_cfg(alpha=0.5)))
+    fast = encode(sig, dev, cfg, (0.0, 12.0))
+    monkeypatch.setattr(tem_encode, "CHAIN_CANDIDATES", len(dev) // 2)
+    rounds, bracketed = _spy_chain(monkeypatch)
+    out = encode(sig, dev, cfg, (0.0, 12.0))
+    assert rounds[0][:2] == (len(dev), 1) and bracketed == []
+    assert all(n == max(len(dev) // 2 // r, 1) for r, n, _ in rounds)
+    assert fire_count(out) == fire_count(fast) > 0
+    for j in range(len(dev)):
+        assert out.times[j].size == fast.times[j].size
+        assert np.max(np.abs(out.times[j] - fast.times[j]), initial=0.0) <= 1e-13
+    for j in (3, 7):
+        t_s, _ = scalar(lambda x: sig.eval_slice(dev.positions[j], x), cfg, (0.0, 12.0))
+        assert t_s.size == out.times[j].size > 0
+        assert np.max(np.abs(t_s - out.times[j])) <= 1e-10
+
+
+def test_iftem_chain_takes_a_few_passes_a_round(hat_gen, small_grid, small_window,
+                                                monkeypatch):
+    # 97 devices: a round solves 63 fires of each, two or three Newton
+    # passes a round, and no fire is left to the fallback
     sig = random_vsignal(small_window, hat_gen, small_grid, np.random.default_rng(12))
     dev = DeviceSet.uniform(0.0, 12.0, 0.125, 0.5)
-    at, newton, reads, bracketed = _LeakyPiece.at, tem_encode._bracketed_newton, [], []
-
-    def counted(self, rows, t):
-        reads.append(rows.size)
-        return at(self, rows, t)
-
-    def spied(g, lo, hi, start):
-        bracketed.append(lo.size)
-        return newton(g, lo, hi, start)
-
-    monkeypatch.setattr(_LeakyPiece, "at", counted)
-    monkeypatch.setattr(tem_encode, "_bracketed_newton", spied)
+    rounds, bracketed = _spy_chain(monkeypatch)
     out = encode_iftem_devices(sig, dev, if_cfg(alpha=0.5), (0.0, 12.0))
-    # the horizon crosses the 12 unit pieces between integer knots
     assert fire_count(out) > 5 * 12 * len(dev)
-    assert len(reads) <= 12 * (1 + 3 + 1)
-    assert sum(bracketed) == 0
+    assert len(rounds) <= 3 and all(passes <= 3 for _, _, passes in rounds)
+    assert all(rows * n <= tem_encode.CHAIN_CANDIDATES for rows, n, _ in rounds)
+    assert bracketed == []
+
+
+def test_given_theta_past_the_chain_bound_keeps_its_fires(monkeypatch):
+    # b - c_bound - alpha theta = 1 - 4 * 0.3 < 0: y may fall below theta
+    # after reaching it, so no chain runs and every device fires one fire
+    # a round; 5,062 fires at seed 3, as the piece-by-piece encoder made
+    cfg = ExperimentConfig(mode="integrate-and-fire", x_max=12, y_max=12, alpha=4, theta=0.3)
+    rounds, _ = _spy_chain(monkeypatch)
+    _, _, _, dev, sig, out = _encode(cfg, 3)
+    assert rounds == [] and fire_count(out) == 5062
+    for j in (3, 50):
+        t_s, _ = iftem_encode(lambda x: sig.eval_slice(dev.positions[j], x), cfg.tem_config(),
+                              (cfg.x_min, cfg.x_max))
+        assert t_s.size == out.times[j].size > 0
+        assert np.max(np.abs(t_s - out.times[j])) <= 1e-10
 
 
 @pytest.mark.parametrize("order", [2, 3])
