@@ -292,7 +292,6 @@ def run_experiment(cfg, out_dir, seed=None):
     report.write_convergence_csv(f"{out_dir}/convergence.csv")
     rec.coeffs.write_csv(f"{out_dir}/reconstruction.csv")
     summary = report.summary_dict()
-    summary.pop("wall_time_s")  # keep the emitted record byte-reproducible
     summary.update({
         "mode": cfg.mode,
         "seed": seed,

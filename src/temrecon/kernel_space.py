@@ -26,19 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResolutionError
-from .generator import (
-    BIORTH_TOL,
-    TAIL_TOL,
-    bspline_eval,
-)
-from .mixed_norm import (
-    CoefSeq,
-    GridFunction,
-    _axis_norm,
-    composite_weights,
-    mixed_function_norm,
-    mixed_sequence_norm,
-)
+from .generator import BIORTH_TOL, TAIL_TOL, bspline_eval
+from .mixed_norm import CoefSeq, GridFunction, _axis_norm, composite_weights
 
 DEFAULT_STATS_RESOLUTION = 64
 # radii of fewer lattice steps than this take the direct off-grid box modulus
@@ -79,16 +68,20 @@ class KappaTable:
         n_first = -self.R * resolution - pad_steps
         self.n_rows = xs.size
         self.n_cols = 2 * (self.R * resolution + pad_steps) + 1
-        ks = factor.shifts(xs)
-        self.beta = bspline_eval(factor.order, xs[:, None] - ks)
-        lattice = np.arange(n_first - ks[0] * resolution, n_first + self.n_cols - ks[-1] * resolution)
-        self.dual = factor.dual_axis.eval(lattice * h)
+        self.ks = factor.shifts(xs)
+        self.beta = bspline_eval(factor.order, xs[:, None] - self.ks)
+        lattice = np.arange(n_first - self.ks[0] * resolution, n_first + self.n_cols - self.ks[-1] * resolution)
+        self.points = lattice * h
+        self.dual = factor.dual_axis.eval(self.points)
 
     def columns(self, c0, width, rows=slice(None)):
         """The `width` columns from column c0 of `rows`, as a new array."""
-        windows = np.lib.stride_tricks.sliding_window_view(self.dual, width)
-        n = self.beta.shape[1] * self.resolution
-        return self.beta[rows] @ windows[c0: c0 + n: self.resolution]
+        return self.beta[rows] @ self.dual_rows(self.dual, c0, width)
+
+    def dual_rows(self, dual, c0, width):
+        """D of a block from `dual` sampled at `points`, a strided view."""
+        windows = np.lib.stride_tricks.sliding_window_view(dual, width)
+        return windows[c0: c0 + self.ks.size * self.resolution: self.resolution]
 
 
 class SplineFactor1D:
@@ -187,14 +180,15 @@ class SplineFactor1D:
         if radius < 0:
             raise InputError("modulus radius must be nonnegative")
         on_grid = radius * resolution >= MODULUS_MIN_STEPS
-        pad = int(np.floor(radius * resolution)) if on_grid else 0
+        # off the lattice the pad only widens the shifts to those of x +- radius
+        pad = int(np.floor(radius * resolution)) if on_grid else int(np.ceil(radius * resolution))
         table = KappaTable(self, resolution, pad)
         nx = table.n_rows - 2 * pad
         ns = table.n_cols - 2 * pad
         core = table.columns(pad, ns, slice(pad, pad + nx))
         if not on_grid and radius > 0:
             return (self._w0_from_field(np.abs(core), resolution),
-                    self._box_modulus_w0_direct(core, radius, resolution))
+                    self._box_modulus_w0_direct(table, core, radius))
         w0 = self._w0_from_field(np.abs(core, out=core), resolution)
         if radius == 0:
             return w0, 0.0
@@ -219,17 +213,32 @@ class SplineFactor1D:
             mod[:, c0: c0 + w] = box.reshape(nx, width)[:, :w]
         return w0, self._w0_from_field(mod, resolution)
 
-    def _box_modulus_w0_direct(self, base, radius, resolution):
-        h = 1.0 / resolution
-        half = (base.shape[1] - 1) // 2
-        xs = np.arange(0, resolution + 1) * h
-        ss = np.arange(-half, half + 1) * h
-        mod = np.zeros_like(base)
-        shifts = [(dx, ds) for dx in (-radius, 0.0, radius)
-                  for ds in (-radius, 0.0, radius) if (dx, ds) != (0.0, 0.0)]
-        for dx, ds in shifts:
-            np.maximum(mod, np.abs(self.eval_outer(xs + dx, ss + ds) - base), out=mod)
-        return self._w0_from_field(mod, resolution)
+    def _box_modulus_w0_direct(self, table, base, radius):
+        """W0 norm of the sup of |kappa(x + dx, s + ds) - base| over (dx, ds)
+        in {-r, 0, r}^2 less the center, `base` the core of `table` (padded
+        to the shifts of x +- r).  B-splines are evaluated once per dx, the
+        dual once per ds on the table's lattice, so the fields of one ds are
+        one product, dx blocks stacked, over strided windows of its dual; the
+        sup is max(hi - base, base - lo) tile by tile, as on the lattice."""
+        nx, ns = base.shape
+        pad = (table.n_rows - nx) // 2
+        xs = np.arange(nx) * (1.0 / table.resolution)
+        B = np.stack([bspline_eval(self.order, (xs + dx)[:, None] - table.ks) for dx in (-radius, 0.0, radius)])
+        fields = [((B[[0, 2]] if ds == 0.0 else B).reshape(-1, table.ks.size),
+                   table.dual_rows(self.dual_axis.eval(table.points + ds) if ds else table.dual, pad, ns))
+                  for ds in (-radius, 0.0, radius)]
+        mod = np.empty_like(base)
+        for c0 in range(0, ns, MODULUS_TILE):
+            cols = slice(c0, c0 + MODULUS_TILE)
+            tiles = [f for B_dx, D_ds in fields for f in np.split(B_dx @ D_ds[:, cols], len(B_dx) // nx)]
+            hi, lo = tiles[0].copy(), tiles[0]
+            for f in tiles[1:]:
+                np.maximum(hi, f, out=hi)
+                np.minimum(lo, f, out=lo)
+            hi -= base[:, cols]
+            np.subtract(base[:, cols], lo, out=lo)
+            np.maximum(hi, lo, out=mod[:, cols])
+        return self._w0_from_field(mod, table.resolution)
 
 
 def _window_extreme(op, x, span, stride):
@@ -484,17 +493,11 @@ class VSignal:
         V2 = bspline_eval(self.generator.order_s, ys[:, None] - w.k2s[None, :])
         return np.einsum("ik,kl,il->i", V1, self.coeffs.entries, V2)
 
-    def slice_coef(self, y0):
-        """Time-axis coefficients of the slice x -> f(x, y0)."""
-        w = self.window
-        bs = bspline_eval(self.generator.order_s, float(y0) - w.k2s)
-        return self.coeffs.entries @ bs
-
     def eval_slice(self, y0, xs):
+        """Values of the slice x -> f(x, y0) at xs."""
         w = self.window
-        c1 = self.slice_coef(y0)
         B = bspline_eval(self.generator.order_t, np.asarray(xs, dtype=float)[:, None] - w.k1s[None, :])
-        return B @ c1
+        return B @ (self.coeffs.entries @ bspline_eval(self.generator.order_s, float(y0) - w.k2s))
 
     def scaled(self, a):
         return VSignal(CoefSeq(a * self.coeffs.entries, self.coeffs.k1_first, self.coeffs.k2_first),
@@ -578,18 +581,6 @@ def _grid_resolution_check(kernel, grid, window, tol=1e-8):
     kernel._resolved.add(key)
 
 
-def reproducing_bound(kernel, x, y, params, grid):
-    """Point-evaluation constant: mixed (p', q') norm of the kernel slice at (x, y).
-
-    For separable kernels the mixed norm of the slice factors into per-axis
-    L^{p'} and L^{q'} quadratures over the grid axes.
-    """
-    vt = np.abs(kernel.factor_t.eval_outer(np.array([float(x)]), grid.xs)[0])
-    vs = np.abs(kernel.factor_s.eval_outer(np.array([float(y)]), grid.ys)[0])
-    return float(_axis_norm(vt, grid.weights_x, params.p_conj)
-                 * _axis_norm(vs, grid.weights_y, params.q_conj))
-
-
 def reproducing_residual(kernel, probes, spacing=1.0 / 32.0):
     """Residuals |int K(x,y;u,v) K(u,v;s,t) du dv - K(x,y;s,t)| at probe 4-tuples.
 
@@ -613,11 +604,3 @@ def reproducing_residual(kernel, probes, spacing=1.0 / 32.0):
         integral = float(wu @ np.outer(at, as_) @ wv)
         out.append(abs(integral - kernel.eval(x, y, s, t)))
     return np.array(out)
-
-
-def analysis_bound_check(f, kernel, params, window=None):
-    """Both sides of the analysis bound: (coef norm, function norm * dual amalgam norm)."""
-    sig = apply_T(kernel, f, window=window, self_check=False)
-    lhs = mixed_sequence_norm(sig.coeffs, params)
-    rhs = mixed_function_norm(f, params) * kernel.dual.amalgam_norm()
-    return lhs, rhs

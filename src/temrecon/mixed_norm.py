@@ -152,10 +152,6 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
-
     def scaled(self, a):
         return GridFunction(self.grid, a * self.values)
 
@@ -191,16 +187,22 @@ class CoefSeq:
     def k2_range(self):
         return range(self.k2_first, self.k2_first + self.entries.shape[1])
 
-    def copy(self):
-        return CoefSeq(self.entries.copy(), self.k1_first, self.k2_first)
-
     def write_csv(self, path, header="k1,k2,c"):
-        """Write `k1,k2,value` rows with 17 significant digits."""
+        """Write `k1,k2,value` rows with 17 significant digits, k2 fastest."""
+        k1, k2 = np.meshgrid(self.k1_range, self.k2_range, indexing="ij")
         with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i, k1 in enumerate(self.k1_range):
-                for j, k2 in enumerate(self.k2_range):
-                    fh.write(f"{k1},{k2},{self.entries[i, j]:.17g}\n")
+            fh.write(header + "\n" + csv_rows("%d,%d,%.17g\n", k1.ravel(), k2.ravel(),
+                                               self.entries.ravel()))
+
+
+def csv_rows(template, *columns):
+    """The rows of equal-length columns (sequences or arrays) as one string,
+    `template * n % fields` with the fields interleaved row by row as Python
+    numbers: the one row formatter of every CSV artifact."""
+    fields = [None] * (len(columns) * len(columns[0]))
+    for i, col in enumerate(columns):
+        fields[i::len(columns)] = col.tolist() if isinstance(col, np.ndarray) else col
+    return template * len(columns[0]) % tuple(fields)
 
 
 def _axis_norm(vals, weights, p):

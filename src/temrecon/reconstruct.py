@@ -20,7 +20,6 @@ Divergence is a reported outcome, not an exception: the sufficient rate
 bounds are wildly pessimistic and experiments deliberately sweep past them.
 """
 
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import InputError
 from .generator import (band_columns, bspline_eval, spline_basis, spline_cell_integrals,
                         spline_leaky_integrals)
 from .kernel_space import VSignal, window_for_grid
-from .mixed_norm import CoefSeq, MixedNormParams
+from .mixed_norm import CoefSeq, MixedNormParams, csv_rows
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,8 @@ def _index_range(order, lo, hi):
 
 
 class MeasurementOperator:
-    """Richardson update c -> M (y - A c) of one machine, folded per device.
+    """Richardson update C -> M (y - A C) of one machine, folded per device,
+    on the (n1, n2) coefficient array C of the iterate.
 
     Per device j the measurement matrix A_j (fires x n1) and the synthesis
     matrix M_j (n1 x fires) enter the update only through M_j y_j, column j
@@ -62,7 +62,8 @@ class MeasurementOperator:
     device's first and last fire marked.  The update column of device j is
     M_j y_j - (M_j A_j) c_j, with c_j = C slice_s[j] the time-axis
     coefficients of the iterate's slice at the device; the columns then
-    spread across space through `space` (devices x n2).
+    spread across space through `space` (devices x n2), so `step` maps an
+    array to an array and no signal object is built inside the loop.
     """
 
     def __init__(self, out, kernel, devices, window, rows, weight, space):
@@ -92,15 +93,11 @@ class MeasurementOperator:
             self.MA[j0: j0 + nb] = w[:, None, None] * (T.T @ G)
             self.My[:, j0: j0 + nb] = (g @ T).T * w
 
-    def synthesize(self, cols):
-        """Signal with coefficients sum_j cols[:, j] (x) space[j]."""
-        w = self.window
-        return VSignal(CoefSeq(cols @ self.space, w.k1_first, w.k2_first), self.generator)
-
-    def step(self, f_n):
-        """The update M (y - A f_n) of one Richardson step."""
-        slices = f_n.coeffs.entries @ self.slice_s.T
-        return self.synthesize(self.My - np.einsum("jkl,lj->kj", self.MA, slices))
+    def step(self, C):
+        """The update M (y - A C) of one Richardson step: the iterate's
+        (n1, n2) coefficient array to the update's."""
+        slices = C @ self.slice_s.T
+        return (self.My - np.einsum("jkl,lj->kj", self.MA, slices)) @ self.space
 
 
 def ctem_operator(out, kernel, devices, window):
@@ -195,7 +192,6 @@ class ReconstructionReport:
     iterations: int
     tol: float
     blind: bool
-    wall_time: float
 
     def log_error_fit(self):
         """(slope, r_squared) of a line through log10(errors) vs iteration index."""
@@ -213,12 +209,13 @@ class ReconstructionReport:
         return float(coef[0]), r2
 
     def write_convergence_csv(self, path):
+        """`iter,error_lpq,ratio` rows; row 0, and a ratio that is not
+        finite (after a zero error), leave the ratio field empty."""
+        ratio = np.append(np.nan, self.ratios)[: len(self.errors)]
+        rows = csv_rows("%d,%.17g,%.17g\n", range(ratio.size), self.errors,
+                        np.where(np.isfinite(ratio), ratio, np.nan))
         with open(path, "w") as fh:
-            fh.write("iter,error_lpq,ratio\n")
-            for n, e in enumerate(self.errors):
-                ratio = self.ratios[n - 1] if 1 <= n <= len(self.ratios) else float("nan")
-                r = f"{ratio:.17g}" if np.isfinite(ratio) else ""
-                fh.write(f"{n},{e:.17g},{r}\n")
+            fh.write("iter,error_lpq,ratio\n" + rows.replace(",nan\n", ",\n"))
 
     def summary_dict(self):
         slope, r2 = self.log_error_fit()
@@ -233,62 +230,55 @@ class ReconstructionReport:
             "blind": self.blind,
             "log_error_slope": slope,
             "log_error_r2": r2,
-            "wall_time_s": self.wall_time,
         }
 
 
-def _finish_report(errors, e_ref, tol, predicted, blind, t0, diverged):
+def _finish_report(errors, e_ref, tol, predicted, blind, diverged):
     ratios = [errors[i + 1] / errors[i] if errors[i] > 0 else float("nan")
               for i in range(len(errors) - 1)]
     finite = [r for r in ratios if np.isfinite(r) and r > 0]
     r_hat = float(np.exp(np.mean(np.log(finite)))) if finite else float("nan")
     converged = bool(errors and errors[-1] <= tol * e_ref)
     return ReconstructionReport(errors, ratios, r_hat, predicted, converged, diverged,
-                                len(errors) - 1, tol, blind, _time.time() - t0)
+                                len(errors) - 1, tol, blind)
 
 
 def _run_iteration(op, f_true, grid, params, n_max, tol, predicted):
-    """Richardson driver: f_{n+1} = f_n + op.step(f_n), errors in the mixed norm.
+    """Richardson driver: C_{n+1} = C_n + op.step(C_n), errors in the mixed norm.
 
-    With ground truth the error is ||f - f_n||; blind mode tracks the update
-    norm ||f_{n+1} - f_n|| instead and scales the tolerance by the first one.
+    The iterate is its coefficient array C_n from start to stop; only the
+    returned signal wraps it.  Every error is the grid norm of one
+    coefficient array: with ground truth the error f - f_n, and blind mode
+    the update f_{n+1} - f_n, with the tolerance scaled by the first one.
     Stops at the tolerance, at `n_max`, or after three consecutive error
     increases (reported as divergence).  `params` defaults to p = q = 2.
     """
-    t0 = _time.time()
     params = params or MixedNormParams(2.0, 2.0)
-    blind = f_true is None
     window, gen = op.window, op.generator
-    f_n = VSignal.zeros(window, gen)
-    if not blind:
-        e_ref = f_true.norm(grid, params)
-        errors = [e_ref]
-    else:
-        e_ref = None
-        errors = []
-    diverged = False
+    blind = f_true is None
+    if not blind and f_true.window.key != window.key:
+        raise InputError("signal windows differ")
+
+    def norm(C):
+        return VSignal(CoefSeq(C, window.k1_first, window.k2_first), gen).norm(grid, params)
+
+    C = np.zeros((window.n1, window.n2))
+    e_ref = None if blind else norm(f_true.coeffs.entries)
+    errors = [] if blind else [e_ref]
     rising = 0
-    for n in range(1, n_max + 1):
-        upd = op.step(f_n)
-        f_n = VSignal(CoefSeq(f_n.coeffs.entries + upd.coeffs.entries,
-                              window.k1_first, window.k2_first), gen)
-        if blind:
-            e = upd.norm(grid, params)
-            if e_ref is None:
-                e_ref = e if e > 0 else 1.0
-        else:
-            e = (f_true - f_n).norm(grid, params)
+    for _ in range(n_max):
+        upd = op.step(C)
+        C += upd
+        e = norm(upd if blind else f_true.coeffs.entries - C)
+        if e_ref is None:
+            e_ref = e if e > 0 else 1.0
         errors.append(e)
-        if e <= tol * e_ref:
+        rising = rising + 1 if len(errors) >= 2 and 0 < errors[-2] < e else 0
+        if e <= tol * e_ref or rising >= 3:
             break
-        prev = errors[-2] if len(errors) >= 2 else None
-        rising = rising + 1 if (prev is not None and prev > 0 and e > prev) else 0
-        if rising >= 3:
-            diverged = True
-            break
-    report = _finish_report(errors, e_ref if e_ref else 1.0, tol, predicted, blind, t0,
-                            diverged)
-    return f_n, report
+    diverged = rising >= 3 and errors[-1] > tol * e_ref
+    report = _finish_report(errors, e_ref if e_ref else 1.0, tol, predicted, blind, diverged)
+    return VSignal(CoefSeq(C, window.k1_first, window.k2_first), gen), report
 
 
 def ctem_iterate(out, kernel, devices, grid, f_true=None, n_max=40, tol=1e-8,

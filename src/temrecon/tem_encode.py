@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import EncodingInvariantError, GapError, InputError, PreconditionError
 from .generator import LeakMoments, bspline_eval, piece_polynomials
+from .mixed_norm import csv_rows
 
 BISECTION_TOL = 1e-14
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
@@ -226,13 +227,11 @@ class TemOutput:
         return float(gaps.max())
 
     def write_events_csv(self, path):
-        """One row per fire, from one format template per device: no string spans every fire."""
+        """One row per fire, written one device at a time (`csv_rows`): no string spans every fire."""
         with open(path, "w") as fh:
             fh.write("device_id,fire_index,time,recovered_value\n")
             for j, (t, v) in enumerate(zip(self.times, self.values)):
-                row = [j, 0, 0.0, 0.0] * t.size
-                row[1::4], row[2::4], row[3::4] = range(t.size), t.tolist(), v.tolist()
-                fh.write("%d,%d,%.17g,%.17g\n" * t.size % tuple(row))
+                fh.write(csv_rows("%d,%d,%.17g,%.17g\n", [j] * t.size, range(t.size), t, v))
 
 
 def density_report(out, delta):
@@ -773,28 +772,55 @@ class _LeakyTable:
         M = self.moments(np.ones(1))[0]
         self.full = (table.poly @ M + bias * M[0]).ravel()
 
-    def rises(self, rows, t, from_first=False):
-        """(y, f + bias): y[:, k] over [t[:, k], t[:, k + 1]], or over
-        [t[:, 0], t[:, k + 1]] `from_first`, from y = 0, at points t
-        (rows, points) of device rows; f + bias at every point."""
-        tab, a = self.table, slice(0, 1 if from_first else -1)
+    def _ends(self, rows, s):
+        """full[rows, s]: E at the end of piece s, past either end of the table too."""
+        return self.full[rows * self.table.poly.shape[1] + np.minimum(np.maximum(s, 0), self.table.last)]
+
+    def rises(self, rows, t):
+        """(y, f + bias): y[:, k] over [t[:, k], t[:, k + 1]] from y = 0, at
+        points t (rows, points) of device rows; f + bias at every point."""
+        tab = self.table
         s, u = tab.locate(t)
         c, M = tab.pieces(rows[:, None], s), self.moments(u)
         E = np.einsum("rpd,rpd->rp", c, M) + self.bias * M[..., 0]
-        y = E[:, 1:] - np.exp(-self.alpha * (t[:, 1:] - t[:, a])) * E[:, a]
-        knots = s[:, 1:] - s[:, a]
+        y = E[:, 1:] - np.exp(-self.alpha * np.diff(t)) * E[:, :-1]
+        knots = np.diff(s)
         for m in range(int(knots.max(initial=0))):
-            piece = s[:, a] + m
-            F = self.full[rows[:, None] * tab.poly.shape[1] + np.minimum(np.maximum(piece, 0), tab.last)]
+            piece = s[:, :-1] + m
+            F = self._ends(rows[:, None], piece)
             y += np.where(m < knots, np.exp(-self.alpha * (t[:, 1:] - (tab.origin + piece + 1))) * F, 0.0)
         return y, _horner(c, u) + self.bias
+
+    def after(self, rows, s, y_s):
+        """read(i, t) -> (y(t), f(t) + bias) of device rows[i] from y(s[i]) =
+        y_s[i] (i and t broadcast), t on s[i]'s knot piece or the next: y(t) =
+        E(t) + exp(-alpha (t - o)) y_o from o = s, y_o = y_s - E(s), or from
+        the knot o after s, y_o = y(o), so a read evaluates only t."""
+        tab = self.table
+        piece = tab.locate(s)[0][:, None] + np.arange(2)          # s's piece and the next
+        edge, c = tab.origin + piece, tab.pieces(rows[:, None], piece)
+        c[..., 0] += self.bias
+        o, knot = edge.copy(), edge[:, 1].copy()
+        o[:, 0] = s
+        y_o = np.empty_like(o)
+        y_o[:, 0] = y_s - np.einsum("rd,rd->r", c[:, 0], self.moments(s - edge[:, 0]))
+        y_o[:, 1] = self._ends(rows, piece[:, 0]) + np.exp(-self.alpha * (knot - s)) * y_o[:, 0]
+        edge, o, y_o, c = edge.ravel(), o.ravel(), y_o.ravel(), c.reshape(-1, tab.order)
+
+        def read(i, t):
+            j = 2 * i + (t >= knot[i])
+            u, cj = t - edge[j], c[j]
+            E = np.einsum("...d,...d->...", cj, self.moments(u))
+            return E + np.exp(-self.alpha * (t - o[j])) * y_o[j], _horner(cj, u)
+        return read
 
 
 def _iftem_fallback(leaky, cfg, rows, t_prev, t_end, fires):
     """Add to `fires` the fires of device rows[i] after t_prev[i], one a
-    round: y is read at min_gap steps over a unit from the scan start, and
-    `_first_fire` locates the fire from the first read that reaches theta;
-    a row without one carries y to the last read."""
+    round: y is read at min_gap steps over a unit from the scan start s
+    (`_LeakyTable.after`), and `_first_fire` locates the fire from the
+    first read that reaches theta; a row without one carries y to the last
+    read."""
     theta, alpha = cfg.theta, cfg.alpha
     h = theta / (cfg.b_level + cfg.c_bound)
     steps = h * np.arange(math.ceil(1.0 / h) + 1)
@@ -802,20 +828,19 @@ def _iftem_fallback(leaky, cfg, rows, t_prev, t_end, fires):
     k = np.flatnonzero(s < t_end)
     while k.size:
         pts = np.minimum(s[k, None] + steps, np.minimum(s[k] + 1.0, t_end)[:, None])
-        y = y_s[k, None] * np.exp(-alpha * (pts - pts[:, :1]))
-        y[:, 1:] += leaky.rises(rows[k], pts, from_first=True)[0]
+        read = leaky.after(rows[k], s[k], y_s[k])
+        y = read(np.arange(k.size)[:, None], pts)[0]
         fire = np.any(y[:, 1:] >= theta, axis=1)
         s[k[~fire]], y_s[k[~fire]] = pts[~fire, -1], y[~fire, -1]
-        q = k[fire]
+        q = np.flatnonzero(fire)
 
         def level(sub, t):
-            rise, fb = leaky.rises(rows[q[sub]], np.stack([s[q[sub]], t], axis=1))
-            yt = y_s[q[sub]] * np.exp(-alpha * (t - s[q[sub]])) + rise[:, 0]
-            return theta - yt, alpha * yt - fb[:, 1]
+            yt, fb = read(q[sub], t)
+            return theta - yt, alpha * yt - fb
 
-        s[q] = t_fire = _first_fire(level, pts[fire], theta - y[fire])
-        y_s[q] = 0.0
-        fires.add(rows[q], t_fire[:, None], np.ones(q.size, dtype=int))
+        s[k[q]] = t_fire = _first_fire(level, pts[q], theta - y[q])
+        y_s[k[q]] = 0.0
+        fires.add(rows[k[q]], t_fire[:, None], np.ones(q.size, dtype=int))
         k = k[s[k] < t_end]
 
 

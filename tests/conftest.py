@@ -19,8 +19,8 @@ from temrecon import (
 from temrecon.frames import measured_r0, neumann_coefficients
 from temrecon.generator import (LeakMoments, amalgam_norm_1d, bspline_autocorr, bspline_eval,
                                 piece_polynomials)
-from temrecon.kernel_space import SplineFactor1D
-from temrecon.mixed_norm import CoefSeq, GridFunction
+from temrecon.kernel_space import SplineFactor1D, apply_T
+from temrecon.mixed_norm import CoefSeq, GridFunction, _axis_norm, mixed_function_norm, mixed_sequence_norm
 from temrecon.reconstruct import iftem_operator
 
 
@@ -152,6 +152,27 @@ def reference_events_csv(out):
         row[1::4], row[2::4] = range(t.size), list(t)
         row[3::4] = list(v)
         text.append("%d,%d,%.17g,%.17g\n" * t.size % tuple(row))
+    return "".join(text).encode()
+
+
+def reference_convergence_csv(report):
+    """convergence.csv bytes from one f-string per row: the referee for
+    `ReconstructionReport.write_convergence_csv`."""
+    text = ["iter,error_lpq,ratio\n"]
+    for n, e in enumerate(report.errors):
+        ratio = report.ratios[n - 1] if 1 <= n <= len(report.ratios) else float("nan")
+        r = f"{ratio:.17g}" if np.isfinite(ratio) else ""
+        text.append(f"{n},{e:.17g},{r}\n")
+    return "".join(text).encode()
+
+
+def reference_coefficients_csv(c, header="k1,k2,c"):
+    """reconstruction.csv bytes from one f-string per entry: the referee for
+    `CoefSeq.write_csv`."""
+    text = [header + "\n"]
+    for i, k1 in enumerate(c.k1_range):
+        for j, k2 in enumerate(c.k2_range):
+            text.append(f"{k1},{k2},{c.entries[i, j]:.17g}\n")
     return "".join(text).encode()
 
 
@@ -292,6 +313,43 @@ def generic_w_norm(eval4, s_reach, resolution=8):
     return SplineFactor1D._w0_from_field(inner, resolution)
 
 
+def box_modulus_w0_direct_reference(factor, base, radius, resolution):
+    """The off-lattice box modulus by one `eval_outer` per offset: the sup
+    of |kappa(x + dx, s + ds) - base| over (dx, ds) in {-r, 0, r}^2 less
+    the center, on the unpadded statistics table `base`; the referee for
+    `SplineFactor1D._box_modulus_w0_direct`."""
+    h = 1.0 / resolution
+    half = (base.shape[1] - 1) // 2
+    xs = np.arange(0, resolution + 1) * h
+    ss = np.arange(-half, half + 1) * h
+    mod = np.zeros_like(base)
+    shifts = [(dx, ds) for dx in (-radius, 0.0, radius)
+              for ds in (-radius, 0.0, radius) if (dx, ds) != (0.0, 0.0)]
+    for dx, ds in shifts:
+        np.maximum(mod, np.abs(factor.eval_outer(xs + dx, ss + ds) - base), out=mod)
+    return factor._w0_from_field(mod, resolution)
+
+
+def reproducing_bound(kernel, x, y, params, grid):
+    """Point-evaluation constant: mixed (p', q') norm of the kernel slice at (x, y).
+
+    For separable kernels the mixed norm of the slice factors into per-axis
+    L^{p'} and L^{q'} quadratures over the grid axes.
+    """
+    vt = np.abs(kernel.factor_t.eval_outer(np.array([float(x)]), grid.xs)[0])
+    vs = np.abs(kernel.factor_s.eval_outer(np.array([float(y)]), grid.ys)[0])
+    return float(_axis_norm(vt, grid.weights_x, params.p_conj)
+                 * _axis_norm(vs, grid.weights_y, params.q_conj))
+
+
+def analysis_bound_check(f, kernel, params, window=None):
+    """Both sides of the analysis bound: (coef norm, function norm * dual amalgam norm)."""
+    sig = apply_T(kernel, f, window=window, self_check=False)
+    lhs = mixed_sequence_norm(sig.coeffs, params)
+    rhs = mixed_function_norm(f, params) * kernel.dual.amalgam_norm()
+    return lhs, rhs
+
+
 def kernel_slice(kernel, s, t, grid):
     """K(., .; s, t) rendered on the grid (a member of the signal space)."""
     vt = kernel.factor_t.eval_outer(grid.xs, np.array([float(s)]))[:, 0]
@@ -334,7 +392,7 @@ def apply_R(out, kernel, devices, window):
     space, so R lands in it by construction.
     """
     op = iftem_operator(out, kernel, devices, window)
-    return op.synthesize(op.My)
+    return VSignal(CoefSeq(op.My @ op.space, window.k1_first, window.k2_first), kernel.generator)
 
 
 def neumann_plus(kernel, kdelta, N, r0=None):

@@ -21,16 +21,12 @@ from temrecon import (
 )
 from temrecon.cli import ExperimentConfig, run_experiment
 from temrecon.frames import dual_pair_reconstruct, frame_bounds_check
-from temrecon.kernel_space import (
-    analysis_bound_check,
-    apply_T,
-    reproducing_bound,
-    reproducing_residual,
-)
+from temrecon.kernel_space import apply_T, reproducing_residual
 from temrecon.mixed_norm import Grid, GridFunction, duality_pairing, mixed_function_norm
 from temrecon.reconstruct import estimate_r1, estimate_r2
 
-from conftest import device_gaps, plain_integrator_oracle, random_vsignal
+from conftest import (analysis_bound_check, device_gaps, plain_integrator_oracle, random_vsignal,
+                      reproducing_bound)
 
 PQ_CHOICES = [1.0, 1.5, 2.0, 3.0, np.inf]
 PR22 = MixedNormParams(2.0, 2.0)

@@ -24,9 +24,7 @@ from temrecon.kernel_space import (
     Kernel,
     SplineFactor1D,
     _window_extreme,
-    analysis_bound_check,
     apply_T,
-    reproducing_bound,
     reproducing_residual,
 )
 from temrecon.mixed_norm import (
@@ -38,7 +36,8 @@ from temrecon.mixed_norm import (
 )
 from temrecon.reconstruct import ctem_operator
 
-from conftest import generic_w_norm, grid_function, kernel_slice, random_vsignal
+from conftest import (analysis_bound_check, box_modulus_w0_direct_reference, generic_w_norm, grid_function,
+                      kernel_slice, random_vsignal, reproducing_bound)
 
 
 def haar_factor():
@@ -113,7 +112,7 @@ def box_modulus_w0_reference(factor, radius, resolution):
     and min over every row offset in [-p, p], then over every column offset."""
     if radius * resolution < MODULUS_MIN_STEPS:
         base, _ = per_k_table(factor, resolution, 0)
-        return factor._box_modulus_w0_direct(base, radius, resolution)
+        return box_modulus_w0_direct_reference(factor, base, radius, resolution)
     pad = int(np.floor(radius * resolution))
     field, _ = per_k_table(factor, resolution, pad)
     nx = field.shape[0] - 2 * pad
@@ -213,6 +212,9 @@ def test_w_norm_is_unchanged_by_omega_calls():
     assert asked_first.w_norm() == w
 
 
+MODULUS_RADII = (0.05, 0.2, 0.3, 0.3536, 0.53, 0.7, 1.0198)
+
+
 @functools.cache
 def modulus_reference(order, radius, resolution):
     return box_modulus_w0_reference(spline_factor(order), radius, resolution)
@@ -223,9 +225,24 @@ def test_box_modulus_matches_all_pairs_reference(order):
     # the doubling window passes must equal one pass per offset bit for bit
     factor = spline_factor(order)
     for resolution in (32, 64):
-        for radius in (0.05, 0.2, 0.3, 0.3536, 0.53, 0.7, 1.0198):
-            assert (factor.w0_and_box_modulus(radius, resolution)[1]
-                    == modulus_reference(order, radius, resolution))
+        for radius in MODULUS_RADII:
+            if radius * resolution >= MODULUS_MIN_STEPS:
+                assert (factor.w0_and_box_modulus(radius, resolution)[1]
+                        == modulus_reference(order, radius, resolution))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_direct_box_modulus_matches_one_eval_outer_per_offset(order):
+    # off the lattice the offset fields are table products over one dual
+    # evaluation per offset: the dual reads (n - k resolution) h + ds where
+    # `eval_outer` reads (n h + ds) - k, so the norm may move by a few ulps
+    factor = spline_factor(order)
+    for resolution in (32, 64):
+        switch = MODULUS_MIN_STEPS / resolution
+        for radius in MODULUS_RADII + (0.99 * switch,):
+            if radius < switch:
+                want = modulus_reference(order, radius, resolution)
+                assert factor.w0_and_box_modulus(radius, resolution)[1] == pytest.approx(want, rel=2e-15)
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -353,14 +370,14 @@ def test_tiled_norm_equals_render_for_blind_updates():
     # blind mode monitors the norm of each Richardson update
     kernel, grid, window, devices, _, out = _encode(ExperimentConfig(), 3)
     op = ctem_operator(out, kernel, devices, window)
-    f_n = VSignal.zeros(window, kernel.generator)
+    C = np.zeros((window.n1, window.n2))
     for _ in range(2):
-        upd = op.step(f_n)
+        dC = op.step(C)
+        upd = VSignal(CoefSeq(dC, window.k1_first, window.k2_first), kernel.generator)
         for p, q in TILED_PQ:
             pr = MixedNormParams(p, q)
             assert upd.norm(grid, pr) == mixed_function_norm(upd.render(grid), pr)
-        f_n = VSignal(CoefSeq(f_n.coeffs.entries + upd.coeffs.entries,
-                              window.k1_first, window.k2_first), kernel.generator)
+        C += dC
 
 
 def test_tiled_norm_raises_on_overflowing_render():

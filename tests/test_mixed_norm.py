@@ -14,7 +14,7 @@ from temrecon.mixed_norm import (
     mixed_sequence_norm,
 )
 
-from conftest import grid_function
+from conftest import grid_function, reference_coefficients_csv
 
 INF = np.inf
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, INF]
@@ -187,3 +187,17 @@ def test_simpson_fallback_to_trapezoid():
     assert np.allclose(w_odd, np.array([1, 4, 2, 4, 1]) * 0.5 / 3.0)
     w_even = composite_weights(4, 0.5)
     assert np.allclose(w_even, np.array([0.5, 1, 1, 0.5]) * 0.5)
+
+
+@pytest.mark.parametrize("entries, k1_first, k2_first", [
+    ([[-0.0, 1e-300, -2.5], [0.1, -1e-300, 3.0]], -1, 4),
+    ([[-7.25e12]], 0, 0),
+    ([[0.0], [-0.0], [-1.0 / 3.0]], 5, -3),
+])
+def test_coefficient_csv_matches_the_per_entry_writer(tmp_path, entries, k1_first, k2_first):
+    # signed zeros, subnormal-edge and negative values, off-origin windows
+    c = CoefSeq(np.array(entries), k1_first, k2_first)
+    c.write_csv(tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == reference_coefficients_csv(c)
+    c.write_csv(tmp_path / "h.csv", header="a,b,v")
+    assert (tmp_path / "h.csv").read_bytes() == reference_coefficients_csv(c, "a,b,v")

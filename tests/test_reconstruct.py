@@ -23,6 +23,7 @@ from temrecon.cli import ExperimentConfig, run_experiment
 from temrecon.kernel_space import Kernel, SplineFactor1D, apply_T
 from temrecon.mixed_norm import GridFunction, mixed_function_norm
 from temrecon.reconstruct import (
+    _finish_report,
     ctem_operator,
     estimate_r1,
     estimate_r2,
@@ -30,7 +31,8 @@ from temrecon.reconstruct import (
 )
 from temrecon.tem_encode import TemOutput
 
-from conftest import apply_R, apply_S, knot_split_rule, random_vsignal, subpanel_rule
+from conftest import (apply_R, apply_S, knot_split_rule, random_vsignal, reference_convergence_csv,
+                      subpanel_rule)
 
 PR = MixedNormParams(2.0, 2.0)
 
@@ -182,16 +184,16 @@ def test_ctem_operator_step_matches_gauss_cells(small_grid, order, silent_device
     mids = 0.5 * (ends[:-1] + ends[1:])
     cover = np.abs(mids[None, :] - dev.positions[:, None]) <= 0.5
     want = cols @ ((cover / cover.sum(axis=0)) @ pieces)
-    got = ctem_operator(out, kernel, dev, w).step(f_n)
+    got = ctem_operator(out, kernel, dev, w).step(f_n.coeffs.entries)
     assert np.max(np.abs(want)) > 0.1
-    assert np.max(np.abs(got.coeffs.entries - want)) <= 1e-13
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_ctem_operator_step_tends_to_grid_path(hat_kernel, hat_gen, small_grid, small_window):
     # T S applied to the rendered residual approaches the exact step as the
     # grid refines: its cells end at grid points, an O(h) error
     dev, out, f_n, resid = _crossing_case(hat_gen, small_grid, small_window)
-    got = ctem_operator(out, hat_kernel, dev, small_window).step(f_n).coeffs.entries
+    got = ctem_operator(out, hat_kernel, dev, small_window).step(f_n.coeffs.entries)
     diffs = []
     for h in (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0):
         grid = Grid.from_spacing(0.0, 12.0, 0.0, 12.0, h)
@@ -348,8 +350,8 @@ def test_apply_r_zero_and_single_fire(hat_kernel, hat_gen, small_grid, small_win
         sig = apply_R(out, hat_kernel, dev, small_window)
         # from a zero iterate one step is R applied to the recovered integrals
         step = iftem_operator(out, hat_kernel, dev, small_window).step(
-            VSignal.zeros(small_window, hat_gen))
-        assert np.array_equal(step.coeffs.entries, sig.coeffs.entries)
+            np.zeros((small_window.n1, small_window.n2)))
+        assert np.array_equal(step, sig.coeffs.entries)
         l1 = dev.u_l1_norms()[0]
         s_mid = 0.5 * (5.7 + 5.9)
         rng = np.random.default_rng(7)
@@ -387,9 +389,9 @@ def test_iftem_operator_step_matches_gauss_intervals(small_grid, order, alpha):
             M_j = l1[j] * dual.axis_t.eval(0.5 * (a + t)[None, :] - w.k1s[:, None])
             cols[:, j] = M_j @ (out.values[j] - (q * f).sum(axis=1))
     want = cols @ dual.axis_s.eval(dev.positions[:, None] - w.k2s[None, :])
-    got = iftem_operator(out, kernel, dev, w).step(f_n)
+    got = iftem_operator(out, kernel, dev, w).step(f_n.coeffs.entries)
     assert np.max(np.abs(want)) > 0.1
-    assert np.max(np.abs(got.coeffs.entries - want)) <= 1e-13
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_apply_r_boundedness(hat_kernel, hat_gen, small_grid, small_window):
@@ -461,3 +463,30 @@ def test_iftem_divergence_is_reported(hat_kernel, hat_gen, small_grid, small_win
     out = encode_iftem_devices(sig, dev, if_cfg(alpha=0.0), (0.0, 12.0))
     rec, rep = iftem_iterate(out, hat_kernel, dev, small_grid, f_true=sig, n_max=25)
     assert rep.diverged and not rep.converged
+
+
+@pytest.mark.parametrize("errors", [
+    pytest.param([0.75], id="no-step"),
+    pytest.param([2.0, 0.5], id="one-iteration"),
+    pytest.param([2.0, 0.0, 0.0, 1e-17], id="zero-error"),
+    pytest.param([1e-310, 1e300, 3.0], id="overflowing-ratio"),
+    pytest.param([1.0, 1.0 / 3.0, 0.1, 2.0 ** -40], id="decay"),
+])
+def test_convergence_csv_matches_the_per_row_writer(tmp_path, errors):
+    # a ratio after a zero error is NaN and an overflowing one infinite:
+    # both leave the field empty, as row 0 does
+    report = _finish_report(list(errors), errors[0], 1e-8, 3.0, False, False)
+    report.write_convergence_csv(tmp_path / "convergence.csv")
+    assert (tmp_path / "convergence.csv").read_bytes() == reference_convergence_csv(report)
+
+
+def test_convergence_csv_of_a_run_matches_the_per_row_writer(tmp_path, hat_kernel, hat_gen,
+                                                              small_grid, small_window):
+    rng = np.random.default_rng(9)
+    sig = random_vsignal(small_window, hat_gen, small_grid, rng)
+    dev = DeviceSet.uniform(0.0, 12.0, 1.0, 0.5)
+    out = encode_ctem_devices(sig, dev, crossing_cfg(), (0.0, 12.0))
+    for f_true in (sig, None):
+        _, report = ctem_iterate(out, hat_kernel, dev, small_grid, f_true=f_true, n_max=12)
+        report.write_convergence_csv(tmp_path / "convergence.csv")
+        assert (tmp_path / "convergence.csv").read_bytes() == reference_convergence_csv(report)
