@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfmt import csv_rows
 from .errors import GridMismatchError, InputError
 
 INF = float("inf")
@@ -193,16 +194,6 @@ class CoefSeq:
         with open(path, "w") as fh:
             fh.write(header + "\n" + csv_rows("%d,%d,%.17g\n", k1.ravel(), k2.ravel(),
                                                self.entries.ravel()))
-
-
-def csv_rows(template, *columns):
-    """The rows of equal-length columns (sequences or arrays) as one string,
-    `template * n % fields` with the fields interleaved row by row as Python
-    numbers: the one row formatter of every CSV artifact."""
-    fields = [None] * (len(columns) * len(columns[0]))
-    for i, col in enumerate(columns):
-        fields[i::len(columns)] = col.tolist() if isinstance(col, np.ndarray) else col
-    return template * len(columns[0]) % tuple(fields)
 
 
 def _axis_norm(vals, weights, p):

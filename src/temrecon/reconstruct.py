@@ -28,7 +28,8 @@ from .errors import InputError
 from .generator import (band_columns, bspline_eval, spline_basis, spline_cell_integrals,
                         spline_leaky_integrals)
 from .kernel_space import VSignal, window_for_grid
-from .mixed_norm import CoefSeq, MixedNormParams, csv_rows
+from .csvfmt import csv_rows
+from .mixed_norm import CoefSeq, MixedNormParams
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ import numpy as np
 
 from .errors import EncodingInvariantError, GapError, InputError, PreconditionError
 from .generator import LeakMoments, bspline_eval, piece_polynomials
-from .mixed_norm import csv_rows
+from .csvfmt import csv_rows
 
 BISECTION_TOL = 1e-14
+EVENTS_BLOCK = 1024      # rows of events.csv formatted at once: 0.42 MB traced, 2,048 rows 0.84 MB
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
@@ -227,11 +228,17 @@ class TemOutput:
         return float(gaps.max())
 
     def write_events_csv(self, path):
-        """One row per fire, written one device at a time (`csv_rows`): no string spans every fire."""
+        """One row per fire, device-major, formatted by `csv_rows` a block
+        of EVENTS_BLOCK rows at a time across devices; each block reads its
+        device ids from `offsets`, so no array or string spans every fire."""
         with open(path, "w") as fh:
             fh.write("device_id,fire_index,time,recovered_value\n")
-            for j, (t, v) in enumerate(zip(self.times, self.values)):
-                fh.write(csv_rows("%d,%d,%.17g,%.17g\n", [j] * t.size, range(t.size), t, v))
+            for lo in range(0, self.t.size, EVENTS_BLOCK):
+                hi = min(lo + EVENTS_BLOCK, self.t.size)
+                fire = np.arange(lo, hi)
+                j = np.searchsorted(self.offsets, fire, side="right") - 1
+                fh.write(csv_rows("%d,%d,%.17g,%.17g\n", j, fire - self.offsets[j],
+                                  self.t[lo:hi], self.v[lo:hi]))
 
 
 def density_report(out, delta):

@@ -1,6 +1,6 @@
 """Traced memory bounds: the error monitor and the config checks hold no
 array whose size grows with the grid or with devices x probes, the
-events writer holds no string that spans every fire, the kernel
+events writer holds no array or string that spans every fire, the kernel
 statistics never hold the core of the padded table beside the modulus
 field, and an encoder's chain rounds hold a bounded number of
 candidates."""
@@ -42,9 +42,10 @@ def test_config_checks_coverage_without_a_device_probe_array():
     assert traced_peak_mb(lambda: ExperimentConfig(mode="integrate-and-fire")) < 1.0
 
 
-def test_events_csv_writes_one_device_at_a_time(tmp_path):
+def test_events_csv_writes_a_block_of_rows_at_a_time(tmp_path):
     # the size of the leaky desk output, 257 devices x 262 fires; one format
-    # template over every row traces about 12.5 MB
+    # template over every row traces about 12.5 MB, and the 1,024-row blocks
+    # about 0.42 MB
     rng = np.random.default_rng(0)
     times = np.sort(rng.uniform(0.0, 32.0, (257, 262)), axis=1)
     out = TemOutput.from_lists(TemConfig("crossing", 1.0, 2.0, 0.25),

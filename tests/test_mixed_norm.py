@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from temrecon import Grid, GridMismatchError, InputError, MixedNormParams
+from temrecon.csvfmt import csv_rows
 from temrecon.mixed_norm import (
     CoefSeq,
     GridFunction,
@@ -193,6 +194,8 @@ def test_simpson_fallback_to_trapezoid():
     ([[-0.0, 1e-300, -2.5], [0.1, -1e-300, 3.0]], -1, 4),
     ([[-7.25e12]], 0, 0),
     ([[0.0], [-0.0], [-1.0 / 3.0]], 5, -3),
+    # negative indices on both axes, as a window with x_min < 0 has
+    (np.random.default_rng(1).normal(size=(3, 4)), -5, -12),
 ])
 def test_coefficient_csv_matches_the_per_entry_writer(tmp_path, entries, k1_first, k2_first):
     # signed zeros, subnormal-edge and negative values, off-origin windows
@@ -201,3 +204,73 @@ def test_coefficient_csv_matches_the_per_entry_writer(tmp_path, entries, k1_firs
     assert (tmp_path / "c.csv").read_bytes() == reference_coefficients_csv(c)
     c.write_csv(tmp_path / "h.csv", header="a,b,v")
     assert (tmp_path / "h.csv").read_bytes() == reference_coefficients_csv(c, "a,b,v")
+
+
+def printf_rows(template, *columns):
+    """`template * n % fields` over Python numbers: the referee for `csv_rows`."""
+    fields = [f for row in zip(*(np.asarray(c).tolist() for c in columns)) for f in row]
+    return template * len(columns[0]) % tuple(fields)
+
+
+def assert_rows_match_printf(template, *columns):
+    got, want = csv_rows(template, *columns), printf_rows(template, *columns)
+    differ = [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w]
+    assert (len(got), differ[:5]) == (len(want), [])
+
+
+def inexact_near_ties():
+    """Doubles x = m 2**-(k + j) whose x 10**k, 17 digits before the point
+    for k > 22, lies a few 2**-j off a half-integer: remainders that the
+    product with an inexact 5**k leaves too close to a half to round by
+    itself, so they fall back."""
+    xs = []
+    for k in (23, 24, 25, 30, 40, 44):
+        for j in range(20, 60):
+            lo = -(-10**16 * 2**j // 5**k)          # x 10**k >= 10**16
+            for off in (-3, -1, 1, 3):
+                m = (2**(j - 1) + off) * pow(5**k, -1, 2**j) % 2**j
+                m += max(0, -(-(lo - m) // 2**j)) * 2**j
+                if m < 2**53:
+                    xs.append(m * 2.0 ** -(k + j))
+    return np.array(xs)
+
+
+def test_csv_rows_writes_the_17_digits_python_writes():
+    rng = np.random.default_rng(5)
+    decades = 10.0 ** np.arange(-30, 18)
+    # exact ties at the 17th digit: 1 + j 2**-17 for odd j ends in a 5 there,
+    # as do some small odd multiples of powers of two, 2**-25 among them
+    ties = (2**17 + np.arange(1, 2**17, 2)) * 2.0**-17
+    dyadic = np.array([1.0, 3.0, 5.0, 7.0])[:, None] * 2.0 ** np.arange(-100, 57)
+    x = np.concatenate([
+        decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
+        ties, ties * 1e-5, ties * 3e-17, dyadic.ravel(), inexact_near_ties(),
+        [0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, 1e15, 1e300],
+        rng.uniform(0.0, 32.0, 20_000), rng.uniform(-1.0, 1.0, 20_000),
+        rng.standard_normal(20_000) * 1e-16,
+    ])
+    assert_rows_match_printf("%.17g\n", x)
+    assert_rows_match_printf("%.17g,%.17g\n", x, -x[::-1])
+
+
+def test_csv_rows_falls_back_field_by_field():
+    # a field off the fast path beside fields on it, in one row
+    assert_rows_match_printf("%d,%.17g,%.17g,%.17g\n", [7, -8], [np.nan, 0.25], [1e300, -np.inf],
+                             [0.1, -1e-16])
+
+
+def test_csv_rows_writes_every_int64():
+    i64 = np.iinfo(np.int64)
+    v = np.array([0, 1, -1, 9, 10, -10, 9_999, 10_000, -10_001, 123_456_789, 10**18,
+                  i64.max, i64.min, i64.min + 1])
+    assert_rows_match_printf("%d;%d\n", v, v[::-1])
+    assert csv_rows("<%d>\n", range(3)) == "<0>\n<1>\n<2>\n"
+
+
+def test_csv_rows_takes_only_d_and_g17_over_columns_of_one_length():
+    for template in ("%s\n", "%.6g\n", "%d %%\n", "%d,%d\n"):
+        with pytest.raises(InputError):
+            csv_rows(template, [1.0])
+    with pytest.raises(InputError):
+        csv_rows("%d,%.17g\n", [1, 2], [1.0])
+    assert csv_rows("%d,%.17g\n", [], []) == ""

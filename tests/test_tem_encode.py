@@ -320,6 +320,19 @@ def test_events_csv_matches_the_per_device_template(tmp_path, case):
     assert (tmp_path / "events.csv").read_bytes() == reference_events_csv(out)
 
 
+def test_events_csv_with_a_device_of_more_than_ten_thousand_fires(tmp_path):
+    # fire indices of five digits, and blocks of rows that start and end
+    # inside a device and across a silent one
+    rng = np.random.default_rng(11)
+    counts = [3, 12_345, 0, 1_500, 0, 7]
+    times = [np.sort(rng.uniform(0.0, 40.0, n)) for n in counts]
+    values = [rng.normal(size=n) * 10.0 ** rng.integers(-18, 3, n) for n in counts]
+    dev = DeviceSet(np.arange(6.0), 1.0, (0.0, 5.0))
+    out = TemOutput.from_lists(crossing_cfg(), dev, 0.0, 40.0, times, values)
+    out.write_events_csv(tmp_path / "events.csv")
+    assert (tmp_path / "events.csv").read_bytes() == reference_events_csv(out)
+
+
 def test_gaps_and_monotone_times(hat_gen, small_grid, small_window):
     rng = np.random.default_rng(3)
     for machine in ("crossing", "integrate-and-fire"):
